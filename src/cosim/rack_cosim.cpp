@@ -108,23 +108,15 @@ void MlStreamStats::merge(const MlStreamStats& other) {
 }
 
 MlStats MlStreamStats::report() const {
-  const auto tails = [](const sim::QuantileSketch& sketch) {
-    disagg::TailStats t;
-    t.count = sketch.count();
-    t.p50 = sketch.quantile_or(0.5, 0.0);
-    t.p99 = sketch.quantile_or(0.99, 0.0);
-    t.p999 = sketch.quantile_or(0.999, 0.0);
-    return t;
-  };
   MlStats out;
   out.jobs_offered = offered_;
   out.jobs_accepted = accepted_;
   out.jobs_completed = completed_;
   out.steps = steps_;
   out.collective_phases = phases_;
-  out.step_ms = tails(step_ms_);
-  out.coll_frac = tails(coll_frac_);
-  out.straggler = tails(straggler_);
+  out.step_ms = disagg::tails_of(step_ms_);
+  out.coll_frac = disagg::tails_of(coll_frac_);
+  out.straggler = disagg::tails_of(straggler_);
   return out;
 }
 

@@ -14,16 +14,14 @@ void JobStreamStats::sample(const RackAllocator& allocator) {
   marooned_mem_.add(allocator.marooned_memory_fraction());
 }
 
-namespace {
 TailStats tails_of(const sim::QuantileSketch& sketch) {
   TailStats t;
   t.count = sketch.count();
-  t.p50 = sketch.quantile_or(50.0, 0.0);
-  t.p99 = sketch.quantile_or(99.0, 0.0);
-  t.p999 = sketch.quantile_or(99.9, 0.0);
+  t.p50 = sketch.quantile_or(0.5, 0.0);
+  t.p99 = sketch.quantile_or(0.99, 0.0);
+  t.p999 = sketch.quantile_or(0.999, 0.0);
   return t;
 }
-}  // namespace
 
 void JobStreamStats::merge(const JobStreamStats& other) {
   offered_ += other.offered_;

@@ -40,6 +40,10 @@ struct TailStats {
   double p999 = 0.0;
 };
 
+/// The one p50/p99/p999 read-off of a sketch, shared by every stream that
+/// reports tails (jobs here, training steps in cosim::MlStreamStats).
+[[nodiscard]] TailStats tails_of(const sim::QuantileSketch& sketch);
+
 struct JobSimReport {
   std::uint64_t offered = 0;
   std::uint64_t accepted = 0;

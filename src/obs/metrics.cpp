@@ -79,8 +79,8 @@ void MetricsRegistry::sample(double t_ms) {
   row.values.reserve(metrics_.size() * 2);
   for (const Metric& m : metrics_) {
     if (m.kind == Kind::kHistogram) {
-      row.values.push_back(m.sketch.quantile_or(50.0, 0.0));
-      row.values.push_back(m.sketch.quantile_or(99.0, 0.0));
+      row.values.push_back(m.sketch.quantile_or(0.5, 0.0));
+      row.values.push_back(m.sketch.quantile_or(0.99, 0.0));
     } else {
       row.values.push_back(m.value);
     }

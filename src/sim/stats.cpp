@@ -107,6 +107,12 @@ namespace {
 /// metrics expressed in ms never legitimately go this small, and a floor
 /// keeps the log-bucket index bounded.
 constexpr double kSketchZeroThreshold = 1e-12;
+
+double checked_fraction(double q) {
+  if (!(q >= 0.0 && q <= 1.0))
+    throw std::invalid_argument("QuantileSketch: q must be a fraction in [0,1]");
+  return q;
+}
 }  // namespace
 
 QuantileSketch::QuantileSketch(double relative_error) : alpha_(relative_error) {
@@ -151,13 +157,12 @@ void QuantileSketch::merge(const QuantileSketch& other) {
 }
 
 double QuantileSketch::quantile(double q) const {
+  checked_fraction(q);
   if (n_ == 0) throw std::logic_error("QuantileSketch: quantile of empty sketch");
-  q = std::clamp(q, 0.0, 100.0);
-  // Same rank convention as sim::percentile: rank q/100 * (n-1); the bucket
+  // Same rank convention as sim::percentile: rank q * (n-1); the bucket
   // holding that rank answers with its geometric midpoint, clamped into the
   // observed [min, max] so p0/p100 are exact and no answer leaves the data.
-  const auto rank = static_cast<std::uint64_t>(
-      q / 100.0 * static_cast<double>(n_ - 1));
+  const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(n_ - 1));
   double value = 0.0;
   if (rank < zero_count_) {
     value = 0.0;
@@ -176,7 +181,7 @@ double QuantileSketch::quantile(double q) const {
 }
 
 double QuantileSketch::quantile_or(double q, double fallback) const {
-  return n_ ? quantile(q) : fallback;
+  return n_ ? quantile(q) : (checked_fraction(q), fallback);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -68,9 +68,11 @@ class RunningStats {
 /// default a = 0.01, values spanning 1e-12..1e12 fit in < 2800 buckets.
 ///
 /// Contract: add() accepts finite values >= 0 and throws
-/// std::invalid_argument otherwise; quantile() throws std::logic_error on
-/// an empty sketch (use quantile_or() where empty is an expected state);
-/// merge() requires both sketches to share the same relative error.
+/// std::invalid_argument otherwise; quantile() takes q as a fraction in
+/// [0,1] and throws std::invalid_argument outside it, and throws
+/// std::logic_error on an empty sketch (use quantile_or() where empty is an
+/// expected state); merge() requires both sketches to share the same
+/// relative error.
 class QuantileSketch {
  public:
   explicit QuantileSketch(double relative_error = 0.01);
@@ -83,11 +85,14 @@ class QuantileSketch {
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
 
-  /// Quantile for q in [0, 100] (same convention as sim::percentile).  The
-  /// result is clamped into [min(), max()] and is within relative_error()
-  /// of the exact rank statistic.  Throws std::logic_error when empty.
+  /// Quantile for q a fraction in [0, 1] (0.99 is p99), the convention of
+  /// workloads::QuantileLognormal::quantile.  The result is clamped into
+  /// [min(), max()] and is within relative_error() of the exact rank
+  /// statistic.  Throws std::invalid_argument for q outside [0, 1] and
+  /// std::logic_error when empty.
   [[nodiscard]] double quantile(double q) const;
-  /// quantile(q), or `fallback` when the sketch is empty.
+  /// quantile(q), or `fallback` when the sketch is empty (q is checked
+  /// either way).
   [[nodiscard]] double quantile_or(double q, double fallback) const;
 
  private:

@@ -381,6 +381,21 @@ TEST(MlAccounting, StepTimeDominatesComputeTime) {
             report.ml.jobs_completed * 2u);  // cfg.ml.steps per finished job
 }
 
+// The ML tails are real upper quantiles: with heavy compute jitter sharing
+// the rack with HPC jobs, step times spread and some collectives straggle,
+// so p99 sits above p50 and the straggler p99 above the uncontended 1.
+// (Read as near-minimum ranks, both pairs used to come out equal.)
+TEST(MlAccounting, TailsAreUpperQuantilesNotMinima) {
+  cosim::CosimConfig cfg;
+  cfg.ml.enabled = true;
+  cfg.ml.mix_fraction = 0.5;
+  cfg.ml.jitter_frac = 2.0;
+  const auto report = run_ml(cfg);
+  ASSERT_GT(report.ml.steps, 10u);
+  EXPECT_GT(report.ml.step_ms.p99, report.ml.step_ms.p50);
+  EXPECT_GT(report.ml.straggler.p99, 1.0);
+}
+
 // ---------------------------------------------------------------------------
 // Campaign determinism: the ML campaign serializes byte-identically at
 // every --jobs level (the same pin the fault/cluster campaigns carry).

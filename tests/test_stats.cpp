@@ -111,8 +111,8 @@ TEST(Means, GeomeanRejectsEmptyAndNonPositive) {
 /// Assert every probed quantile of `sketch` is within its stated relative
 /// error of the exact rank statistic of `values`.
 void expect_within_bound(const QuantileSketch& sketch, std::vector<double> values) {
-  for (const double q : {0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
-    const double exact = percentile(values, q);
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const double exact = percentile(values, q * 100.0);
     const double approx = sketch.quantile(q);
     EXPECT_NEAR(approx, exact, sketch.relative_error() * std::abs(exact) + 1e-12)
         << "q=" << q;
@@ -149,16 +149,16 @@ TEST(QuantileSketchTest, ConstantStreamIsExact) {
   for (int i = 0; i < 1000; ++i) sketch.add(3.25);
   // All mass in one bucket, and the [min, max] clamp pins the answer.
   EXPECT_DOUBLE_EQ(sketch.quantile(0), 3.25);
-  EXPECT_DOUBLE_EQ(sketch.quantile(50), 3.25);
-  EXPECT_DOUBLE_EQ(sketch.quantile(99.9), 3.25);
+  EXPECT_DOUBLE_EQ(sketch.quantile(0.5), 3.25);
+  EXPECT_DOUBLE_EQ(sketch.quantile(0.999), 3.25);
 }
 
 TEST(QuantileSketchTest, ZerosReportExactlyZero) {
   QuantileSketch sketch;
   for (int i = 0; i < 90; ++i) sketch.add(0.0);
   for (int i = 0; i < 10; ++i) sketch.add(100.0);
-  EXPECT_DOUBLE_EQ(sketch.quantile(50), 0.0);
-  EXPECT_GT(sketch.quantile(99), 0.0);
+  EXPECT_DOUBLE_EQ(sketch.quantile(0.5), 0.0);
+  EXPECT_GT(sketch.quantile(0.99), 0.0);
 }
 
 TEST(QuantileSketchTest, QuantilesAreMonotoneInQ) {
@@ -166,7 +166,8 @@ TEST(QuantileSketchTest, QuantilesAreMonotoneInQ) {
   QuantileSketch sketch;
   for (int i = 0; i < 50000; ++i) sketch.add(rng.exponential(5.0));
   double prev = sketch.quantile(0);
-  for (double q = 5; q <= 100; q += 5) {
+  for (int step = 1; step <= 20; ++step) {
+    const double q = step / 20.0;
     const double cur = sketch.quantile(q);
     EXPECT_GE(cur, prev) << "q=" << q;
     prev = cur;
@@ -187,7 +188,7 @@ TEST(QuantileSketchTest, MergeMatchesSequentialExactly) {
   merged.merge(b);
   merged.merge(c);
   EXPECT_EQ(merged.count(), all.count());
-  for (const double q : {1.0, 50.0, 99.0, 99.9})
+  for (const double q : {0.01, 0.5, 0.99, 0.999})
     EXPECT_DOUBLE_EQ(merged.quantile(q), all.quantile(q)) << "q=" << q;
 }
 
@@ -201,7 +202,7 @@ TEST(QuantileSketchTest, MergeIsOrderIndependent) {
   QuantileSketch ab = a, ba = b;
   ab.merge(b);
   ba.merge(a);
-  for (const double q : {10.0, 50.0, 99.0})
+  for (const double q : {0.1, 0.5, 0.99})
     EXPECT_DOUBLE_EQ(ab.quantile(q), ba.quantile(q)) << "q=" << q;
 }
 
@@ -220,9 +221,9 @@ TEST(QuantileSketchTest, MillionSamplesO1Memory) {
   const double p50 = -10.0 * std::log(1.0 - 0.50);
   const double p99 = -10.0 * std::log(1.0 - 0.99);
   const double p999 = -10.0 * std::log(1.0 - 0.999);
-  EXPECT_NEAR(sketch.quantile(50), p50, 0.03 * p50);
-  EXPECT_NEAR(sketch.quantile(99), p99, 0.03 * p99);
-  EXPECT_NEAR(sketch.quantile(99.9), p999, 0.03 * p999);
+  EXPECT_NEAR(sketch.quantile(0.50), p50, 0.03 * p50);
+  EXPECT_NEAR(sketch.quantile(0.99), p99, 0.03 * p99);
+  EXPECT_NEAR(sketch.quantile(0.999), p999, 0.03 * p999);
 }
 
 TEST(QuantileSketchTest, ContractViolationsThrow) {
@@ -233,8 +234,13 @@ TEST(QuantileSketchTest, ContractViolationsThrow) {
   EXPECT_THROW(sketch.add(std::nan("")), std::invalid_argument);
   EXPECT_THROW(sketch.add(std::numeric_limits<double>::infinity()),
                std::invalid_argument);
-  EXPECT_THROW(sketch.quantile(50), std::logic_error);  // still empty
-  EXPECT_EQ(sketch.quantile_or(50, -7.0), -7.0);
+  EXPECT_THROW(sketch.quantile(0.5), std::logic_error);  // still empty
+  EXPECT_EQ(sketch.quantile_or(0.5, -7.0), -7.0);
+  // q is a fraction: a percent (or NaN) is a caller bug, empty sketch or not.
+  EXPECT_THROW(sketch.quantile_or(99.0, 0.0), std::invalid_argument);
+  sketch.add(1.0);
+  for (const double q : {-0.01, 1.01, 99.0, std::nan("")})
+    EXPECT_THROW(sketch.quantile(q), std::invalid_argument) << "q=" << q;
   QuantileSketch coarser(0.05);
   EXPECT_THROW(sketch.merge(coarser), std::invalid_argument);
 }
