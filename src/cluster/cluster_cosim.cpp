@@ -248,26 +248,17 @@ ClusterReport ClusterCosim::report() const {
   // ML training tails merge exactly like the job stream: counter sums plus
   // order-independent sketch merges, so sharding never moves a quantile.
   cosim::MlStreamStats ml;
+  // Flows pool their raw bandwidth sums, so the fractions are Σsatisfied /
+  // Σrequested over every flow in the cluster.
+  net::FlowTally flows;
   for (std::size_t r = 0; r < racks_.size(); ++r) {
     const cosim::CosimReport& rr = out.racks[r];
     total.jobs.events.scheduled += rr.jobs.events.scheduled;
     total.jobs.events.dispatched += rr.jobs.events.dispatched;
     total.jobs.events.cancelled += rr.jobs.events.cancelled;
-    total.jobs.events.pending_peak += rr.jobs.events.pending_peak;
-    // Flows: extensive fields sum; intensive fractions are
-    // flow-count-weighted means; peak utilization is the hottest rack.
-    const double w = static_cast<double>(rr.flows.flows);
-    total.flows.flows += rr.flows.flows;
-    total.flows.fully_satisfied += rr.flows.fully_satisfied;
-    total.flows.stale_mispicks += rr.flows.stale_mispicks;
-    total.flows.second_hops += rr.flows.second_hops;
-    total.flows.offered_gbps_mean += rr.flows.offered_gbps_mean * w;
-    total.flows.satisfied_fraction += rr.flows.satisfied_fraction * w;
-    total.flows.direct_fraction += rr.flows.direct_fraction * w;
-    total.flows.indirect_fraction += rr.flows.indirect_fraction * w;
-    total.flows.mean_intermediates += rr.flows.mean_intermediates * w;
-    total.flows.peak_utilization =
-        std::max(total.flows.peak_utilization, rr.flows.peak_utilization);
+    total.jobs.events.pending_peak =
+        std::max(total.jobs.events.pending_peak, rr.jobs.events.pending_peak);
+    flows.merge(racks_[r]->flow_tally());
     speed.merge(racks_[r]->speed_stats());
     stretch.merge(racks_[r]->stretch_stats());
     // Power/energy: racks draw concurrently, so cluster power is the sum of
@@ -291,13 +282,7 @@ ClusterReport ClusterCosim::report() const {
     ml.merge(racks_[r]->ml_stream_stats());
     total.ml.enabled = total.ml.enabled || rr.ml.enabled;
   }
-  if (const double n = static_cast<double>(total.flows.flows); n > 0.0) {
-    total.flows.offered_gbps_mean /= n;
-    total.flows.satisfied_fraction /= n;
-    total.flows.direct_fraction /= n;
-    total.flows.indirect_fraction /= n;
-    total.flows.mean_intermediates /= n;
-  }
+  total.flows = flows.report();
   double avail = 0.0, mttr = 0.0;
   for (const auto& rr : out.racks) {
     avail += rr.fault.availability;

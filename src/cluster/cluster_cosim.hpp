@@ -44,9 +44,10 @@ struct ClusterReport {
   /// Per-rack reports, index == rack id.
   std::vector<cosim::CosimReport> racks;
   /// Cluster-wide aggregate.  Job tails come from exact sketch merges, so
-  /// they equal a single stream that saw every job; flow fractions are
-  /// flow-count-weighted means; power sums across racks; completed_at is the
-  /// latest rack.  With one rack this is that rack's report, field for field.
+  /// they equal a single stream that saw every job; flow fractions pool the
+  /// racks' raw bandwidth sums (Σsatisfied / Σrequested); power sums across
+  /// racks; completed_at is the latest rack and pending_peak the deepest
+  /// rack queue.  With one rack this is that rack's report, field for field.
   cosim::CosimReport total;
   std::uint64_t spilled = 0;        // jobs exported to another rack
   std::uint64_t spill_failed = 0;   // spills the target rack also refused

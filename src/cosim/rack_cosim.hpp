@@ -269,6 +269,7 @@ class RackCosim {
   [[nodiscard]] const sim::RunningStats& speed_stats() const { return speed_; }
   [[nodiscard]] const sim::RunningStats& stretch_stats() const { return stretch_; }
   [[nodiscard]] const MlStreamStats& ml_stream_stats() const { return mlstats_; }
+  [[nodiscard]] net::FlowTally flow_tally() const { return engine_.tally(); }
 
  private:
   /// A planned job waiting in the kQueue backlog for resources.  `retries`

@@ -28,15 +28,15 @@ void FlowEngine::refresh_view(sim::TimePs now) {
 std::uint64_t FlowEngine::open(const FlowSpec& spec, sim::TimePs now) {
   obs::ScopedTimer timer(obs_.profiler, sc_open_);
   RouteResult result = router_.route(spec.src, spec.dst, spec.gbps);
-  ++flows_;
-  if (result.fully_satisfied()) ++fully_satisfied_;
-  offered_.add(spec.gbps);
-  intermediates_.add(result.intermediates_used);
-  requested_total_ += spec.gbps;
-  satisfied_total_ += result.satisfied();
-  direct_total_ += result.direct_gbps;
-  indirect_total_ += result.indirect_gbps;
-  peak_util_ = std::max(peak_util_, fabric_->utilization());
+  ++tally_.flows;
+  if (result.fully_satisfied()) ++tally_.fully_satisfied;
+  tally_.offered.add(spec.gbps);
+  tally_.intermediates.add(result.intermediates_used);
+  tally_.requested += spec.gbps;
+  tally_.satisfied += result.satisfied();
+  tally_.direct += result.direct_gbps;
+  tally_.indirect += result.indirect_gbps;
+  tally_.peak_utilization = std::max(tally_.peak_utilization, fabric_->utilization());
   const std::uint64_t id = next_id_++;
   if (obs_.trace) {
     // Span endpoints are only known at close; remember the opening here.
@@ -76,20 +76,39 @@ void FlowEngine::close(std::uint64_t flow_id, sim::TimePs now) {
   }
 }
 
-FlowSimReport FlowEngine::report() const {
+FlowTally FlowEngine::tally() const {
+  FlowTally out = tally_;
+  out.stale_mispicks = router_.total_mispicks();
+  out.second_hops = router_.total_second_hops();
+  return out;
+}
+
+void FlowTally::merge(const FlowTally& other) {
+  flows += other.flows;
+  fully_satisfied += other.fully_satisfied;
+  stale_mispicks += other.stale_mispicks;
+  second_hops += other.second_hops;
+  requested += other.requested;
+  satisfied += other.satisfied;
+  direct += other.direct;
+  indirect += other.indirect;
+  peak_utilization = std::max(peak_utilization, other.peak_utilization);
+  offered.merge(other.offered);
+  intermediates.merge(other.intermediates);
+}
+
+FlowSimReport FlowTally::report() const {
   FlowSimReport report;
-  report.flows = flows_;
-  report.fully_satisfied = fully_satisfied_;
-  report.offered_gbps_mean = offered_.mean();
-  report.satisfied_fraction =
-      requested_total_ > 0 ? satisfied_total_ / requested_total_ : 1.0;
-  report.direct_fraction = satisfied_total_ > 0 ? direct_total_ / satisfied_total_ : 0.0;
-  report.indirect_fraction =
-      satisfied_total_ > 0 ? indirect_total_ / satisfied_total_ : 0.0;
-  report.stale_mispicks = router_.total_mispicks();
-  report.second_hops = router_.total_second_hops();
-  report.mean_intermediates = intermediates_.mean();
-  report.peak_utilization = peak_util_;
+  report.flows = flows;
+  report.fully_satisfied = fully_satisfied;
+  report.offered_gbps_mean = offered.mean();
+  report.satisfied_fraction = requested > 0 ? satisfied / requested : 1.0;
+  report.direct_fraction = satisfied > 0 ? direct / satisfied : 0.0;
+  report.indirect_fraction = satisfied > 0 ? indirect / satisfied : 0.0;
+  report.stale_mispicks = stale_mispicks;
+  report.second_hops = second_hops;
+  report.mean_intermediates = intermediates.mean();
+  report.peak_utilization = peak_utilization;
   return report;
 }
 

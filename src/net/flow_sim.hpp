@@ -48,6 +48,23 @@ struct FlowSimReport {
   }
 };
 
+/// The raw flow statistics a FlowSimReport is derived from: counters, the
+/// bandwidth sums (Σrequested, Σsatisfied, Σdirect, Σindirect) and the
+/// per-flow moment accumulators.  Every field merges exactly — sums, a max,
+/// RunningStats merges — so a merged tally reports POOLED fractions
+/// (Σsatisfied / Σrequested over every flow), never an average of per-shard
+/// ratios, and merging into an empty tally reproduces the source bit for bit.
+struct FlowTally {
+  std::uint64_t flows = 0, fully_satisfied = 0;
+  std::uint64_t stale_mispicks = 0, second_hops = 0;
+  double requested = 0.0, satisfied = 0.0, direct = 0.0, indirect = 0.0;
+  double peak_utilization = 0.0;
+  sim::RunningStats offered, intermediates;
+
+  void merge(const FlowTally& other);
+  [[nodiscard]] FlowSimReport report() const;
+};
+
 /// Stateful flow session over the AWGR fabric: open() routes a demand
 /// through IndirectRouter (recording satisfaction/indirection statistics),
 /// close() releases every reserved segment.  The engine owns the piggyback
@@ -84,7 +101,8 @@ class FlowEngine {
   [[nodiscard]] std::uint64_t live_flows() const { return live_.size(); }
   [[nodiscard]] double fabric_utilization() const { return fabric_->utilization(); }
   /// Snapshot of the cumulative statistics over every open() so far.
-  [[nodiscard]] FlowSimReport report() const;
+  [[nodiscard]] FlowTally tally() const;
+  [[nodiscard]] FlowSimReport report() const { return tally().report(); }
 
  private:
   /// Trace-only record of a live flow's opening, kept solely while a
@@ -108,11 +126,7 @@ class FlowEngine {
   obs::Profiler::ScopeId sc_open_ = 0, sc_refresh_ = 0;
   std::unordered_map<std::uint64_t, OpenedAt> opened_;  // trace mode only
 
-  sim::RunningStats offered_, intermediates_;
-  double requested_total_ = 0.0, satisfied_total_ = 0.0;
-  double direct_total_ = 0.0, indirect_total_ = 0.0;
-  double peak_util_ = 0.0;
-  std::uint64_t flows_ = 0, fully_satisfied_ = 0;
+  FlowTally tally_;  // router counters (mispicks, second hops) filled by tally()
 };
 
 /// Event-driven flow-level simulation over the AWGR fabric: Poisson flow

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
@@ -194,6 +195,27 @@ TEST(Cluster, CoupledRunIsBitIdenticalAtAnyWorkerCount) {
   ASSERT_EQ(rs.racks.size(), rw.racks.size());
   for (std::size_t r = 0; r < rs.racks.size(); ++r)
     expect_reports_identical(rs.racks[r], rw.racks[r]);
+}
+
+// Cluster flow fractions pool bandwidth, not per-rack ratios: satisfied is
+// Σsatisfied / Σrequested over every rack's flows, and the event-queue peak
+// is the deepest single rack queue, not a sum of racks.
+TEST(Cluster, FlowFractionsPoolBandwidthAcrossRacks) {
+  cosim::CosimConfig cfg;  // default 400 ms horizon
+  cfg.admission = cosim::AdmissionPolicy::kQueue;
+  const auto report = run_cluster(ClusterConfig{}, cfg);
+  ASSERT_EQ(report.racks.size(), 4u);
+  double requested = 0.0, satisfied = 0.0;
+  std::uint64_t deepest = 0;
+  for (const auto& rack : report.racks) {
+    const double r = rack.flows.offered_gbps_mean * static_cast<double>(rack.flows.flows);
+    requested += r;
+    satisfied += rack.flows.satisfied_fraction * r;
+    deepest = std::max(deepest, rack.jobs.events.pending_peak);
+  }
+  const double pooled = satisfied / requested;
+  EXPECT_NEAR(report.total.flows.satisfied_fraction, pooled, 1e-12 * pooled);
+  EXPECT_EQ(report.total.jobs.events.pending_peak, deepest);
 }
 
 TEST(Cluster, SpillBookkeepingConservesJobsAndBandwidth) {
