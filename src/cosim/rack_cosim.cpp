@@ -85,6 +85,14 @@ CosimConfig validated(CosimConfig cfg, const rack::RackConfig& rack) {
   return cfg;
 }
 
+/// Whether a flow rides the component a fabric fault took down: an MCM crash
+/// severs every flow touching that endpoint, a link cut only the flows on
+/// its directed (src, dst) pair.
+bool flow_touches(const net::FlowSpec& spec, const fault::FaultEvent& ev) {
+  return ev.cls == fault::ComponentClass::kMcm ? (spec.src == ev.a || spec.dst == ev.a)
+                                               : (spec.src == ev.a && spec.dst == ev.b);
+}
+
 }  // namespace
 
 void MlStreamStats::record_step(double step_ms, double coll_frac, double straggler,
@@ -688,23 +696,13 @@ std::vector<std::uint64_t> RackCosim::victims_of(const fault::FaultEvent& ev) co
         if (job.plan.ml.is_ml) {
           // A training job touches the fabric only during collective phases;
           // mid-compute it has no open flows and a fabric fault passes it by.
-          if (job.runner) {
-            for (const net::FlowSpec& spec : job.runner->open_specs()) {
-              hit = ev.cls == fault::ComponentClass::kMcm
-                        ? (spec.src == ev.a || spec.dst == ev.a)
-                        : (spec.src == ev.a && spec.dst == ev.b);
-              if (hit) break;
-            }
-          }
+          if (job.runner)
+            for (const net::FlowSpec& spec : job.runner->open_specs())
+              if ((hit = flow_touches(spec, ev))) break;
           break;
         }
-        for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i) {
-          if (!job.flow_open[i]) continue;
-          const net::FlowSpec& spec = job.plan.flows[i];
-          hit = ev.cls == fault::ComponentClass::kMcm
-                    ? (spec.src == ev.a || spec.dst == ev.a)
-                    : (spec.src == ev.a && spec.dst == ev.b);
-        }
+        for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i)
+          hit = job.flow_open[i] && flow_touches(job.plan.flows[i], ev);
         break;
       case fault::ComponentClass::kNode:
         hit = disagg ? job.home_node == ev.a
@@ -773,12 +771,7 @@ void RackCosim::resume_degraded(std::uint64_t job_id, const fault::FaultEvent& e
   // Drop the flows stranded on the dead component; survivors keep their
   // admission-time reservations.
   for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
-    if (!job.flow_open[i]) continue;
-    const net::FlowSpec& spec = job.plan.flows[i];
-    const bool dead = ev.cls == fault::ComponentClass::kMcm
-                          ? (spec.src == ev.a || spec.dst == ev.a)
-                          : (spec.src == ev.a && spec.dst == ev.b);
-    if (!dead) continue;
+    if (!job.flow_open[i] || !flow_touches(job.plan.flows[i], ev)) continue;
     engine_.close(job.flow_ids[i], now);
     job.flow_open[i] = 0;
   }

@@ -157,14 +157,4 @@ void WavelengthFabric::pop_pair_factor(int src, int dst, double factor) {
   recompute_scale(src, dst);
 }
 
-void WavelengthFabric::set_pair_scale(int src, int dst, double scale) {
-  check_pair(src, dst, scale, "set_pair_scale");
-  if (scale_.empty())
-    scale_.assign(static_cast<std::size_t>(mcms_) * mcms_, 1.0);
-  // Absolute override: any composed fault factors on the pair are dropped so
-  // the pair reads exactly `scale` afterwards.
-  if (!factors_.empty()) factors_[idx(src, dst)].clear();
-  scale_[idx(src, dst)] = scale;
-}
-
 }  // namespace photorack::net

@@ -75,7 +75,7 @@ class WavelengthFabric {
   // free_direct/allocate_direct see `capacity * scale` (clamped at the
   // already-allocated amount), release_direct still returns exactly what
   // was reserved.  The scale table is allocated lazily on the first
-  // set_pair_scale call, and every scaled expression collapses to the
+  // push_pair_factor call, and every scaled expression collapses to the
   // historical arithmetic when scale == 1 — a fault-free fabric stays
   // byte-identical to one built before this hook existed.
 
@@ -96,11 +96,6 @@ class WavelengthFabric {
   /// std::logic_error when no such factor is live on the pair.
   void pop_pair_factor(int src, int dst, double factor);
 
-  /// Set the directed pair's capacity multiplier absolutely, dropping any
-  /// pushed factors on the pair; throws std::invalid_argument outside [0,1]
-  /// or for src == dst.  Test/diagnostic hook — fault paths use the
-  /// composable push/pop API above.
-  void set_pair_scale(int src, int dst, double scale);
   [[nodiscard]] double pair_scale(int src, int dst) const {
     return scale_.empty() ? 1.0 : scale_[idx(src, dst)];
   }

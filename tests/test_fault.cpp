@@ -137,16 +137,17 @@ TEST(FaultFabric, PairScaleShrinksAndRestoresCapacityExactly) {
   const double cap = fabric.direct_capacity(3, 9);
   ASSERT_GT(cap, 0.0);
 
-  fabric.set_pair_scale(3, 9, 0.0);  // link cut: the pair goes dark
+  fabric.push_pair_factor(3, 9, 0.0);  // link cut: the pair goes dark
   EXPECT_EQ(fabric.direct_capacity(3, 9), 0.0);
   EXPECT_EQ(fabric.free_direct(3, 9), 0.0);
   EXPECT_EQ(fabric.allocate_direct(3, 9, 10.0), 0.0);
   EXPECT_EQ(fabric.direct_capacity(9, 3), cap);  // directed: reverse unaffected
+  fabric.pop_pair_factor(3, 9, 0.0);
 
-  fabric.set_pair_scale(3, 9, 0.5);  // laser degradation
+  fabric.push_pair_factor(3, 9, 0.5);  // laser degradation
   EXPECT_EQ(fabric.direct_capacity(3, 9), 0.5 * cap);
 
-  fabric.set_pair_scale(3, 9, 1.0);  // repair restores the healthy numbers
+  fabric.pop_pair_factor(3, 9, 0.5);  // repair restores the healthy numbers
   EXPECT_EQ(fabric.direct_capacity(3, 9), cap);
   EXPECT_EQ(fabric.free_direct(3, 9), cap);
 }
@@ -154,17 +155,17 @@ TEST(FaultFabric, PairScaleShrinksAndRestoresCapacityExactly) {
 TEST(FaultFabric, PairScaleRejectsBadPairAndBadScale) {
   net::WavelengthFabric fabric(
       350, rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr);
-  EXPECT_THROW(fabric.set_pair_scale(5, 5, 0.5), std::invalid_argument);
-  EXPECT_THROW(fabric.set_pair_scale(-1, 2, 0.5), std::invalid_argument);
-  EXPECT_THROW(fabric.set_pair_scale(1, 2, -0.1), std::invalid_argument);
-  EXPECT_THROW(fabric.set_pair_scale(1, 2, 1.5), std::invalid_argument);
+  EXPECT_THROW(fabric.push_pair_factor(5, 5, 0.5), std::invalid_argument);
+  EXPECT_THROW(fabric.push_pair_factor(-1, 2, 0.5), std::invalid_argument);
+  EXPECT_THROW(fabric.push_pair_factor(1, 2, -0.1), std::invalid_argument);
+  EXPECT_THROW(fabric.push_pair_factor(1, 2, 1.5), std::invalid_argument);
 }
 
 // The ISSUE 9 overlap fix: two faults degrading the same wavelength pair
 // must compose, and each repair must remove exactly its own contribution —
-// the last repair restores the healthy capacity bit for bit.  (The old
-// absolute set_pair_scale let the second fault clobber the first, so the
-// earlier repair "healed" a pair whose other fault was still active.)
+// the last repair restores the healthy capacity bit for bit.  (An absolute
+// per-pair setter would let the second fault clobber the first, so the
+// earlier repair would "heal" a pair whose other fault was still active.)
 TEST(FaultFabric, OverlappingPairFactorsComposeAndUnwindExactly) {
   net::WavelengthFabric fabric(
       350, rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr);
@@ -197,16 +198,6 @@ TEST(FaultFabric, FactorProductIsPushOrderIndependent) {
   b.push_pair_factor(3, 9, 0.5);
   EXPECT_EQ(a.direct_capacity(3, 9), b.direct_capacity(3, 9));
   EXPECT_EQ(a.direct_capacity(3, 9), 0.125 * a.direct_capacity(9, 3));
-}
-
-TEST(FaultFabric, SetPairScaleIsAnAbsoluteOverride) {
-  net::WavelengthFabric fabric(
-      350, rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr);
-  const double cap = fabric.direct_capacity(3, 9);
-  fabric.push_pair_factor(3, 9, 0.5);
-  fabric.set_pair_scale(3, 9, 1.0);  // clears the live factors with it
-  EXPECT_EQ(fabric.direct_capacity(3, 9), cap);
-  EXPECT_THROW(fabric.pop_pair_factor(3, 9, 0.5), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
