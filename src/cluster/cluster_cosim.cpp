@@ -214,96 +214,26 @@ ClusterReport ClusterCosim::report() const {
   out.spilled = spilled_;
   out.spill_failed = spill_failed_;
   out.barriers = barriers_;
-  const bool lit = coupled();
-  out.interconnect_power_w = fabric_.power_w(lit);
+  out.interconnect_power_w = fabric_.power_w(coupled());
   out.interconnect_energy_j = out.interconnect_power_w * sim::to_s(sim_end());
   out.interconnect_utilization = fabric_.utilization();
+  // The total is a fold of exact merges in rack order (see CosimTally), so
+  // its tails equal one stream that saw every job, and one rack folds to
+  // that rack's own report bit for bit.
+  cosim::CosimTally total;
   out.racks.reserve(racks_.size());
-  for (const auto& r : racks_) out.racks.push_back(r->report());
-  if (racks_.size() == 1) {
-    // The single-rack contract: total IS the rack's own report, bit for bit
-    // (and the dark interconnect adds nothing), so ClusterCosim(1) replaces
-    // RackCosim without moving a number.
-    out.total = out.racks.front();
-    return out;
-  }
-
-  cosim::CosimReport& total = out.total;
-  // Jobs: counter sums plus exact sketch merges — cluster-wide tails equal
-  // one stream that saw every job, regardless of rack sharding.
-  disagg::JobStreamStats jobs;
-  std::uint64_t censored_waiting = 0;
   for (const auto& r : racks_) {
-    std::uint64_t c = 0;
-    jobs.merge(r->censored_stream_stats(c));
-    censored_waiting += c;
-    total.jobs.censored_running += r->live_jobs();
+    const cosim::CosimTally rack = r->tally();
+    out.racks.push_back(rack.report());
+    total.merge(rack);
   }
-  const std::uint64_t censored_running = total.jobs.censored_running;
-  total.jobs = jobs.report();
-  total.jobs.censored_waiting = censored_waiting;
-  total.jobs.censored_running = censored_running;
-
-  sim::RunningStats speed, stretch;
-  // ML training tails merge exactly like the job stream: counter sums plus
-  // order-independent sketch merges, so sharding never moves a quantile.
-  cosim::MlStreamStats ml;
-  // Flows pool their raw bandwidth sums, so the fractions are Σsatisfied /
-  // Σrequested over every flow in the cluster.
-  net::FlowTally flows;
-  for (std::size_t r = 0; r < racks_.size(); ++r) {
-    const cosim::CosimReport& rr = out.racks[r];
-    total.jobs.events.scheduled += rr.jobs.events.scheduled;
-    total.jobs.events.dispatched += rr.jobs.events.dispatched;
-    total.jobs.events.cancelled += rr.jobs.events.cancelled;
-    total.jobs.events.pending_peak =
-        std::max(total.jobs.events.pending_peak, rr.jobs.events.pending_peak);
-    flows.merge(racks_[r]->flow_tally());
-    speed.merge(racks_[r]->speed_stats());
-    stretch.merge(racks_[r]->stretch_stats());
-    // Power/energy: racks draw concurrently, so cluster power is the sum of
-    // rack means and the peak bound is the sum of rack peaks.
-    total.energy_joules += rr.energy_joules;
-    total.mean_power_w += rr.mean_power_w;
-    total.peak_power_w += rr.peak_power_w;
-    total.photonic_power_w += rr.photonic_power_w;
-    total.completed_at = std::max(total.completed_at, rr.completed_at);
-    // Faults: counters sum; the rate-like fields (availability, MTTR) are
-    // unweighted means over racks — every rack runs the same fault config.
-    total.fault.enabled = total.fault.enabled || rr.fault.enabled;
-    total.fault.faults += rr.fault.faults;
-    total.fault.repairs += rr.fault.repairs;
-    total.fault.interrupted += rr.fault.interrupted;
-    total.fault.requeued += rr.fault.requeued;
-    total.fault.degraded += rr.fault.degraded;
-    total.fault.killed += rr.fault.killed;
-    total.fault.goodput_jobs += rr.fault.goodput_jobs;
-    total.fault.work_lost_ms += rr.fault.work_lost_ms;
-    ml.merge(racks_[r]->ml_stream_stats());
-    total.ml.enabled = total.ml.enabled || rr.ml.enabled;
-  }
-  total.flows = flows.report();
-  double avail = 0.0, mttr = 0.0;
-  for (const auto& rr : out.racks) {
-    avail += rr.fault.availability;
-    mttr += rr.fault.mean_mttr_ms;
-  }
-  total.fault.availability = avail / static_cast<double>(out.racks.size());
-  total.fault.mean_mttr_ms = mttr / static_cast<double>(out.racks.size());
-  total.mean_speed_fraction = speed.count() ? speed.mean() : 1.0;
-  total.mean_stretch = stretch.count() ? stretch.mean() : 1.0;
-  total.max_stretch = stretch.count() ? stretch.max() : 1.0;
-  {
-    const bool enabled = total.ml.enabled;
-    total.ml = ml.report();
-    total.ml.enabled = enabled;
-  }
+  out.total = total.report();
   // The lit uplinks are part of what cluster-scale disaggregation costs:
-  // fold them into the energy totals (rack-scale runs add exactly zero).
-  total.energy_joules += out.interconnect_energy_j;
-  total.mean_power_w += out.interconnect_power_w;
-  total.peak_power_w += out.interconnect_power_w;
-  total.photonic_power_w += out.interconnect_power_w;
+  // fold them into the energy totals (dark uplinks add exactly zero).
+  out.total.energy_joules += out.interconnect_energy_j;
+  out.total.mean_power_w += out.interconnect_power_w;
+  out.total.peak_power_w += out.interconnect_power_w;
+  out.total.photonic_power_w += out.interconnect_power_w;
   return out;
 }
 

@@ -31,6 +31,7 @@
 #include "config/bindings.hpp"
 #include "config/manifest.hpp"
 #include "cosim/rack_cosim.hpp"
+#include "cosim/report_fields.hpp"
 #include "obs/obs.hpp"
 #include "scenario/result_sink.hpp"
 #include "sim/table.hpp"
@@ -297,72 +298,18 @@ int main(int argc, char** argv) {
       obs_bundle.profiler()->write_bench_json_file(opt.profile_json_path);
 
     if (!opt.quiet) {
+      // One row per report field, labelled "name (unit)"; the fault and ML
+      // sections only when those subsystems ran.
       sim::Table table({"metric", "value"});
-      table.add_row({"offered jobs", sim::fmt_int(static_cast<long long>(report.jobs.offered))});
-      table.add_row({"accepted jobs",
-                     sim::fmt_int(static_cast<long long>(report.jobs.accepted))});
-      table.add_row({"acceptance", sim::fmt_pct(report.jobs.acceptance())});
-      table.add_row({"mean CPU utilization", sim::fmt_pct(report.jobs.mean_cpu_utilization)});
-      table.add_row(
-          {"mean memory utilization", sim::fmt_pct(report.jobs.mean_memory_utilization)});
-      table.add_row(
-          {"marooned memory (mean)", sim::fmt_pct(report.jobs.mean_marooned_memory)});
-      table.add_row({"flows routed", sim::fmt_int(static_cast<long long>(report.flows.flows))});
-      table.add_row({"bandwidth satisfied", sim::fmt_pct(report.flows.satisfied_fraction)});
-      table.add_row({"indirect share", sim::fmt_pct(report.flows.indirect_fraction)});
-      table.add_row({"peak fabric utilization", sim::fmt_pct(report.flows.peak_utilization)});
-      table.add_row({"mean job speed", sim::fmt_pct(report.mean_speed_fraction)});
-      table.add_row({"mean stretch", sim::fmt_fixed(report.mean_stretch, 3)});
-      table.add_row({"max stretch", sim::fmt_fixed(report.max_stretch, 3)});
-      table.add_row({"wait p50/p99/p999 (ms)",
-                     sim::fmt_fixed(report.jobs.wait_ms.p50, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.wait_ms.p99, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.wait_ms.p999, 3)});
-      table.add_row({"slowdown p50/p99/p999",
-                     sim::fmt_fixed(report.jobs.slowdown.p50, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.slowdown.p99, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.slowdown.p999, 3)});
-      table.add_row({"fct p50/p99/p999 (ms)",
-                     sim::fmt_fixed(report.jobs.fct_ms.p50, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.fct_ms.p99, 3) + " / " +
-                         sim::fmt_fixed(report.jobs.fct_ms.p999, 3)});
-      table.add_row({"censored (waiting/running)",
-                     sim::fmt_int(static_cast<long long>(report.jobs.censored_waiting)) +
-                         " / " +
-                         sim::fmt_int(static_cast<long long>(report.jobs.censored_running))});
-      if (report.fault.enabled) {
-        const auto& f = report.fault;
-        table.add_row({"availability", sim::fmt_pct(f.availability)});
-        table.add_row({"faults / repairs",
-                       sim::fmt_int(static_cast<long long>(f.faults)) + " / " +
-                           sim::fmt_int(static_cast<long long>(f.repairs))});
-        table.add_row({"interrupted (requeued/degraded/killed)",
-                       sim::fmt_int(static_cast<long long>(f.interrupted)) + " (" +
-                           sim::fmt_int(static_cast<long long>(f.requeued)) + "/" +
-                           sim::fmt_int(static_cast<long long>(f.degraded)) + "/" +
-                           sim::fmt_int(static_cast<long long>(f.killed)) + ")"});
-        table.add_row({"goodput jobs",
-                       sim::fmt_int(static_cast<long long>(f.goodput_jobs))});
-        table.add_row({"work lost (ms)", sim::fmt_fixed(f.work_lost_ms, 2)});
-        table.add_row({"mean MTTR (ms)", sim::fmt_fixed(f.mean_mttr_ms, 2)});
-      }
-      if (report.ml.enabled) {
-        const auto& ml = report.ml;
-        table.add_row({"ML jobs offered/accepted/completed",
-                       sim::fmt_int(static_cast<long long>(ml.jobs_offered)) + " / " +
-                           sim::fmt_int(static_cast<long long>(ml.jobs_accepted)) +
-                           " / " +
-                           sim::fmt_int(static_cast<long long>(ml.jobs_completed))});
-        table.add_row({"training steps",
-                       sim::fmt_int(static_cast<long long>(ml.steps)) + " (" +
-                           sim::fmt_int(static_cast<long long>(ml.collective_phases)) +
-                           " collective phases)"});
-        table.add_row({"step p50/p99 (ms)",
-                       sim::fmt_fixed(ml.step_ms.p50, 3) + " / " +
-                           sim::fmt_fixed(ml.step_ms.p99, 3)});
-        table.add_row({"collective fraction p50", sim::fmt_pct(ml.coll_frac.p50)});
-        table.add_row({"straggler stretch p99",
-                       sim::fmt_fixed(ml.straggler.p99, 3)});
+      for (const cosim::ReportField& f : cosim::report_fields()) {
+        if ((f.section == "fault" && !report.fault.enabled) ||
+            (f.section == "ml" && !report.ml.enabled))
+          continue;
+        const double v = f.get(report);
+        table.add_row({std::string(f.name) + " (" + std::string(f.unit) + ")",
+                       f.unit == "count"  ? sim::fmt_int(static_cast<long long>(v))
+                       : f.unit == "frac" ? sim::fmt_pct(v)
+                                          : sim::fmt_fixed(v, 3)});
       }
       if (opt.cluster) {
         table.add_row({"racks",
@@ -385,17 +332,6 @@ int main(int argc, char** argv) {
         table.add_row({"interconnect utilization",
                        sim::fmt_pct(cluster_report.interconnect_utilization)});
       }
-      table.add_row({"energy (kJ)", sim::fmt_fixed(report.energy_joules / 1e3, 2)});
-      table.add_row({"mean power (kW)", sim::fmt_fixed(report.mean_power_w / 1e3, 2)});
-      table.add_row({"peak power (kW)", sim::fmt_fixed(report.peak_power_w / 1e3, 2)});
-      table.add_row({"photonic power (kW)", sim::fmt_fixed(report.photonic_power_w / 1e3, 2)});
-      const auto& ev = report.jobs.events;
-      table.add_row({"events sched/disp/cancel",
-                     sim::fmt_int(static_cast<long long>(ev.scheduled)) + " / " +
-                         sim::fmt_int(static_cast<long long>(ev.dispatched)) + " / " +
-                         sim::fmt_int(static_cast<long long>(ev.cancelled))});
-      table.add_row({"pending events (peak)",
-                     sim::fmt_int(static_cast<long long>(ev.pending_peak))});
       if (obs_bundle.trace())
         table.add_row(
             {"trace events (dropped)",

@@ -147,6 +147,10 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
       arrival_process_(
           traffic::make_arrival_process(cfg_.arrival, cfg_.arrivals_per_ms)),
       obs_(obs) {
+  // A one-rack tally: the rack-mean fault fields start fully available.
+  tally_.racks = 1;
+  tally_.availability_sum = 1.0;
+  tally_.ml_enabled = cfg_.ml.enabled;
   // Register scopes/metrics and hook the energy trace before the first
   // step_to below, so the t=0 power level lands on the counter track too.
   setup_obs();
@@ -173,9 +177,9 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
     fault_sched_ = std::make_unique<fault::FaultScheduler>(
         cfg_.fault, cfg_.fabric.mcms, rack_.nodes, cfg_.seed, cfg_.sim_time);
     node_owner_.assign(static_cast<std::size_t>(rack_.nodes), 0);
-    fstats_.enabled = true;
-    fstats_.availability = fault_sched_->availability(cfg_.sim_time);
-    fstats_.mean_mttr_ms = fault_sched_->mean_mttr_ms();
+    tally_.fault.enabled = true;
+    tally_.availability_sum = fault_sched_->availability(cfg_.sim_time);
+    tally_.mttr_sum = fault_sched_->mean_mttr_ms();
     fault_sched_->arm(queue_, [this](const fault::FaultEvent& ev) { on_fault(ev); });
   }
   schedule_next_arrival();
@@ -247,13 +251,13 @@ void RackCosim::take_sample() {
   m.set(m_.satisfied_frac, engine_.report().satisfied_fraction);
   m.set(m_.power_w, compute_power_w() + photonic_w_);
   m.set(m_.energy_j, energy_.joules());
-  m.set(m_.offered, static_cast<double>(stats_.offered()));
-  m.set(m_.accepted, static_cast<double>(stats_.accepted()));
+  m.set(m_.offered, static_cast<double>(tally_.jobs.offered()));
+  m.set(m_.accepted, static_cast<double>(tally_.jobs.accepted()));
   if (faults_on_) {
-    m.set(m_.faults, static_cast<double>(fstats_.faults));
-    m.set(m_.repairs, static_cast<double>(fstats_.repairs));
-    m.set(m_.interrupted, static_cast<double>(fstats_.interrupted));
-    m.set(m_.killed, static_cast<double>(fstats_.killed));
+    m.set(m_.faults, static_cast<double>(tally_.fault.faults));
+    m.set(m_.repairs, static_cast<double>(tally_.fault.repairs));
+    m.set(m_.interrupted, static_cast<double>(tally_.fault.interrupted));
+    m.set(m_.killed, static_cast<double>(tally_.fault.killed));
   }
   m.sample(to_ms(queue_.now()));
 }
@@ -412,7 +416,7 @@ bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries,
   // and contention tails were recorded at FIRST placement and must not be
   // double-counted.  Fault-free runs always record, so this path is the
   // historical one byte for byte.
-  if (record) stats_.accept();
+  if (record) tally_.jobs.accept();
   ++live_jobs_;
   const std::uint64_t job_id = next_live_id_++;
   LiveJob& job = live_map_[job_id];
@@ -425,12 +429,12 @@ bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries,
     // lifetime is the event-driven step loop (compute segment, then a
     // collective on the live fabric), so contention acts through achieved
     // collective rates instead of a one-shot admission-time stretch.
-    if (record) mlstats_.accept();
+    if (record) tally_.ml.accept();
     const sim::TimePs wait = queue_.now() - arrived;
     if (record) {
       {
         obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
-        stats_.record_wait(to_ms(wait));
+        tally_.jobs.record_wait(to_ms(wait));
       }
       if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
     }
@@ -469,8 +473,8 @@ bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries,
                                   cfg_.min_speed_fraction, 1.0);
   const double stretch = cfg_.contention_feedback ? 1.0 / speed : 1.0;
   if (record) {
-    speed_.add(speed);
-    stretch_.add(stretch);
+    tally_.speed.add(speed);
+    tally_.stretch.add(stretch);
   }
   const auto hold = std::max<sim::TimePs>(
       1, static_cast<sim::TimePs>(static_cast<double>(plan.base_hold) * stretch));
@@ -482,11 +486,11 @@ bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries,
   if (record) {
     {
       obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
-      stats_.record_wait(to_ms(wait));
-      stats_.record_slowdown(static_cast<double>(wait + hold) /
+      tally_.jobs.record_wait(to_ms(wait));
+      tally_.jobs.record_slowdown(static_cast<double>(wait + hold) /
                              static_cast<double>(plan.base_hold));
       for (std::size_t i = 0; i < plan.flows.size(); ++i)
-        stats_.record_fct(to_ms(hold));
+        tally_.jobs.record_fct(to_ms(hold));
     }
     if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
   }
@@ -547,7 +551,7 @@ void RackCosim::on_ml_collective_done(std::uint64_t job_id,
   const double coll_ms = to_ms(queue_.now() - job.collective_started);
   {
     obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
-    mlstats_.record_step(step_ms, step_ms > 0.0 ? coll_ms / step_ms : 0.0,
+    tally_.ml.record_step(step_ms, step_ms > 0.0 ? coll_ms / step_ms : 0.0,
                          result.straggler_stretch, result.phases);
   }
   if (obs_.trace)
@@ -576,16 +580,16 @@ void RackCosim::complete_job(std::uint64_t job_id) {
   }
   --live_jobs_;
   if (faults_on_) {
-    ++fstats_.goodput_jobs;
+    ++tally_.fault.goodput_jobs;
     unbind_nodes(job);
   }
   if (job.plan.ml.is_ml) {
     // ML slowdown is known only at completion (steps ran at live collective
     // speeds, not an admission-time stretch); revoked jobs never reach here,
     // so a fault-requeued training job still records exactly once.
-    mlstats_.complete();
+    tally_.ml.complete();
     obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
-    stats_.record_slowdown(static_cast<double>(queue_.now() - job.arrived) /
+    tally_.jobs.record_slowdown(static_cast<double>(queue_.now() - job.arrived) /
                            static_cast<double>(job.plan.base_hold));
   }
   if (obs_.trace)
@@ -737,8 +741,8 @@ void RackCosim::revoke_job(std::uint64_t job_id, const fault::FaultEvent& ev) {
   allocator_.revoke(*job.alloc);
   --live_jobs_;
   unbind_nodes(job);
-  ++fstats_.interrupted;
-  fstats_.work_lost_ms += to_ms(now - job.placed_at);
+  ++tally_.fault.interrupted;
+  tally_.fault.work_lost_ms += to_ms(now - job.placed_at);
   if (obs_.trace)
     obs_.trace->instant(
         obs::Track::kFaults, "revoke", now,
@@ -752,7 +756,7 @@ void RackCosim::revoke_job(std::uint64_t job_id, const fault::FaultEvent& ev) {
   job.plan.remote_link = -1;
   job.plan.remote_gbps = 0.0;
   if (cfg_.fault.policy == fault::ResiliencePolicy::kKill) {
-    ++fstats_.killed;
+    ++tally_.fault.killed;
     if (obs_.trace) obs_.trace->instant(obs::Track::kFaults, "kill", now);
   } else {
     // kRequeue, and kDegrade victims that cannot run degraded (node crash).
@@ -796,7 +800,7 @@ void RackCosim::resume_degraded(std::uint64_t job_id, const fault::FaultEvent& e
       queue_.schedule_after(hold, [this, job_id]() { complete_job(job_id); });
   job.speed = speed;
   job.segment_start = now;
-  ++fstats_.degraded;
+  ++tally_.fault.degraded;
   if (obs_.trace)
     obs_.trace->instant(obs::Track::kFaults, "degrade", now,
                         {{"job", static_cast<double>(job_id)}, {"speed", speed}});
@@ -804,7 +808,7 @@ void RackCosim::resume_degraded(std::uint64_t job_id, const fault::FaultEvent& e
 
 void RackCosim::schedule_retry(JobPlan plan, sim::TimePs arrived, int retries) {
   if (retries > cfg_.fault.max_retries) {
-    ++fstats_.killed;
+    ++tally_.fault.killed;
     if (obs_.trace)
       obs_.trace->instant(obs::Track::kFaults, "retries_exhausted", queue_.now());
     return;
@@ -815,7 +819,7 @@ void RackCosim::schedule_retry(JobPlan plan, sim::TimePs arrived, int retries) {
       std::min(cfg_.fault.backoff_cap_ms, cfg_.fault.backoff_base_ms * factor);
   const auto delay = std::max<sim::TimePs>(
       1, static_cast<sim::TimePs>(backoff_ms * static_cast<double>(sim::kPsPerMs)));
-  ++fstats_.requeued;
+  ++tally_.fault.requeued;
   // Admission semantics for retries, pinned by test_fault: the backlog is a
   // kQueue-only structure.  Under kDrop a retry never touches the backlog —
   // it re-attempts placement directly and backs off again on failure, so a
@@ -831,7 +835,7 @@ void RackCosim::schedule_retry(JobPlan plan, sim::TimePs arrived, int retries) {
         backlog_.push_back(PendingJob{plan, arrived, retries, false});
         drain_backlog();
       } else {
-        ++fstats_.killed;  // backlog full: the retry has nowhere to wait
+        ++tally_.fault.killed;  // backlog full: the retry has nowhere to wait
       }
     } else if (!try_start(plan, arrived, retries, false)) {
       schedule_retry(plan, arrived, retries + 1);
@@ -850,7 +854,7 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
                          {"a", static_cast<double>(ev.a)},
                          {"b", static_cast<double>(ev.b)}});
   if (ev.kind == fault::FaultKind::kFail) {
-    ++fstats_.faults;
+    ++tally_.fault.faults;
     // Capacity first, victims second: a victim's surviving flows must be
     // judged against the post-fault fabric.  Node capacity is the exception
     // — static victims have to be revoked before their nodes can retire.
@@ -886,7 +890,7 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
       node_owner_[static_cast<std::size_t>(ev.a)] = kNodeOffline;
     }
   } else {
-    ++fstats_.repairs;
+    ++tally_.fault.repairs;
     // Each repair pops exactly the factor its fail pushed; faults still
     // active on the same pairs keep their own contributions in the product.
     switch (ev.cls) {
@@ -913,14 +917,14 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
 void RackCosim::on_arrival() {
   obs::ScopedTimer timer(obs_.profiler, sc_arrival_);
   engine_.refresh_view(queue_.now());
-  stats_.offer();
+  tally_.jobs.offer();
   if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "arrival", queue_.now());
   // Per-job child stream keyed by arrival index: a job's demands, duration
   // and flow layout are a pure function of (seed, index), independent of
   // every placement decision before it.
   sim::Rng job_rng = base_rng_.child(16 + next_job_index_++);
   JobPlan plan = make_plan(job_rng);
-  if (plan.ml.is_ml) mlstats_.offer();
+  if (plan.ml.is_ml) tally_.ml.offer();
 
   // A job the rack cannot admit is offered to the spill handler before being
   // dropped; a standalone rack (no handler) takes the historical drop path
@@ -953,7 +957,7 @@ void RackCosim::on_arrival() {
   // (an all-rejected stream still burns idle + lasers-on photonic power).
   step_energy();
 
-  stats_.sample(allocator_);
+  tally_.jobs.sample(allocator_);
   schedule_next_arrival();
 }
 
@@ -991,47 +995,91 @@ void RackCosim::advance_to(sim::TimePs t) { queue_.run(t); }
 
 void RackCosim::finish() { queue_.run(); }
 
-disagg::JobStreamStats RackCosim::censored_stream_stats(
-    std::uint64_t& censored) const {
+CosimTally RackCosim::tally() const {
+  CosimTally t = tally_;
   // Censored-jobs accounting: jobs still in the backlog have a wait that is
   // only a LOWER bound, but leaving them out entirely is worse — a backed-up
   // queue would report the rosy tails of the jobs that escaped it.  Fold
-  // each queued job's wait-so-far into a report-time copy of the sketch.
+  // each queued job's wait-so-far into the snapshot's wait sketch.
   // Fault-requeued entries (record = false) are skipped: their wait was
   // recorded at FIRST placement, and folding them again would both
   // double-count the job in the wait sketch and break the invariant
   //   wait count == accepted + censored_waiting
   // that ties the sketch to the acceptance counters.
-  disagg::JobStreamStats out = stats_;
-  censored = 0;
   for (const PendingJob& pending : backlog_) {
     if (!pending.record) continue;
-    ++censored;
-    out.record_wait(static_cast<double>(queue_.now() - pending.arrived) /
-                    static_cast<double>(sim::kPsPerMs));
+    ++t.censored_waiting;
+    t.jobs.record_wait(to_ms(queue_.now() - pending.arrived));
   }
-  return out;
+  t.censored_running = live_jobs_;
+  t.events = queue_.stats();
+  t.flows = engine_.tally();
+  t.energy_joules = energy_.joules();
+  t.mean_power_w = energy_.mean_power().value;
+  t.peak_power_w = energy_.peak_power().value;
+  t.photonic_power_w = photonic_w_;
+  t.completed_at = queue_.now();
+  return t;
 }
 
-CosimReport RackCosim::report() const {
+CosimReport RackCosim::report() const { return tally().report(); }
+
+void CosimTally::merge(const CosimTally& other) {
+  jobs.merge(other.jobs);
+  censored_waiting += other.censored_waiting;
+  censored_running += other.censored_running;
+  events.scheduled += other.events.scheduled;
+  events.dispatched += other.events.dispatched;
+  events.cancelled += other.events.cancelled;
+  events.pending_peak = std::max(events.pending_peak, other.events.pending_peak);
+  flows.merge(other.flows);
+  speed.merge(other.speed);
+  stretch.merge(other.stretch);
+  // Racks draw concurrently: cluster power is the sum of rack means, and
+  // the peak bound the sum of rack peaks.
+  energy_joules += other.energy_joules;
+  mean_power_w += other.mean_power_w;
+  peak_power_w += other.peak_power_w;
+  photonic_power_w += other.photonic_power_w;
+  completed_at = std::max(completed_at, other.completed_at);
+  fault.enabled = fault.enabled || other.fault.enabled;
+  fault.faults += other.fault.faults;
+  fault.repairs += other.fault.repairs;
+  fault.interrupted += other.fault.interrupted;
+  fault.requeued += other.fault.requeued;
+  fault.degraded += other.fault.degraded;
+  fault.killed += other.fault.killed;
+  fault.goodput_jobs += other.fault.goodput_jobs;
+  fault.work_lost_ms += other.fault.work_lost_ms;
+  availability_sum += other.availability_sum;
+  mttr_sum += other.mttr_sum;
+  racks += other.racks;
+  ml_enabled = ml_enabled || other.ml_enabled;
+  ml.merge(other.ml);
+}
+
+CosimReport CosimTally::report() const {
   CosimReport report;
-  std::uint64_t censored_waiting = 0;
-  report.jobs = censored_stream_stats(censored_waiting).report();
+  report.jobs = jobs.report();
   report.jobs.censored_waiting = censored_waiting;
-  report.jobs.censored_running = live_jobs_;
-  report.jobs.events = queue_.stats();
-  report.flows = engine_.report();
-  report.mean_speed_fraction = speed_.count() ? speed_.mean() : 1.0;
-  report.mean_stretch = stretch_.count() ? stretch_.mean() : 1.0;
-  report.max_stretch = stretch_.count() ? stretch_.max() : 1.0;
-  report.energy_joules = energy_.joules();
-  report.mean_power_w = energy_.mean_power().value;
-  report.peak_power_w = energy_.peak_power().value;
-  report.photonic_power_w = photonic_w_;
-  report.completed_at = queue_.now();
-  report.fault = fstats_;
-  report.ml = mlstats_.report();
-  report.ml.enabled = cfg_.ml.enabled;
+  report.jobs.censored_running = censored_running;
+  report.jobs.events = events;
+  report.flows = flows.report();
+  report.mean_speed_fraction = speed.count() ? speed.mean() : 1.0;
+  report.mean_stretch = stretch.count() ? stretch.mean() : 1.0;
+  report.max_stretch = stretch.count() ? stretch.max() : 1.0;
+  report.energy_joules = energy_joules;
+  report.mean_power_w = mean_power_w;
+  report.peak_power_w = peak_power_w;
+  report.photonic_power_w = photonic_power_w;
+  report.completed_at = completed_at;
+  report.fault = fault;
+  if (racks > 0) {
+    report.fault.availability = availability_sum / static_cast<double>(racks);
+    report.fault.mean_mttr_ms = mttr_sum / static_cast<double>(racks);
+  }
+  report.ml = ml.report();
+  report.ml.enabled = ml_enabled;
   return report;
 }
 

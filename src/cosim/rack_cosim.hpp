@@ -162,6 +162,39 @@ struct CosimReport {
   MlStats ml;                     // all-zero defaults when ml.* is off
 };
 
+/// Everything a CosimReport is derived from, kept as raw mergeable state:
+/// each section holds sums, sketches and moment accumulators, never
+/// finished ratios, so merge() is exact and a cluster total is a fold of
+/// its racks' tallies.  The merge rules, each written once in merge():
+///   - counters and energies sum;
+///   - ratios pool their raw numerators and denominators (net::FlowTally);
+///   - sketches and RunningStats merge;
+///   - completed_at and the event-queue pending_peak take the max;
+///   - availability and MTTR sum here and report() divides by `racks`:
+///     the unweighted mean over racks, summed in fold order.
+/// Merging into an empty tally is exact (a RunningStats copy, integer
+/// sketch buckets, 0.0 + x), so a one-rack fold reports that rack bit for
+/// bit.
+struct CosimTally {
+  disagg::JobStreamStats jobs;             // censored waits folded in
+  std::uint64_t censored_waiting = 0;      // backlog entries folded into jobs
+  std::uint64_t censored_running = 0;      // jobs still holding resources
+  sim::EventQueueStats events;
+  net::FlowTally flows;
+  sim::RunningStats speed, stretch;        // per placed HPC job
+  double energy_joules = 0.0, mean_power_w = 0.0, peak_power_w = 0.0;
+  double photonic_power_w = 0.0;
+  sim::TimePs completed_at = 0;
+  fault::FaultStats fault;                 // availability/MTTR come from the sums
+  double availability_sum = 0.0, mttr_sum = 0.0;
+  std::uint64_t racks = 0;                 // rack tallies folded in
+  bool ml_enabled = false;
+  MlStreamStats ml;
+
+  void merge(const CosimTally& other);
+  [[nodiscard]] CosimReport report() const;
+};
+
 class RackCosim {
  public:
   /// `obs` attaches passive observability (trace spans per job/flow, a
@@ -259,17 +292,10 @@ class RackCosim {
   /// the quantity a conservative-window cluster loop takes the minimum of.
   [[nodiscard]] sim::TimePs next_event_time() { return queue_.next_time(); }
 
-  // --- report-assembly accessors (cluster aggregation; see report()) ---
-  /// Copy of the stream statistics with censored waits folded in: every
-  /// *recorded* backlog entry contributes its wait-so-far, and `censored`
-  /// receives that count.  Fault-requeued entries (record = false) are
-  /// excluded — their original wait was already recorded at first placement.
-  [[nodiscard]] disagg::JobStreamStats censored_stream_stats(
-      std::uint64_t& censored) const;
-  [[nodiscard]] const sim::RunningStats& speed_stats() const { return speed_; }
-  [[nodiscard]] const sim::RunningStats& stretch_stats() const { return stretch_; }
-  [[nodiscard]] const MlStreamStats& ml_stream_stats() const { return mlstats_; }
-  [[nodiscard]] net::FlowTally flow_tally() const { return engine_.tally(); }
+  /// The raw state report() is read from, as of now: the live accumulators
+  /// plus this instant's snapshot sections (censored backlog waits, event
+  /// counters, flows, energy).  A cluster folds these with merge().
+  [[nodiscard]] CosimTally tally() const;
 
  private:
   /// A planned job waiting in the kQueue backlog for resources.  `retries`
@@ -325,16 +351,15 @@ class RackCosim {
 
   std::uint64_t live_jobs_ = 0;
   std::deque<PendingJob> backlog_;
-  disagg::JobStreamStats stats_;  // shared with JobStreamSim: same telemetry
-  MlStreamStats mlstats_;         // training-stream tails (untouched when ml off)
-  sim::RunningStats speed_, stretch_;
+  /// The live report state: job and ML streams, speed/stretch moments and
+  /// fault counters accumulate here in place; tally() adds the snapshots.
+  CosimTally tally_;
   phot::EnergyTrace energy_;
   double photonic_w_ = 0.0;
 
   // --- fault engine (all empty / untouched when cfg_.fault.enabled=false) ---
   bool faults_on_ = false;
   std::unique_ptr<fault::FaultScheduler> fault_sched_;
-  fault::FaultStats fstats_;
   std::unordered_map<std::uint64_t, LiveJob> live_map_;
   std::uint64_t next_live_id_ = 1;
   /// Per rack node: 0 = free, kNodeOffline = crashed, else the static job

@@ -14,6 +14,7 @@
 #include "config/bindings.hpp"
 #include "core/rack_system.hpp"
 #include "cosim/rack_cosim.hpp"
+#include "cosim/report_fields.hpp"
 #include "cpusim/miss_profile.hpp"
 #include "cpusim/runner.hpp"
 #include "fault/fault_model.hpp"
@@ -394,38 +395,80 @@ cosim::CosimConfig cosim_config_from(const ScenarioSpec& spec) {
   return cfg;
 }
 
-cosim::CosimReport eval_cosim(const ScenarioSpec& spec,
-                              disagg::AllocationPolicy policy) {
-  // Per-scenario observability bundle (null sinks unless --set obs.* turned
-  // something on).  The recorders are discarded with the bundle: campaign
-  // rows never carry obs data, and attaching them must leave every row
-  // byte-identical — the contract test_obs pins at this exact seam.
-  obs::ObsBundle obs_bundle(spec.resolve<obs::ObsConfig>("obs"));
-  return cosim::run_rack_cosim(spec.resolve<rack::RackConfig>("rack"), policy,
-                               workloads::UsageModel::cori(),
-                               cosim_config_from(spec), obs_bundle.handles());
+/// A co-sim campaign's CSV layout, each column named exactly once: leading
+/// cells echo spec axes, later cells are report fields by their
+/// cosim::report_fields() name.  "header=source" renames a column ("offered=
+/// ml_offered"); a bare name is both.  Field columns the campaign computes
+/// outside the report are looked up in CosimResult::extra first.
+struct CosimLayout {
+  std::vector<std::string> axes;
+  std::vector<std::string> fields;
+};
+
+std::string header_of(const std::string& column) {
+  return column.substr(0, column.find('='));
 }
 
-const std::vector<std::string> kCosimAcceptanceColumns = {
-    "policy",        "arrivals_per_ms", "horizon_ms",       "offered",
-    "accepted",      "acceptance",      "mean_cpu_util",    "mean_mem_util",
-    "marooned_mem",  "mean_speed"};
+std::string source_of(const std::string& column) {
+  const std::size_t eq = column.find('=');
+  return eq == std::string::npos ? column : column.substr(eq + 1);
+}
 
-std::vector<ResultRow> eval_cosim_acceptance(const ScenarioSpec& spec) {
-  const auto report =
-      eval_cosim(spec, disagg::allocation_policy_codec().parse(spec.at("policy")));
-  ResultRow row;
-  row.cells = {spec.at("policy"),
-               spec.at("cosim.arrivals_per_ms"),
-               spec.at("cosim.horizon_ms"),
-               num_to_string(static_cast<double>(report.jobs.offered)),
-               num_to_string(static_cast<double>(report.jobs.accepted)),
-               num_to_string(report.jobs.acceptance()),
-               num_to_string(report.jobs.mean_cpu_utilization),
-               num_to_string(report.jobs.mean_memory_utilization),
-               num_to_string(report.jobs.mean_marooned_memory),
-               num_to_string(report.mean_speed_fraction)};
-  return {std::move(row)};
+/// One evaluated co-sim scenario: its report plus any campaign-computed
+/// cells, keyed by column header.
+struct CosimResult {
+  cosim::CosimReport report;
+  std::map<std::string, double> extra;
+};
+
+/// A co-sim campaign whose header list and row cells both come from one
+/// layout, so a header and its cell cannot drift apart.
+Campaign cosim_campaign(std::string name, std::string description,
+                        std::string paper_ref, CosimLayout layout,
+                        std::vector<Axis> axes,
+                        std::function<CosimResult(const ScenarioSpec&)> run) {
+  std::vector<std::string> columns;
+  for (const auto& col : layout.axes) columns.push_back(header_of(col));
+  for (const auto& col : layout.fields) columns.push_back(header_of(col));
+  auto evaluate = [layout = std::move(layout),
+                   run = std::move(run)](const ScenarioSpec& spec) {
+    const CosimResult result = run(spec);
+    ResultRow row;
+    for (const auto& col : layout.axes) row.cells.push_back(spec.at(source_of(col)));
+    for (const auto& col : layout.fields) {
+      const auto extra = result.extra.find(header_of(col));
+      const double value = extra != result.extra.end()
+                               ? extra->second
+                               : cosim::report_field(source_of(col)).get(result.report);
+      row.cells.push_back(num_to_string(value));
+    }
+    return std::vector<ResultRow>{std::move(row)};
+  };
+  return Campaign{std::move(name),    std::move(description), std::move(paper_ref),
+                  std::move(columns), std::move(axes),        std::move(evaluate)};
+}
+
+disagg::AllocationPolicy policy_of(const ScenarioSpec& spec) {
+  return disagg::allocation_policy_codec().parse(spec.at("policy"));
+}
+
+/// One rack co-sim run of the spec.  A per-scenario observability bundle
+/// (null sinks unless --set obs.* turned something on) is discarded with
+/// the run: campaign rows never carry obs data, and attaching it must leave
+/// every row byte-identical — the contract test_obs pins at this seam.
+cosim::CosimReport eval_cosim(const ScenarioSpec& spec, disagg::AllocationPolicy policy,
+                              const cosim::CosimConfig& cfg) {
+  obs::ObsBundle obs_bundle(spec.resolve<obs::ObsConfig>("obs"));
+  return cosim::run_rack_cosim(spec.resolve<rack::RackConfig>("rack"), policy,
+                               workloads::UsageModel::cori(), cfg, obs_bundle.handles());
+}
+
+CosimResult eval_disagg(const ScenarioSpec& spec) {
+  return {eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated, cosim_config_from(spec))};
+}
+
+CosimResult eval_per_policy(const ScenarioSpec& spec) {
+  return {eval_cosim(spec, policy_of(spec), cosim_config_from(spec))};
 }
 
 std::vector<Axis> cosim_acceptance_axes() {
@@ -434,93 +477,16 @@ std::vector<Axis> cosim_acceptance_axes() {
           {"cosim.horizon_ms", {"200"}}};
 }
 
-const std::vector<std::string> kCosimContentionColumns = {
-    "feedback",       "arrivals_per_ms",    "horizon_ms",  "acceptance",
-    "satisfied_frac", "indirect_frac",      "blocking",    "mean_speed",
-    "mean_stretch",   "peak_fabric_util"};
-
-std::vector<ResultRow> eval_cosim_contention(const ScenarioSpec& spec) {
-  const auto report = eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated);
-  ResultRow row;
-  row.cells = {spec.at("cosim.contention_feedback"),
-               spec.at("cosim.arrivals_per_ms"),
-               spec.at("cosim.horizon_ms"),
-               num_to_string(report.jobs.acceptance()),
-               num_to_string(report.flows.satisfied_fraction),
-               num_to_string(report.flows.indirect_fraction),
-               num_to_string(report.flows.blocking_probability()),
-               num_to_string(report.mean_speed_fraction),
-               num_to_string(report.mean_stretch),
-               num_to_string(report.flows.peak_utilization)};
-  return {std::move(row)};
-}
-
 std::vector<Axis> cosim_contention_axes() {
   return {{"cosim.contention_feedback", {"open", "closed"}},
           {"cosim.arrivals_per_ms", {"2", "4", "8", "16"}},
           {"cosim.horizon_ms", {"200"}}};
 }
 
-const std::vector<std::string> kCosimEnergyColumns = {
-    "policy",     "arrivals_per_ms", "horizon_ms",  "accepted",
-    "energy_kj",  "mean_kw",         "peak_kw",     "photonic_kw",
-    "kj_per_job"};
-
-std::vector<ResultRow> eval_cosim_energy(const ScenarioSpec& spec) {
-  const auto report =
-      eval_cosim(spec, disagg::allocation_policy_codec().parse(spec.at("policy")));
-  const double kj = report.energy_joules / 1e3;
-  ResultRow row;
-  row.cells = {spec.at("policy"),
-               spec.at("cosim.arrivals_per_ms"),
-               spec.at("cosim.horizon_ms"),
-               num_to_string(static_cast<double>(report.jobs.accepted)),
-               num_to_string(kj),
-               num_to_string(report.mean_power_w / 1e3),
-               num_to_string(report.peak_power_w / 1e3),
-               num_to_string(report.photonic_power_w / 1e3),
-               num_to_string(report.jobs.accepted
-                                 ? kj / static_cast<double>(report.jobs.accepted)
-                                 : 0.0)};
-  return {std::move(row)};
-}
-
 std::vector<Axis> cosim_energy_axes() {
   return {{"policy", {"static", "disagg"}},
           {"cosim.arrivals_per_ms", {"2", "8"}},
           {"cosim.horizon_ms", {"200"}}};
-}
-
-const std::vector<std::string> kCosimTailsColumns = {
-    "process",          "admission",      "arrivals_per_ms", "horizon_ms",
-    "offered",          "accepted",       "acceptance",      "wait_p50_ms",
-    "wait_p99_ms",      "wait_p999_ms",   "slowdown_p50",    "slowdown_p99",
-    "slowdown_p999",    "fct_p50_ms",     "fct_p99_ms",      "fct_p999_ms",
-    "censored_waiting", "censored_running"};
-
-std::vector<ResultRow> eval_cosim_tails(const ScenarioSpec& spec) {
-  const auto report = eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated);
-  const auto& jobs = report.jobs;
-  ResultRow row;
-  row.cells = {spec.at("cosim.arrival.process"),
-               spec.at("cosim.admission"),
-               spec.at("cosim.arrivals_per_ms"),
-               spec.at("cosim.horizon_ms"),
-               num_to_string(static_cast<double>(jobs.offered)),
-               num_to_string(static_cast<double>(jobs.accepted)),
-               num_to_string(jobs.acceptance()),
-               num_to_string(jobs.wait_ms.p50),
-               num_to_string(jobs.wait_ms.p99),
-               num_to_string(jobs.wait_ms.p999),
-               num_to_string(jobs.slowdown.p50),
-               num_to_string(jobs.slowdown.p99),
-               num_to_string(jobs.slowdown.p999),
-               num_to_string(jobs.fct_ms.p50),
-               num_to_string(jobs.fct_ms.p99),
-               num_to_string(jobs.fct_ms.p999),
-               num_to_string(static_cast<double>(jobs.censored_waiting)),
-               num_to_string(static_cast<double>(jobs.censored_running))};
-  return {std::move(row)};
 }
 
 std::vector<Axis> cosim_tails_axes() {
@@ -530,35 +496,6 @@ std::vector<Axis> cosim_tails_axes() {
           {"cosim.horizon_ms", {"200"}}};
 }
 
-const std::vector<std::string> kCosimAvailabilityColumns = {
-    "admission",    "resilience",   "mcm_mtbf_ms", "horizon_ms",
-    "offered",      "accepted",     "faults",      "repairs",
-    "interrupted",  "requeued",     "degraded",    "killed",
-    "goodput",      "availability", "work_lost_ms", "mttr_ms"};
-
-std::vector<ResultRow> eval_cosim_availability(const ScenarioSpec& spec) {
-  const auto report = eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated);
-  const auto& f = report.fault;
-  ResultRow row;
-  row.cells = {spec.at("cosim.admission"),
-               spec.at("fault.policy"),
-               spec.at("fault.mcm_mtbf_ms"),
-               spec.at("cosim.horizon_ms"),
-               num_to_string(static_cast<double>(report.jobs.offered)),
-               num_to_string(static_cast<double>(report.jobs.accepted)),
-               num_to_string(static_cast<double>(f.faults)),
-               num_to_string(static_cast<double>(f.repairs)),
-               num_to_string(static_cast<double>(f.interrupted)),
-               num_to_string(static_cast<double>(f.requeued)),
-               num_to_string(static_cast<double>(f.degraded)),
-               num_to_string(static_cast<double>(f.killed)),
-               num_to_string(static_cast<double>(f.goodput_jobs)),
-               num_to_string(f.availability),
-               num_to_string(f.work_lost_ms),
-               num_to_string(f.mean_mttr_ms)};
-  return {std::move(row)};
-}
-
 std::vector<Axis> cosim_availability_axes() {
   return {{"cosim.admission", {"drop", "queue"}},
           {"fault.policy", {"kill", "requeue", "degrade"}},
@@ -566,30 +503,6 @@ std::vector<Axis> cosim_availability_axes() {
           {"fault.mcm_mtbf_ms", {"40", "160", "640"}},
           {"fault.node_mtbf_ms", {"320"}},
           {"cosim.horizon_ms", {"200"}}};
-}
-
-const std::vector<std::string> kCosimBlastRadiusColumns = {
-    "policy",       "mcm_mtbf_ms",  "offered",     "accepted",
-    "faults",       "interrupted",  "requeued",    "killed",
-    "goodput",      "availability", "work_lost_ms"};
-
-std::vector<ResultRow> eval_cosim_blast_radius(const ScenarioSpec& spec) {
-  const auto report =
-      eval_cosim(spec, disagg::allocation_policy_codec().parse(spec.at("policy")));
-  const auto& f = report.fault;
-  ResultRow row;
-  row.cells = {spec.at("policy"),
-               spec.at("fault.mcm_mtbf_ms"),
-               num_to_string(static_cast<double>(report.jobs.offered)),
-               num_to_string(static_cast<double>(report.jobs.accepted)),
-               num_to_string(static_cast<double>(f.faults)),
-               num_to_string(static_cast<double>(f.interrupted)),
-               num_to_string(static_cast<double>(f.requeued)),
-               num_to_string(static_cast<double>(f.killed)),
-               num_to_string(static_cast<double>(f.goodput_jobs)),
-               num_to_string(f.availability),
-               num_to_string(f.work_lost_ms)};
-  return {std::move(row)};
 }
 
 std::vector<Axis> cosim_blast_radius_axes() {
@@ -611,14 +524,7 @@ std::vector<Axis> cosim_blast_radius_axes() {
 // pair per pattern/gradient point.
 // ---------------------------------------------------------------------------
 
-const std::vector<std::string> kMlCollectivesColumns = {
-    "fabric",       "pattern",       "gradient_mb",  "accelerators",
-    "compute_ms",   "offered",       "accepted",     "completed",
-    "steps",        "step_p50_ms",   "step_p99_ms",  "coll_frac_p50",
-    "straggler_p99", "ideal_coll_ms"};
-
-std::vector<ResultRow> eval_ml_collectives(const ScenarioSpec& spec) {
-  obs::ObsBundle obs_bundle(spec.resolve<obs::ObsConfig>("obs"));
+CosimResult eval_ml_collectives(const ScenarioSpec& spec) {
   cosim::CosimConfig cfg = cosim_config_from(spec);
   const std::string fabric = spec.at("fabric");
   if (fabric == "electronic")
@@ -626,9 +532,6 @@ std::vector<ResultRow> eval_ml_collectives(const ScenarioSpec& spec) {
   else if (fabric != "photonic")
     throw std::invalid_argument("unknown fabric '" + fabric +
                                 "' (want photonic|electronic)");
-  const auto report = cosim::run_rack_cosim(
-      spec.resolve<rack::RackConfig>("rack"), disagg::AllocationPolicy::kDisaggregated,
-      workloads::UsageModel::cori(), cfg, obs_bundle.handles());
   // Closed-form uncontended collective time at the effective per-flow rate:
   // the lower bound the measured step times are judged against.
   const double effective_gbps =
@@ -637,23 +540,10 @@ std::vector<ResultRow> eval_ml_collectives(const ScenarioSpec& spec) {
       1e3 * collectives::lower_bound_seconds(cfg.ml.pattern, cfg.ml.accelerators,
                                              cfg.ml.gradient_mb * 1e6,
                                              effective_gbps);
-  const auto& ml = report.ml;
-  ResultRow row;
-  row.cells = {fabric,
-               spec.at("ml.pattern"),
-               spec.at("ml.gradient_mb"),
-               num_to_string(static_cast<double>(cfg.ml.accelerators)),
-               num_to_string(cfg.ml.compute_ms),
-               num_to_string(static_cast<double>(ml.jobs_offered)),
-               num_to_string(static_cast<double>(ml.jobs_accepted)),
-               num_to_string(static_cast<double>(ml.jobs_completed)),
-               num_to_string(static_cast<double>(ml.steps)),
-               num_to_string(ml.step_ms.p50),
-               num_to_string(ml.step_ms.p99),
-               num_to_string(ml.coll_frac.p50),
-               num_to_string(ml.straggler.p99),
-               num_to_string(ideal_coll_ms)};
-  return {std::move(row)};
+  return {eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated, cfg),
+          {{"accelerators", static_cast<double>(cfg.ml.accelerators)},
+           {"compute_ms", cfg.ml.compute_ms},
+           {"ideal_coll_ms", ideal_coll_ms}}};
 }
 
 std::vector<Axis> ml_collectives_axes() {
@@ -665,13 +555,7 @@ std::vector<Axis> ml_collectives_axes() {
           {"cosim.horizon_ms", {"120"}}};
 }
 
-const std::vector<std::string> kMlVsHpcColumns = {
-    "workload",     "arrivals_per_ms", "offered",      "accepted",
-    "acceptance",   "wait_p99_ms",     "slowdown_p99", "step_p99_ms",
-    "satisfied_frac", "energy_kj"};
-
-std::vector<ResultRow> eval_ml_vs_hpc(const ScenarioSpec& spec) {
-  obs::ObsBundle obs_bundle(spec.resolve<obs::ObsConfig>("obs"));
+CosimResult eval_ml_vs_hpc(const ScenarioSpec& spec) {
   cosim::CosimConfig cfg = cosim_config_from(spec);
   const std::string workload = spec.at("workload");
   if (workload == "ml") {
@@ -681,21 +565,7 @@ std::vector<ResultRow> eval_ml_vs_hpc(const ScenarioSpec& spec) {
     throw std::invalid_argument("unknown workload '" + workload +
                                 "' (want hpc|ml)");
   }
-  const auto report = cosim::run_rack_cosim(
-      spec.resolve<rack::RackConfig>("rack"), disagg::AllocationPolicy::kDisaggregated,
-      workloads::UsageModel::cori(), cfg, obs_bundle.handles());
-  ResultRow row;
-  row.cells = {workload,
-               spec.at("cosim.arrivals_per_ms"),
-               num_to_string(static_cast<double>(report.jobs.offered)),
-               num_to_string(static_cast<double>(report.jobs.accepted)),
-               num_to_string(report.jobs.acceptance()),
-               num_to_string(report.jobs.wait_ms.p99),
-               num_to_string(report.jobs.slowdown.p99),
-               num_to_string(report.ml.step_ms.p99),
-               num_to_string(report.flows.satisfied_fraction),
-               num_to_string(report.energy_joules / 1e3)};
-  return {std::move(row)};
+  return {eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated, cfg)};
 }
 
 std::vector<Axis> ml_vs_hpc_axes() {
@@ -703,34 +573,6 @@ std::vector<Axis> ml_vs_hpc_axes() {
           {"cosim.arrivals_per_ms", {"1", "4"}},
           {"cosim.admission", {"queue"}},
           {"cosim.horizon_ms", {"120"}}};
-}
-
-const std::vector<std::string> kMlMixedRackColumns = {
-    "mix_fraction", "arrivals_per_ms", "offered",       "ml_offered",
-    "accepted",     "ml_accepted",     "wait_p99_ms",   "step_p50_ms",
-    "step_p99_ms",  "straggler_p99",   "mean_stretch",  "energy_kj"};
-
-std::vector<ResultRow> eval_ml_mixed_rack(const ScenarioSpec& spec) {
-  obs::ObsBundle obs_bundle(spec.resolve<obs::ObsConfig>("obs"));
-  const auto report = cosim::run_rack_cosim(
-      spec.resolve<rack::RackConfig>("rack"), disagg::AllocationPolicy::kDisaggregated,
-      workloads::UsageModel::cori(), cosim_config_from(spec),
-      obs_bundle.handles());
-  const auto& ml = report.ml;
-  ResultRow row;
-  row.cells = {spec.at("ml.mix_fraction"),
-               spec.at("cosim.arrivals_per_ms"),
-               num_to_string(static_cast<double>(report.jobs.offered)),
-               num_to_string(static_cast<double>(ml.jobs_offered)),
-               num_to_string(static_cast<double>(report.jobs.accepted)),
-               num_to_string(static_cast<double>(ml.jobs_accepted)),
-               num_to_string(report.jobs.wait_ms.p99),
-               num_to_string(ml.step_ms.p50),
-               num_to_string(ml.step_ms.p99),
-               num_to_string(ml.straggler.p99),
-               num_to_string(report.mean_stretch),
-               num_to_string(report.energy_joules / 1e3)};
-  return {std::move(row)};
 }
 
 std::vector<Axis> ml_mixed_rack_axes() {
@@ -748,39 +590,20 @@ std::vector<Axis> ml_mixed_rack_axes() {
 // the uplinks and trade interconnect watts for cluster-wide acceptance.
 // Rows are deterministic at any --jobs level AND any cluster worker count
 // (the conservative-window loop; byte-compared in CI's cluster smoke step).
+// The report fields are the cluster total's; the cluster-only cells ride in
+// CosimResult::extra.
 // ---------------------------------------------------------------------------
 
-const std::vector<std::string> kClusterEnergyColumns = {
-    "policy",          "spill",        "racks",        "arrivals_per_ms",
-    "offered",         "accepted",     "acceptance",   "spilled",
-    "spill_failed",    "energy_kj",    "interconnect_kw", "kj_per_job",
-    "barriers"};
-
-std::vector<ResultRow> eval_cluster_energy(const ScenarioSpec& spec) {
+CosimResult eval_cluster_energy(const ScenarioSpec& spec) {
   const auto report = cluster::run_cluster_cosim(
-      spec.resolve<rack::RackConfig>("rack"),
-      disagg::allocation_policy_codec().parse(spec.at("policy")),
+      spec.resolve<rack::RackConfig>("rack"), policy_of(spec),
       workloads::UsageModel::cori(), spec.resolve<cluster::ClusterConfig>("cluster"),
       cosim_config_from(spec));
-  const auto& jobs = report.total.jobs;
-  const double kj = report.total.energy_joules / 1e3;
-  ResultRow row;
-  row.cells = {spec.at("policy"),
-               spec.at("cluster.spill"),
-               spec.at("cluster.racks"),
-               spec.at("cosim.arrivals_per_ms"),
-               num_to_string(static_cast<double>(jobs.offered)),
-               num_to_string(static_cast<double>(jobs.accepted)),
-               num_to_string(jobs.acceptance()),
-               num_to_string(static_cast<double>(report.spilled)),
-               num_to_string(static_cast<double>(report.spill_failed)),
-               num_to_string(kj),
-               num_to_string(report.interconnect_power_w / 1e3),
-               num_to_string(jobs.accepted
-                                 ? kj / static_cast<double>(jobs.accepted)
-                                 : 0.0),
-               num_to_string(static_cast<double>(report.barriers))};
-  return {std::move(row)};
+  return {report.total,
+          {{"spilled", static_cast<double>(report.spilled)},
+           {"spill_failed", static_cast<double>(report.spill_failed)},
+           {"interconnect_kw", report.interconnect_power_w / 1e3},
+           {"barriers", static_cast<double>(report.barriers)}}};
 }
 
 std::vector<Axis> cluster_energy_axes() {
@@ -842,85 +665,91 @@ std::vector<Campaign> make_campaigns() {
       sec6c_axes(),
       eval_sec6c_point});
 
-  all.push_back(Campaign{
-      "cosim_acceptance",
-      "Closed-loop job acceptance per policy under rising load",
+  all.push_back(cosim_campaign(
+      "cosim_acceptance", "Closed-loop job acceptance per policy under rising load",
       "Sections II-A and VI (co-simulation)",
-      kCosimAcceptanceColumns,
-      cosim_acceptance_axes(),
-      eval_cosim_acceptance});
+      {{"policy", "arrivals_per_ms=cosim.arrivals_per_ms", "horizon_ms=cosim.horizon_ms"},
+       {"offered", "accepted", "acceptance", "mean_cpu_util", "mean_mem_util",
+        "marooned_mem", "mean_speed"}},
+      cosim_acceptance_axes(), eval_per_policy));
 
-  all.push_back(Campaign{
-      "cosim_contention",
-      "Contention feedback: open vs closed loop on the shared fabric",
+  all.push_back(cosim_campaign(
+      "cosim_contention", "Contention feedback: open vs closed loop on the shared fabric",
       "Section IV-A (co-simulation)",
-      kCosimContentionColumns,
-      cosim_contention_axes(),
-      eval_cosim_contention});
+      {{"feedback=cosim.contention_feedback", "arrivals_per_ms=cosim.arrivals_per_ms",
+        "horizon_ms=cosim.horizon_ms"},
+       {"acceptance", "satisfied_frac", "indirect_frac", "blocking", "mean_speed",
+        "mean_stretch", "peak_fabric_util"}},
+      cosim_contention_axes(), eval_disagg));
 
-  all.push_back(Campaign{
-      "cosim_energy",
-      "Time-integrated rack energy under the live job stream",
+  all.push_back(cosim_campaign(
+      "cosim_energy", "Time-integrated rack energy under the live job stream",
       "Section VI-C (co-simulation)",
-      kCosimEnergyColumns,
-      cosim_energy_axes(),
-      eval_cosim_energy});
+      {{"policy", "arrivals_per_ms=cosim.arrivals_per_ms", "horizon_ms=cosim.horizon_ms"},
+       {"accepted", "energy_kj", "mean_kw", "peak_kw", "photonic_kw", "kj_per_job"}},
+      cosim_energy_axes(), eval_per_policy));
 
-  all.push_back(Campaign{
-      "cosim_tails",
-      "Tail latency (wait/slowdown/FCT p50/p99/p999) per arrival process",
+  all.push_back(cosim_campaign(
+      "cosim_tails", "Tail latency (wait/slowdown/FCT p50/p99/p999) per arrival process",
       "production traffic engine (open-loop arrivals, queued admission)",
-      kCosimTailsColumns,
-      cosim_tails_axes(),
-      eval_cosim_tails});
+      {{"process=cosim.arrival.process", "admission=cosim.admission",
+        "arrivals_per_ms=cosim.arrivals_per_ms", "horizon_ms=cosim.horizon_ms"},
+       {"offered", "accepted", "acceptance", "wait_p50_ms", "wait_p99_ms", "wait_p999_ms",
+        "slowdown_p50", "slowdown_p99", "slowdown_p999", "fct_p50_ms", "fct_p99_ms",
+        "fct_p999_ms", "censored_waiting", "censored_running"}},
+      cosim_tails_axes(), eval_disagg));
 
-  all.push_back(Campaign{
-      "cosim_availability",
-      "Availability and goodput under the seed-derived fault timeline",
+  all.push_back(cosim_campaign(
+      "cosim_availability", "Availability and goodput under the seed-derived fault timeline",
       "fault injection & resilience engine (deterministic MTBF sweep)",
-      kCosimAvailabilityColumns,
-      cosim_availability_axes(),
-      eval_cosim_availability});
+      {{"admission=cosim.admission", "resilience=fault.policy",
+        "mcm_mtbf_ms=fault.mcm_mtbf_ms", "horizon_ms=cosim.horizon_ms"},
+       {"offered", "accepted", "faults", "repairs", "interrupted", "requeued", "degraded",
+        "killed", "goodput", "availability", "work_lost_ms", "mttr_ms"}},
+      cosim_availability_axes(), eval_disagg));
 
-  all.push_back(Campaign{
-      "cosim_blast_radius",
-      "Fault blast radius: static node-local vs disaggregated fabric-bound",
+  all.push_back(cosim_campaign(
+      "cosim_blast_radius", "Fault blast radius: static node-local vs disaggregated fabric-bound",
       "fault injection & resilience engine (identical timeline per policy)",
-      kCosimBlastRadiusColumns,
-      cosim_blast_radius_axes(),
-      eval_cosim_blast_radius});
+      {{"policy", "mcm_mtbf_ms=fault.mcm_mtbf_ms"},
+       {"offered", "accepted", "faults", "interrupted", "requeued", "killed", "goodput",
+        "availability", "work_lost_ms"}},
+      cosim_blast_radius_axes(), eval_per_policy));
 
-  all.push_back(Campaign{
-      "ml_collectives",
-      "Training-step time per collective pattern: photonic vs electronic fabric",
+  // The offered/accepted/completed/steps headers here count ML jobs.
+  all.push_back(cosim_campaign(
+      "ml_collectives", "Training-step time per collective pattern: photonic vs electronic fabric",
       "ML collectives on the wavelength fabric (Kumar et al., fig12-style)",
-      kMlCollectivesColumns,
-      ml_collectives_axes(),
-      eval_ml_collectives});
+      {{"fabric", "pattern=ml.pattern", "gradient_mb=ml.gradient_mb"},
+       {"accelerators", "compute_ms", "offered=ml_offered", "accepted=ml_accepted",
+        "completed=ml_completed", "steps=ml_steps", "step_p50_ms", "step_p99_ms",
+        "coll_frac_p50", "straggler_p99", "ideal_coll_ms"}},
+      ml_collectives_axes(), eval_ml_collectives));
 
-  all.push_back(Campaign{
-      "ml_vs_hpc",
-      "Pure ML job streams vs the paper's HPC mix on one rack",
+  all.push_back(cosim_campaign(
+      "ml_vs_hpc", "Pure ML job streams vs the paper's HPC mix on one rack",
       "ML collectives on the wavelength fabric (workload comparison)",
-      kMlVsHpcColumns,
-      ml_vs_hpc_axes(),
-      eval_ml_vs_hpc});
+      {{"workload", "arrivals_per_ms=cosim.arrivals_per_ms"},
+       {"offered", "accepted", "acceptance", "wait_p99_ms", "slowdown_p99", "step_p99_ms",
+        "satisfied_frac", "energy_kj"}},
+      ml_vs_hpc_axes(), eval_ml_vs_hpc));
 
-  all.push_back(Campaign{
-      "ml_mixed_rack",
-      "HPC+ML sharing one rack: interference at rising ML mix fractions",
+  all.push_back(cosim_campaign(
+      "ml_mixed_rack", "HPC+ML sharing one rack: interference at rising ML mix fractions",
       "ML collectives on the wavelength fabric (mixed tenancy)",
-      kMlMixedRackColumns,
-      ml_mixed_rack_axes(),
-      eval_ml_mixed_rack});
+      {{"mix_fraction=ml.mix_fraction", "arrivals_per_ms=cosim.arrivals_per_ms"},
+       {"offered", "ml_offered", "accepted", "ml_accepted", "wait_p99_ms", "step_p50_ms",
+        "step_p99_ms", "straggler_p99", "mean_stretch", "energy_kj"}},
+      ml_mixed_rack_axes(), eval_disagg));
 
-  all.push_back(Campaign{
-      "cluster_energy",
-      "Rack-scale vs cluster-scale disaggregation: acceptance and energy",
+  all.push_back(cosim_campaign(
+      "cluster_energy", "Rack-scale vs cluster-scale disaggregation: acceptance and energy",
       "multi-rack cluster co-simulation (deterministic parallel event loop)",
-      kClusterEnergyColumns,
-      cluster_energy_axes(),
-      eval_cluster_energy});
+      {{"policy", "spill=cluster.spill", "racks=cluster.racks",
+        "arrivals_per_ms=cosim.arrivals_per_ms"},
+       {"offered", "accepted", "acceptance", "spilled", "spill_failed", "energy_kj",
+        "interconnect_kw", "kj_per_job", "barriers"}},
+      cluster_energy_axes(), eval_cluster_energy));
 
   return all;
 }

@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "cosim/rack_cosim.hpp"
+#include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
 #include "scenario/result_sink.hpp"
 #include "scenario/sweep_runner.hpp"
@@ -37,53 +38,8 @@ ClusterReport run_cluster(const ClusterConfig& cluster,
                            workloads::UsageModel::cori(), cluster, cfg);
 }
 
-void expect_tails_identical(const disagg::TailStats& a,
-                            const disagg::TailStats& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.p50, b.p50);
-  EXPECT_EQ(a.p99, b.p99);
-  EXPECT_EQ(a.p999, b.p999);
-}
-
-// Bitwise equality over every field a report carries — the determinism
-// contract is "identical", not "close".
-void expect_reports_identical(const cosim::CosimReport& a,
-                              const cosim::CosimReport& b) {
-  EXPECT_EQ(a.jobs.offered, b.jobs.offered);
-  EXPECT_EQ(a.jobs.accepted, b.jobs.accepted);
-  EXPECT_EQ(a.jobs.mean_cpu_utilization, b.jobs.mean_cpu_utilization);
-  EXPECT_EQ(a.jobs.mean_gpu_utilization, b.jobs.mean_gpu_utilization);
-  EXPECT_EQ(a.jobs.mean_memory_utilization, b.jobs.mean_memory_utilization);
-  EXPECT_EQ(a.jobs.mean_marooned_cpu, b.jobs.mean_marooned_cpu);
-  EXPECT_EQ(a.jobs.mean_marooned_memory, b.jobs.mean_marooned_memory);
-  expect_tails_identical(a.jobs.wait_ms, b.jobs.wait_ms);
-  expect_tails_identical(a.jobs.slowdown, b.jobs.slowdown);
-  expect_tails_identical(a.jobs.fct_ms, b.jobs.fct_ms);
-  EXPECT_EQ(a.jobs.censored_waiting, b.jobs.censored_waiting);
-  EXPECT_EQ(a.jobs.censored_running, b.jobs.censored_running);
-  EXPECT_EQ(a.jobs.events.scheduled, b.jobs.events.scheduled);
-  EXPECT_EQ(a.jobs.events.dispatched, b.jobs.events.dispatched);
-  EXPECT_EQ(a.jobs.events.cancelled, b.jobs.events.cancelled);
-  EXPECT_EQ(a.flows.flows, b.flows.flows);
-  EXPECT_EQ(a.flows.fully_satisfied, b.flows.fully_satisfied);
-  EXPECT_EQ(a.flows.satisfied_fraction, b.flows.satisfied_fraction);
-  EXPECT_EQ(a.flows.indirect_fraction, b.flows.indirect_fraction);
-  EXPECT_EQ(a.flows.peak_utilization, b.flows.peak_utilization);
-  EXPECT_EQ(a.mean_speed_fraction, b.mean_speed_fraction);
-  EXPECT_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.max_stretch, b.max_stretch);
-  EXPECT_EQ(a.energy_joules, b.energy_joules);
-  EXPECT_EQ(a.mean_power_w, b.mean_power_w);
-  EXPECT_EQ(a.peak_power_w, b.peak_power_w);
-  EXPECT_EQ(a.photonic_power_w, b.photonic_power_w);
-  EXPECT_EQ(a.completed_at, b.completed_at);
-  EXPECT_EQ(a.fault.faults, b.fault.faults);
-  EXPECT_EQ(a.fault.repairs, b.fault.repairs);
-  EXPECT_EQ(a.fault.interrupted, b.fault.interrupted);
-  EXPECT_EQ(a.fault.requeued, b.fault.requeued);
-  EXPECT_EQ(a.fault.killed, b.fault.killed);
-  EXPECT_EQ(a.fault.availability, b.fault.availability);
-}
+using testutil::expect_same_report;
+using testutil::serialize;
 
 // ---------------------------------------------------------------------------
 // Inter-rack fabric model.
@@ -151,7 +107,7 @@ TEST(Cluster, SingleRackReproducesRackCosimExactly) {
       {}, disagg::AllocationPolicy::kDisaggregated,
       workloads::UsageModel::cori(), cfg);
   ASSERT_EQ(cluster.racks.size(), 1u);
-  expect_reports_identical(cluster.total, solo);
+  expect_same_report(cluster.total, solo);
   EXPECT_EQ(cluster.spilled, 0u);
   EXPECT_EQ(cluster.interconnect_power_w, 0.0);
 }
@@ -166,7 +122,7 @@ TEST(Cluster, UncoupledRunIsIndependentOfWorkerCount) {
   b.workers = 4;
   const auto ra = run_cluster(a, cfg);
   const auto rb = run_cluster(b, cfg);
-  expect_reports_identical(ra.total, rb.total);
+  expect_same_report(ra.total, rb.total);
   EXPECT_EQ(ra.barriers, 1u);  // no coupling: one window, full parallelism
   EXPECT_EQ(rb.barriers, 1u);
 }
@@ -191,10 +147,10 @@ TEST(Cluster, CoupledRunIsBitIdenticalAtAnyWorkerCount) {
   EXPECT_EQ(rs.spill_failed, rw.spill_failed);
   EXPECT_EQ(rs.barriers, rw.barriers);
   EXPECT_EQ(rs.interconnect_energy_j, rw.interconnect_energy_j);
-  expect_reports_identical(rs.total, rw.total);
+  expect_same_report(rs.total, rw.total);
   ASSERT_EQ(rs.racks.size(), rw.racks.size());
   for (std::size_t r = 0; r < rs.racks.size(); ++r)
-    expect_reports_identical(rs.racks[r], rw.racks[r]);
+    expect_same_report(rs.racks[r], rw.racks[r]);
 }
 
 // Cluster flow fractions pool bandwidth, not per-rack ratios: satisfied is
@@ -270,17 +226,6 @@ TEST(Cluster, SpillPolicyCodecRoundTrips) {
 // --jobs level (the acceptance criterion the CI cluster smoke step re-checks
 // end to end).
 // ---------------------------------------------------------------------------
-
-std::pair<std::string, std::string> serialize(const scenario::Campaign& campaign,
-                                              const scenario::SweepGrid& grid,
-                                              std::size_t jobs) {
-  std::ostringstream csv_os, jsonl_os;
-  scenario::CsvSink csv(csv_os);
-  scenario::JsonlSink jsonl(jsonl_os);
-  scenario::SweepRunner(scenario::SweepOptions{.jobs = jobs, .base_seed = 0})
-      .run(campaign, grid, {&csv, &jsonl});
-  return {csv_os.str(), jsonl_os.str()};
-}
 
 TEST(ClusterCampaigns, EnergyIsByteIdenticalAcrossJobs) {
   const auto& campaign = scenario::campaign_by_name("cluster_energy");

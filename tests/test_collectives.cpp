@@ -22,6 +22,7 @@
 #include "cosim/rack_cosim.hpp"
 #include "net/fabric.hpp"
 #include "net/flow_sim.hpp"
+#include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
 #include "scenario/result_sink.hpp"
 #include "scenario/sweep_runner.hpp"
@@ -306,29 +307,15 @@ cosim::CosimReport run_ml(const cosim::CosimConfig& cfg) {
                                workloads::UsageModel::cori(), cfg);
 }
 
-void expect_ml_identical(const cosim::MlStats& a, const cosim::MlStats& b) {
-  EXPECT_EQ(a.jobs_offered, b.jobs_offered);
-  EXPECT_EQ(a.jobs_accepted, b.jobs_accepted);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.collective_phases, b.collective_phases);
-  EXPECT_EQ(a.step_ms.p50, b.step_ms.p50);
-  EXPECT_EQ(a.step_ms.p99, b.step_ms.p99);
-  EXPECT_EQ(a.coll_frac.p50, b.coll_frac.p50);
-  EXPECT_EQ(a.straggler.p99, b.straggler.p99);
-}
+using testutil::expect_same_report;
+using testutil::serialize;
 
 TEST(MlDeterminism, SameSeedIsByteIdentical) {
   const auto cfg = ml_cosim(0.5);
   const auto a = run_ml(cfg);
   const auto b = run_ml(cfg);
   ASSERT_GT(a.ml.jobs_offered, 0u);
-  EXPECT_EQ(a.jobs.offered, b.jobs.offered);
-  EXPECT_EQ(a.jobs.accepted, b.jobs.accepted);
-  EXPECT_EQ(a.energy_joules, b.energy_joules);
-  EXPECT_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.completed_at, b.completed_at);
-  expect_ml_identical(a.ml, b.ml);
+  expect_same_report(a, b);
 }
 
 TEST(MlDeterminism, SeedPlusOneDiverges) {
@@ -349,15 +336,7 @@ TEST(MlDisabledPath, IdleSubsystemChangesNoReportedNumber) {
   disabled.ml = collectives::MlConfig{};  // all defaults, enabled = false
   const auto a = run_ml(enabled_idle);
   const auto b = run_ml(disabled);
-  EXPECT_EQ(a.jobs.offered, b.jobs.offered);
-  EXPECT_EQ(a.jobs.accepted, b.jobs.accepted);
-  EXPECT_EQ(a.flows.flows, b.flows.flows);
-  EXPECT_EQ(a.flows.satisfied_fraction, b.flows.satisfied_fraction);
-  EXPECT_EQ(a.mean_speed_fraction, b.mean_speed_fraction);
-  EXPECT_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.energy_joules, b.energy_joules);
-  EXPECT_EQ(a.peak_power_w, b.peak_power_w);
-  EXPECT_EQ(a.completed_at, b.completed_at);
+  expect_same_report(a, b);
   EXPECT_EQ(a.ml.jobs_offered, 0u);
   EXPECT_EQ(a.ml.steps, 0u);
   // The report still says which mode it ran in.
@@ -400,17 +379,6 @@ TEST(MlAccounting, TailsAreUpperQuantilesNotMinima) {
 // Campaign determinism: the ML campaign serializes byte-identically at
 // every --jobs level (the same pin the fault/cluster campaigns carry).
 // ---------------------------------------------------------------------------
-
-std::pair<std::string, std::string> serialize(const scenario::Campaign& campaign,
-                                              const scenario::SweepGrid& grid,
-                                              std::size_t jobs) {
-  std::ostringstream csv_os, jsonl_os;
-  scenario::CsvSink csv(csv_os);
-  scenario::JsonlSink jsonl(jsonl_os);
-  scenario::SweepRunner(scenario::SweepOptions{.jobs = jobs, .base_seed = 0})
-      .run(campaign, grid, {&csv, &jsonl});
-  return {csv_os.str(), jsonl_os.str()};
-}
 
 TEST(MlCampaigns, CollectivesCampaignIsByteIdenticalAcrossJobs) {
   const auto& campaign = scenario::campaign_by_name("ml_collectives");

@@ -12,6 +12,7 @@
 #include <string>
 #include <utility>
 
+#include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
 #include "scenario/result_sink.hpp"
 #include "scenario/sweep_runner.hpp"
@@ -32,20 +33,8 @@ CosimReport run_quick(disagg::AllocationPolicy policy, const CosimConfig& cfg) {
   return run_rack_cosim({}, policy, workloads::UsageModel::cori(), cfg);
 }
 
-void expect_reports_identical(const CosimReport& a, const CosimReport& b) {
-  EXPECT_EQ(a.jobs.offered, b.jobs.offered);
-  EXPECT_EQ(a.jobs.accepted, b.jobs.accepted);
-  EXPECT_EQ(a.jobs.mean_cpu_utilization, b.jobs.mean_cpu_utilization);
-  EXPECT_EQ(a.jobs.mean_memory_utilization, b.jobs.mean_memory_utilization);
-  EXPECT_EQ(a.flows.flows, b.flows.flows);
-  EXPECT_EQ(a.flows.satisfied_fraction, b.flows.satisfied_fraction);
-  EXPECT_EQ(a.flows.peak_utilization, b.flows.peak_utilization);
-  EXPECT_EQ(a.mean_speed_fraction, b.mean_speed_fraction);
-  EXPECT_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.energy_joules, b.energy_joules);
-  EXPECT_EQ(a.peak_power_w, b.peak_power_w);
-  EXPECT_EQ(a.completed_at, b.completed_at);
-}
+using testutil::expect_same_report;
+using testutil::serialize;
 
 TEST(Cosim, OffersPlacesAndRoutesJobs) {
   const auto report = run_quick(disagg::AllocationPolicy::kDisaggregated, quick());
@@ -60,7 +49,7 @@ TEST(Cosim, OffersPlacesAndRoutesJobs) {
 TEST(Cosim, DeterministicForSeed) {
   const auto a = run_quick(disagg::AllocationPolicy::kDisaggregated, quick());
   const auto b = run_quick(disagg::AllocationPolicy::kDisaggregated, quick());
-  expect_reports_identical(a, b);
+  expect_same_report(a, b);
 }
 
 TEST(Cosim, SeedPlusOneProducesDifferentTrajectory) {
@@ -143,7 +132,7 @@ TEST(Cosim, StepwiseAdvanceMatchesRunToCompletion) {
     chunked.advance_to(t);
   chunked.finish();
 
-  expect_reports_identical(whole.report(), chunked.report());
+  expect_same_report(whole.report(), chunked.report());
 }
 
 TEST(Cosim, MidRunReportIsUsable) {
@@ -306,7 +295,7 @@ TEST(CosimTraffic, NonPoissonProcessesRunDeterministically) {
     const auto a = run_quick(disagg::AllocationPolicy::kDisaggregated, cfg);
     const auto b = run_quick(disagg::AllocationPolicy::kDisaggregated, cfg);
     EXPECT_GT(a.jobs.offered, 50u);
-    expect_reports_identical(a, b);
+    expect_same_report(a, b);
   }
 }
 
@@ -327,17 +316,6 @@ TEST(CosimTraffic, InvalidArrivalShapeRejectedAtConstruction) {
 // Campaign determinism: the third ISSUE 4 pin — cosim campaign CSV bytes are
 // identical for --jobs 1 and --jobs 4 (short horizon to keep this fast).
 // ---------------------------------------------------------------------------
-
-std::pair<std::string, std::string> serialize(const scenario::Campaign& campaign,
-                                              const scenario::SweepGrid& grid,
-                                              std::size_t jobs) {
-  std::ostringstream csv_os, jsonl_os;
-  scenario::CsvSink csv(csv_os);
-  scenario::JsonlSink jsonl(jsonl_os);
-  scenario::SweepRunner(scenario::SweepOptions{.jobs = jobs, .base_seed = 0})
-      .run(campaign, grid, {&csv, &jsonl});
-  return {csv_os.str(), jsonl_os.str()};
-}
 
 TEST(CosimCampaigns, CsvAndJsonlBitIdenticalForJobs1VsJobs4) {
   for (const char* name :

@@ -19,6 +19,7 @@
 #include "cosim/rack_cosim.hpp"
 #include "net/fabric.hpp"
 #include "rack/rack_builder.hpp"
+#include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
 #include "scenario/result_sink.hpp"
 #include "scenario/sweep_runner.hpp"
@@ -217,21 +218,8 @@ cosim::CosimReport run_with(disagg::AllocationPolicy policy,
   return cosim::run_rack_cosim({}, policy, workloads::UsageModel::cori(), cfg);
 }
 
-void expect_job_stats_identical(const cosim::CosimReport& a,
-                                const cosim::CosimReport& b) {
-  EXPECT_EQ(a.jobs.offered, b.jobs.offered);
-  EXPECT_EQ(a.jobs.accepted, b.jobs.accepted);
-  EXPECT_EQ(a.jobs.mean_cpu_utilization, b.jobs.mean_cpu_utilization);
-  EXPECT_EQ(a.jobs.mean_memory_utilization, b.jobs.mean_memory_utilization);
-  EXPECT_EQ(a.flows.flows, b.flows.flows);
-  EXPECT_EQ(a.flows.satisfied_fraction, b.flows.satisfied_fraction);
-  EXPECT_EQ(a.flows.peak_utilization, b.flows.peak_utilization);
-  EXPECT_EQ(a.mean_speed_fraction, b.mean_speed_fraction);
-  EXPECT_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.energy_joules, b.energy_joules);
-  EXPECT_EQ(a.peak_power_w, b.peak_power_w);
-  EXPECT_EQ(a.completed_at, b.completed_at);
-}
+using testutil::expect_same_report;
+using testutil::serialize;
 
 // The zero-cost pin: an enabled engine whose every MTBF is zero derives an
 // empty timeline, and every pre-existing report field matches the disabled
@@ -245,7 +233,7 @@ TEST(FaultCosim, EnabledButIdleEngineChangesNothing) {
                             disagg::AllocationPolicy::kDisaggregated}) {
     const auto off = run_with(policy, cfg);
     const auto idle = run_with(policy, with_idle_faults);
-    expect_job_stats_identical(off, idle);
+    expect_same_report(off, idle, {"jobs", "tails", "flows", "speed", "energy", "events"});
 
     EXPECT_FALSE(off.fault.enabled);
     EXPECT_TRUE(idle.fault.enabled);
@@ -267,12 +255,7 @@ TEST(FaultCosim, SameSeedSameFaultTrajectory) {
 
   const auto a = run_with(disagg::AllocationPolicy::kDisaggregated, cfg);
   const auto b = run_with(disagg::AllocationPolicy::kDisaggregated, cfg);
-  expect_job_stats_identical(a, b);
-  EXPECT_EQ(a.fault.faults, b.fault.faults);
-  EXPECT_EQ(a.fault.interrupted, b.fault.interrupted);
-  EXPECT_EQ(a.fault.goodput_jobs, b.fault.goodput_jobs);
-  EXPECT_EQ(a.fault.work_lost_ms, b.fault.work_lost_ms);
-  EXPECT_EQ(a.fault.availability, b.fault.availability);
+  expect_same_report(a, b);
 
   auto seeded = cfg;
   seeded.seed += 1;
@@ -464,9 +447,7 @@ TEST(FaultCosim, RequeuePushThenDrainConservesJobsAndStaysDeterministic) {
   EXPECT_EQ(a.jobs.censored_running, 0u);
 
   const auto b = run_with(disagg::AllocationPolicy::kDisaggregated, cfg);
-  expect_job_stats_identical(a, b);
-  EXPECT_EQ(a.fault.requeued, b.fault.requeued);
-  EXPECT_EQ(a.fault.killed, b.fault.killed);
+  expect_same_report(a, b);
 }
 
 // ---------------------------------------------------------------------------
@@ -474,17 +455,6 @@ TEST(FaultCosim, RequeuePushThenDrainConservesJobsAndStaysDeterministic) {
 // at every --jobs level (the same pin test_scenario.cpp holds for the
 // fault-free campaigns).
 // ---------------------------------------------------------------------------
-
-std::pair<std::string, std::string> serialize(const scenario::Campaign& campaign,
-                                              const scenario::SweepGrid& grid,
-                                              std::size_t jobs) {
-  std::ostringstream csv_os, jsonl_os;
-  scenario::CsvSink csv(csv_os);
-  scenario::JsonlSink jsonl(jsonl_os);
-  scenario::SweepRunner(scenario::SweepOptions{.jobs = jobs, .base_seed = 0})
-      .run(campaign, grid, {&csv, &jsonl});
-  return {csv_os.str(), jsonl_os.str()};
-}
 
 TEST(FaultCampaigns, AvailabilityIsByteIdenticalAcrossJobs) {
   const auto& campaign = scenario::campaign_by_name("cosim_availability");

@@ -18,6 +18,7 @@
 
 #include "cosim/rack_cosim.hpp"
 #include "obs/obs.hpp"
+#include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
 #include "scenario/sweep_runner.hpp"
 #include "workloads/usage.hpp"
@@ -326,26 +327,6 @@ cosim::CosimConfig small_cosim() {
   return cfg;
 }
 
-void expect_same_report(const cosim::CosimReport& a, const cosim::CosimReport& b) {
-  EXPECT_EQ(a.jobs.offered, b.jobs.offered);
-  EXPECT_EQ(a.jobs.accepted, b.jobs.accepted);
-  EXPECT_EQ(a.jobs.censored_waiting, b.jobs.censored_waiting);
-  EXPECT_EQ(a.jobs.censored_running, b.jobs.censored_running);
-  EXPECT_EQ(a.jobs.wait_ms.p50, b.jobs.wait_ms.p50);
-  EXPECT_EQ(a.jobs.wait_ms.p99, b.jobs.wait_ms.p99);
-  EXPECT_EQ(a.jobs.slowdown.p999, b.jobs.slowdown.p999);
-  EXPECT_EQ(a.jobs.fct_ms.p99, b.jobs.fct_ms.p99);
-  EXPECT_EQ(a.jobs.mean_cpu_utilization, b.jobs.mean_cpu_utilization);
-  EXPECT_EQ(a.flows.flows, b.flows.flows);
-  EXPECT_EQ(a.flows.satisfied_fraction, b.flows.satisfied_fraction);
-  EXPECT_EQ(a.flows.stale_mispicks, b.flows.stale_mispicks);
-  EXPECT_EQ(a.mean_speed_fraction, b.mean_speed_fraction);
-  EXPECT_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.energy_joules, b.energy_joules);
-  EXPECT_EQ(a.peak_power_w, b.peak_power_w);
-  EXPECT_EQ(a.completed_at, b.completed_at);
-}
-
 TEST(ObsContract, FullBundleLeavesTheCosimReportBitIdentical) {
   const auto rack = rack::RackConfig{};
   const auto usage = workloads::UsageModel::cori();
@@ -361,7 +342,9 @@ TEST(ObsContract, FullBundleLeavesTheCosimReportBitIdentical) {
       cosim::run_rack_cosim(rack, disagg::AllocationPolicy::kDisaggregated, usage,
                             small_cosim(), bundle.handles());
 
-  expect_same_report(base, observed);
+  // Everything but the event counters (the sampler rides the event queue).
+  testutil::expect_same_report(base, observed,
+                               {"jobs", "tails", "flows", "speed", "energy", "fault", "ml"});
   // The instrumentation did fire: a trace, metrics rows and profile hits all
   // exist — identical results do not mean the obs run silently recorded
   // nothing.
@@ -386,10 +369,7 @@ TEST(ObsContract, TraceOnlyBundleAlsoKeepsEventCountsIdentical) {
   const auto observed =
       cosim::run_rack_cosim(rack, disagg::AllocationPolicy::kDisaggregated, usage,
                             small_cosim(), bundle.handles());
-  expect_same_report(base, observed);
-  EXPECT_EQ(observed.jobs.events.scheduled, base.jobs.events.scheduled);
-  EXPECT_EQ(observed.jobs.events.dispatched, base.jobs.events.dispatched);
-  EXPECT_EQ(observed.jobs.events.pending_peak, base.jobs.events.pending_peak);
+  testutil::expect_same_report(base, observed);
 }
 
 TEST(ObsContract, CosimTraceIsValidJsonWithMonotoneInstantsAndNonNegativeSpans) {
