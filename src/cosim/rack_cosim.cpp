@@ -488,7 +488,7 @@ bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries,
       obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
       tally_.jobs.record_wait(to_ms(wait));
       tally_.jobs.record_slowdown(static_cast<double>(wait + hold) /
-                             static_cast<double>(plan.base_hold));
+                                  static_cast<double>(plan.base_hold));
       for (std::size_t i = 0; i < plan.flows.size(); ++i)
         tally_.jobs.record_fct(to_ms(hold));
     }
@@ -552,7 +552,7 @@ void RackCosim::on_ml_collective_done(std::uint64_t job_id,
   {
     obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
     tally_.ml.record_step(step_ms, step_ms > 0.0 ? coll_ms / step_ms : 0.0,
-                         result.straggler_stretch, result.phases);
+                          result.straggler_stretch, result.phases);
   }
   if (obs_.trace)
     obs_.trace->complete(obs::Track::kJobs, "ml_step", job.step_started,
@@ -590,7 +590,7 @@ void RackCosim::complete_job(std::uint64_t job_id) {
     tally_.ml.complete();
     obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
     tally_.jobs.record_slowdown(static_cast<double>(queue_.now() - job.arrived) /
-                           static_cast<double>(job.plan.base_hold));
+                                static_cast<double>(job.plan.base_hold));
   }
   if (obs_.trace)
     obs_.trace->complete(obs::Track::kJobs, "job", job.placed_at, queue_.now(),

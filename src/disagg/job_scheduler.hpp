@@ -56,7 +56,11 @@ struct JobSimReport {
   // --- tail telemetry (sketch-backed, O(1) memory at any job count) ---
   TailStats wait_ms;   // queue wait: placement time - arrival time, in ms
   TailStats slowdown;  // (wait + actual hold) / base hold; >= 1
-  TailStats fct_ms;    // per-flow completion time, in ms
+  /// The job's hold time in ms (its stretched service time), recorded once
+  /// per flow the job opens — so a job's weight here is its flow count.  It
+  /// is not a per-flow completion time; the name stays because external
+  /// readers (perfbench) use it.
+  TailStats fct_ms;
 
   // --- censoring (set by simulators with a horizon; see RackCosim) ---
   /// Jobs admitted to the backlog but not yet placed when the report was
@@ -91,9 +95,10 @@ class JobStreamStats {
   /// Sample the allocator state (call at every arrival — PASTA probe).
   void sample(const RackAllocator& allocator);
   /// Tail telemetry, recorded when the value becomes known (wait and
-  /// slowdown at placement, one fct per flow at admission).  Sketch-backed:
-  /// O(1) memory regardless of job count, and exact to merge, so the
-  /// reported quantiles do not depend on how a campaign was sharded.
+  /// slowdown at placement, the hold time as fct once per flow at
+  /// admission).  Sketch-backed: O(1) memory regardless of job count, and
+  /// exact to merge, so the reported quantiles do not depend on how a
+  /// campaign was sharded.
   void record_wait(double ms) { wait_ms_.add(ms); }
   void record_slowdown(double x) { slowdown_.add(x); }
   void record_fct(double ms) { fct_ms_.add(ms); }

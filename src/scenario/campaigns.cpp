@@ -464,11 +464,12 @@ cosim::CosimReport eval_cosim(const ScenarioSpec& spec, disagg::AllocationPolicy
 }
 
 CosimResult eval_disagg(const ScenarioSpec& spec) {
-  return {eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated, cosim_config_from(spec))};
+  return {eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated, cosim_config_from(spec)),
+          {}};
 }
 
 CosimResult eval_per_policy(const ScenarioSpec& spec) {
-  return {eval_cosim(spec, policy_of(spec), cosim_config_from(spec))};
+  return {eval_cosim(spec, policy_of(spec), cosim_config_from(spec)), {}};
 }
 
 std::vector<Axis> cosim_acceptance_axes() {
@@ -565,7 +566,7 @@ CosimResult eval_ml_vs_hpc(const ScenarioSpec& spec) {
     throw std::invalid_argument("unknown workload '" + workload +
                                 "' (want hpc|ml)");
   }
-  return {eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated, cfg)};
+  return {eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated, cfg), {}};
 }
 
 std::vector<Axis> ml_vs_hpc_axes() {

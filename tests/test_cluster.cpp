@@ -10,16 +10,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "cosim/rack_cosim.hpp"
 #include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
-#include "scenario/result_sink.hpp"
-#include "scenario/sweep_runner.hpp"
 
 namespace photorack::cluster {
 namespace {

@@ -12,10 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "collectives/runner.hpp"
@@ -24,8 +22,6 @@
 #include "net/flow_sim.hpp"
 #include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
-#include "scenario/result_sink.hpp"
-#include "scenario/sweep_runner.hpp"
 #include "sim/event_queue.hpp"
 
 namespace photorack::collectives {
@@ -363,7 +359,7 @@ TEST(MlAccounting, StepTimeDominatesComputeTime) {
 // The ML tails are real upper quantiles: with heavy compute jitter sharing
 // the rack with HPC jobs, step times spread and some collectives straggle,
 // so p99 sits above p50 and the straggler p99 above the uncontended 1.
-// (Read as near-minimum ranks, both pairs used to come out equal.)
+// Quantiles read at near-minimum ranks would make both pairs equal.
 TEST(MlAccounting, TailsAreUpperQuantilesNotMinima) {
   cosim::CosimConfig cfg;
   cfg.ml.enabled = true;

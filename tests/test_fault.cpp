@@ -10,10 +10,8 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cosim/rack_cosim.hpp"
@@ -21,8 +19,6 @@
 #include "rack/rack_builder.hpp"
 #include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
-#include "scenario/result_sink.hpp"
-#include "scenario/sweep_runner.hpp"
 
 namespace photorack::fault {
 namespace {
