@@ -58,12 +58,15 @@ const std::vector<ReportField> kFields = {
     {"peak_kw", "kW", "energy", [](R r) { return kilo(r.peak_power_w); }},
     {"photonic_kw", "kW", "energy", [](R r) { return kilo(r.photonic_power_w); }},
     {"kj_per_job", "kJ", "energy",
-     [](R r) { return r.jobs.accepted ? kilo(r.energy_joules) / n(r.jobs.accepted) : 0.0; }},
+     [](R r) {
+       return r.jobs.accepted ? kilo(r.energy_joules) / n(r.jobs.accepted) : 0.0;
+     }},
     {"completed_ms", "ms", "energy",
      [](R r) { return static_cast<double>(r.completed_at) / sim::kPsPerMs; }},
     // events: the event loop's always-on counters
     {"events_scheduled", "count", "events", [](R r) { return n(r.jobs.events.scheduled); }},
-    {"events_dispatched", "count", "events", [](R r) { return n(r.jobs.events.dispatched); }},
+    {"events_dispatched", "count", "events",
+     [](R r) { return n(r.jobs.events.dispatched); }},
     {"events_cancelled", "count", "events", [](R r) { return n(r.jobs.events.cancelled); }},
     {"pending_peak", "count", "events", [](R r) { return n(r.jobs.events.pending_peak); }},
     // fault: resilience outcome (all defaults when faults are off)

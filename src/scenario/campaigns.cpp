@@ -464,8 +464,8 @@ cosim::CosimReport eval_cosim(const ScenarioSpec& spec, disagg::AllocationPolicy
 }
 
 CosimResult eval_disagg(const ScenarioSpec& spec) {
-  return {eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated, cosim_config_from(spec)),
-          {}};
+  const cosim::CosimConfig cfg = cosim_config_from(spec);
+  return {eval_cosim(spec, disagg::AllocationPolicy::kDisaggregated, cfg), {}};
 }
 
 CosimResult eval_per_policy(const ScenarioSpec& spec) {
@@ -667,7 +667,8 @@ std::vector<Campaign> make_campaigns() {
       eval_sec6c_point});
 
   all.push_back(cosim_campaign(
-      "cosim_acceptance", "Closed-loop job acceptance per policy under rising load",
+      "cosim_acceptance",
+      "Closed-loop job acceptance per policy under rising load",
       "Sections II-A and VI (co-simulation)",
       {{"policy", "arrivals_per_ms=cosim.arrivals_per_ms", "horizon_ms=cosim.horizon_ms"},
        {"offered", "accepted", "acceptance", "mean_cpu_util", "mean_mem_util",
@@ -675,7 +676,8 @@ std::vector<Campaign> make_campaigns() {
       cosim_acceptance_axes(), eval_per_policy));
 
   all.push_back(cosim_campaign(
-      "cosim_contention", "Contention feedback: open vs closed loop on the shared fabric",
+      "cosim_contention",
+      "Contention feedback: open vs closed loop on the shared fabric",
       "Section IV-A (co-simulation)",
       {{"feedback=cosim.contention_feedback", "arrivals_per_ms=cosim.arrivals_per_ms",
         "horizon_ms=cosim.horizon_ms"},
@@ -684,14 +686,16 @@ std::vector<Campaign> make_campaigns() {
       cosim_contention_axes(), eval_disagg));
 
   all.push_back(cosim_campaign(
-      "cosim_energy", "Time-integrated rack energy under the live job stream",
+      "cosim_energy",
+      "Time-integrated rack energy under the live job stream",
       "Section VI-C (co-simulation)",
       {{"policy", "arrivals_per_ms=cosim.arrivals_per_ms", "horizon_ms=cosim.horizon_ms"},
        {"accepted", "energy_kj", "mean_kw", "peak_kw", "photonic_kw", "kj_per_job"}},
       cosim_energy_axes(), eval_per_policy));
 
   all.push_back(cosim_campaign(
-      "cosim_tails", "Tail latency (wait/slowdown/FCT p50/p99/p999) per arrival process",
+      "cosim_tails",
+      "Tail latency (wait/slowdown/FCT p50/p99/p999) per arrival process",
       "production traffic engine (open-loop arrivals, queued admission)",
       {{"process=cosim.arrival.process", "admission=cosim.admission",
         "arrivals_per_ms=cosim.arrivals_per_ms", "horizon_ms=cosim.horizon_ms"},
@@ -701,7 +705,8 @@ std::vector<Campaign> make_campaigns() {
       cosim_tails_axes(), eval_disagg));
 
   all.push_back(cosim_campaign(
-      "cosim_availability", "Availability and goodput under the seed-derived fault timeline",
+      "cosim_availability",
+      "Availability and goodput under the seed-derived fault timeline",
       "fault injection & resilience engine (deterministic MTBF sweep)",
       {{"admission=cosim.admission", "resilience=fault.policy",
         "mcm_mtbf_ms=fault.mcm_mtbf_ms", "horizon_ms=cosim.horizon_ms"},
@@ -710,7 +715,8 @@ std::vector<Campaign> make_campaigns() {
       cosim_availability_axes(), eval_disagg));
 
   all.push_back(cosim_campaign(
-      "cosim_blast_radius", "Fault blast radius: static node-local vs disaggregated fabric-bound",
+      "cosim_blast_radius",
+      "Fault blast radius: static node-local vs disaggregated fabric-bound",
       "fault injection & resilience engine (identical timeline per policy)",
       {{"policy", "mcm_mtbf_ms=fault.mcm_mtbf_ms"},
        {"offered", "accepted", "faults", "interrupted", "requeued", "killed", "goodput",
@@ -719,7 +725,8 @@ std::vector<Campaign> make_campaigns() {
 
   // The offered/accepted/completed/steps headers here count ML jobs.
   all.push_back(cosim_campaign(
-      "ml_collectives", "Training-step time per collective pattern: photonic vs electronic fabric",
+      "ml_collectives",
+      "Training-step time per collective pattern: photonic vs electronic fabric",
       "ML collectives on the wavelength fabric (Kumar et al., fig12-style)",
       {{"fabric", "pattern=ml.pattern", "gradient_mb=ml.gradient_mb"},
        {"accelerators", "compute_ms", "offered=ml_offered", "accepted=ml_accepted",
@@ -728,7 +735,8 @@ std::vector<Campaign> make_campaigns() {
       ml_collectives_axes(), eval_ml_collectives));
 
   all.push_back(cosim_campaign(
-      "ml_vs_hpc", "Pure ML job streams vs the paper's HPC mix on one rack",
+      "ml_vs_hpc",
+      "Pure ML job streams vs the paper's HPC mix on one rack",
       "ML collectives on the wavelength fabric (workload comparison)",
       {{"workload", "arrivals_per_ms=cosim.arrivals_per_ms"},
        {"offered", "accepted", "acceptance", "wait_p99_ms", "slowdown_p99", "step_p99_ms",
@@ -736,7 +744,8 @@ std::vector<Campaign> make_campaigns() {
       ml_vs_hpc_axes(), eval_ml_vs_hpc));
 
   all.push_back(cosim_campaign(
-      "ml_mixed_rack", "HPC+ML sharing one rack: interference at rising ML mix fractions",
+      "ml_mixed_rack",
+      "HPC+ML sharing one rack: interference at rising ML mix fractions",
       "ML collectives on the wavelength fabric (mixed tenancy)",
       {{"mix_fraction=ml.mix_fraction", "arrivals_per_ms=cosim.arrivals_per_ms"},
        {"offered", "ml_offered", "accepted", "ml_accepted", "wait_p99_ms", "step_p50_ms",
@@ -744,7 +753,8 @@ std::vector<Campaign> make_campaigns() {
       ml_mixed_rack_axes(), eval_disagg));
 
   all.push_back(cosim_campaign(
-      "cluster_energy", "Rack-scale vs cluster-scale disaggregation: acceptance and energy",
+      "cluster_energy",
+      "Rack-scale vs cluster-scale disaggregation: acceptance and energy",
       "multi-rack cluster co-simulation (deterministic parallel event loop)",
       {{"policy", "spill=cluster.spill", "racks=cluster.racks",
         "arrivals_per_ms=cosim.arrivals_per_ms"},
