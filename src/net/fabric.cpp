@@ -14,8 +14,27 @@ WavelengthFabric::WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan)
   if (mcms <= 0 || mcms > radix_)
     throw std::invalid_argument("WavelengthFabric: MCM count must fit the AWGR radix");
   if (lambdas_.empty()) throw std::invalid_argument("WavelengthFabric: no AWGRs in plan");
-  alloc_.assign(lambdas_.size(),
-                std::vector<double>(static_cast<std::size_t>(mcms_) * mcms_, 0.0));
+  pairs_ = static_cast<std::size_t>(mcms_) * mcms_;
+  alloc_.assign(lambdas_.size() * pairs_, 0.0);
+  covered_.assign(alloc_.size(), 0);
+  free_.assign(pairs_, 0.0);
+  // covers() without its per-entry modulo: src + dst < 2 * radix, so one
+  // conditional subtract gives the wavelength index.  An idle healthy pair
+  // frees one full wavelength per covering AWGR, summed in AWGR order as
+  // refresh_free() would.
+  for (int s = 0; s < mcms_; ++s) {
+    for (int d = 0; d < mcms_; ++d) {
+      if (s == d) continue;
+      int lambda = s + d;
+      if (lambda >= radix_) lambda -= radix_;
+      const std::size_t pair = idx(s, d);
+      for (std::size_t a = 0; a < lambdas_.size(); ++a) {
+        if (lambda >= lambdas_[a]) continue;
+        covered_[a * pairs_ + pair] = 1;
+        free_[pair] += gbps_per_lambda_;
+      }
+    }
+  }
 }
 
 bool WavelengthFabric::covers(int awgr, int src, int dst) const {
@@ -26,9 +45,11 @@ bool WavelengthFabric::covers(int awgr, int src, int dst) const {
   return (src + dst) % radix_ < lambdas_[static_cast<std::size_t>(awgr)];
 }
 
+// A pair's cells sit one table stride apart: cell = pair + awgr * pairs_.
+
 int WavelengthFabric::direct_lambdas(int src, int dst) const {
   int n = 0;
-  for (int a = 0; a < parallel_awgrs(); ++a) n += covers(a, src, dst) ? 1 : 0;
+  for (std::size_t c = idx(src, dst); c < covered_.size(); c += pairs_) n += covered_[c];
   return n;
 }
 
@@ -38,36 +59,35 @@ double WavelengthFabric::direct_capacity(int src, int dst) const {
   return direct_lambdas(src, dst) * gbps_per_lambda_ * pair_scale(src, dst);
 }
 
-double WavelengthFabric::free_direct(int src, int dst) const {
+void WavelengthFabric::refresh_free(std::size_t pair) {
   // The scale != 1 branch clamps at zero because reservations made before a
   // degradation may exceed the reduced capacity; the healthy branch keeps
   // the historical expression bit for bit (it can carry an epsilon-negative
   // residue that downstream arithmetic depends on byte-identically).
-  const double scale = pair_scale(src, dst);
+  const double scale = scale_.empty() ? 1.0 : scale_[pair];
   double free = 0.0;
-  for (int a = 0; a < parallel_awgrs(); ++a) {
-    if (!covers(a, src, dst)) continue;
-    const double used = alloc_[static_cast<std::size_t>(a)][idx(src, dst)];
-    free += scale == 1.0 ? gbps_per_lambda_ - used
-                         : std::max(0.0, gbps_per_lambda_ * scale - used);
+  for (std::size_t c = pair; c < alloc_.size(); c += pairs_) {
+    if (!covered_[c]) continue;
+    free += scale == 1.0 ? gbps_per_lambda_ - alloc_[c]
+                         : std::max(0.0, gbps_per_lambda_ * scale - alloc_[c]);
   }
-  return free;
+  free_[pair] = free;
 }
 
 double WavelengthFabric::allocated(int src, int dst) const {
   double total = 0.0;
-  for (int a = 0; a < parallel_awgrs(); ++a)
-    total += alloc_[static_cast<std::size_t>(a)][idx(src, dst)];
+  for (std::size_t c = idx(src, dst); c < alloc_.size(); c += pairs_) total += alloc_[c];
   return total;
 }
 
 double WavelengthFabric::allocate_direct(int src, int dst, double gbps) {
+  const std::size_t pair = idx(src, dst);
   const double scale = pair_scale(src, dst);
   double granted = 0.0;
-  for (int a = 0; a < parallel_awgrs() && gbps > granted; ++a) {
-    if (!covers(a, src, dst)) continue;
-    auto& used = alloc_[static_cast<std::size_t>(a)][idx(src, dst)];
-    // Same clamping asymmetry as free_direct: the scaled wavelength may
+  for (std::size_t c = pair; c < alloc_.size() && gbps > granted; c += pairs_) {
+    if (!covered_[c]) continue;
+    double& used = alloc_[c];
+    // Same clamping asymmetry as refresh_free: the scaled wavelength may
     // already hold more than its reduced capacity, which must grant zero,
     // never a negative take.
     const double avail = scale == 1.0
@@ -77,42 +97,46 @@ double WavelengthFabric::allocate_direct(int src, int dst, double gbps) {
     used += take;
     granted += take;
   }
+  refresh_free(pair);
   return granted;
 }
 
 void WavelengthFabric::release_direct(int src, int dst, double gbps) {
-  for (int a = 0; a < parallel_awgrs() && gbps > 0.0; ++a) {
-    if (!covers(a, src, dst)) continue;
-    auto& used = alloc_[static_cast<std::size_t>(a)][idx(src, dst)];
+  // Refuse before touching any table, as RackAllocator refuses a double
+  // free: a throwing release leaves the fabric exactly as it was.
+  if (gbps > allocated(src, dst) + 1e-9)
+    throw std::logic_error("release_direct: released more than allocated");
+  const std::size_t pair = idx(src, dst);
+  for (std::size_t c = pair; c < alloc_.size() && gbps > 0.0; c += pairs_) {
+    if (!covered_[c]) continue;
+    double& used = alloc_[c];
     const double give = std::min(gbps, used);
     used -= give;
     gbps -= give;
   }
-  if (gbps > 1e-9) throw std::logic_error("release_direct: released more than allocated");
+  refresh_free(pair);
 }
 
-std::vector<double> WavelengthFabric::allocation_snapshot() const {
-  std::vector<double> snapshot;
-  snapshot.reserve(alloc_.size() * static_cast<std::size_t>(mcms_) * mcms_);
-  for (const auto& table : alloc_) {
-    snapshot.insert(snapshot.end(), table.begin(), table.end());
-  }
-  return snapshot;
-}
+std::vector<double> WavelengthFabric::allocation_snapshot() const { return alloc_; }
 
 double WavelengthFabric::utilization() const {
-  double cap = 0.0, used = 0.0;
-  for (int a = 0; a < parallel_awgrs(); ++a) {
-    for (int s = 0; s < mcms_; ++s) {
-      for (int d = 0; d < mcms_; ++d) {
-        if (!covers(a, s, d)) continue;
-        const double scale = pair_scale(s, d);
+  if (capacity_dirty_) {
+    // Covered cells in table order, the order the used sum runs in.
+    double cap = 0.0;
+    for (std::size_t a = 0; a < alloc_.size(); a += pairs_) {
+      for (std::size_t p = 0; p < pairs_; ++p) {
+        if (!covered_[a + p]) continue;
+        const double scale = scale_.empty() ? 1.0 : scale_[p];
         cap += scale == 1.0 ? gbps_per_lambda_ : gbps_per_lambda_ * scale;
-        used += alloc_[static_cast<std::size_t>(a)][idx(s, d)];
       }
     }
+    capacity_ = cap;
+    capacity_dirty_ = false;
   }
-  return cap > 0.0 ? used / cap : 0.0;
+  // Uncovered cells hold +0.0 and leave the sum's bits unchanged.
+  double used = 0.0;
+  for (const double u : alloc_) used += u;
+  return capacity_ > 0.0 ? used / capacity_ : 0.0;
 }
 
 void WavelengthFabric::check_pair(int src, int dst, double value,
@@ -133,6 +157,8 @@ void WavelengthFabric::recompute_scale(int src, int dst) {
   double scale = 1.0;
   for (const double f : live) scale *= f;
   scale_[idx(src, dst)] = scale;
+  refresh_free(idx(src, dst));
+  capacity_dirty_ = true;
 }
 
 void WavelengthFabric::push_pair_factor(int src, int dst, double factor) {

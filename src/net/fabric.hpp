@@ -30,6 +30,11 @@ struct FabricSliceConfig {
 /// `gbps_per_wavelength` and may be multiplexed by several flows (§IV-A).
 /// The fabric tracks allocated Gb/s per (awgr, src, dst) and exposes the
 /// occupancy queries that indirect routing needs.
+///
+/// Derived state is kept current rather than rescanned: every call that
+/// changes a pair's allocation or scale rewrites that pair's entry of a flat
+/// free table, so free_direct() is one load, and the piggyback view's
+/// refresh is a copy of the table.
 class WavelengthFabric {
  public:
   WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan);
@@ -48,14 +53,19 @@ class WavelengthFabric {
 
   /// Total / free direct capacity between a pair, in Gb/s.
   [[nodiscard]] double direct_capacity(int src, int dst) const;
-  [[nodiscard]] double free_direct(int src, int dst) const;
+  [[nodiscard]] double free_direct(int src, int dst) const { return free_[idx(src, dst)]; }
   [[nodiscard]] double allocated(int src, int dst) const;
+
+  /// free_direct() of every pair, indexed [src*mcms+dst].
+  [[nodiscard]] const std::vector<double>& free_table() const { return free_; }
 
   /// Reserve up to `gbps` of direct capacity; returns the amount actually
   /// reserved (fills AWGRs in index order — deterministic).
   double allocate_direct(int src, int dst, double gbps);
 
-  /// Release previously reserved direct capacity (same ordering).
+  /// Release previously reserved direct capacity (same ordering).  Throws
+  /// std::logic_error, before changing any state, when `gbps` exceeds what
+  /// the pair holds.
   void release_direct(int src, int dst, double gbps);
 
   /// Flat copy of every AWGR's per-pair allocation table (awgr-major), for
@@ -65,7 +75,8 @@ class WavelengthFabric {
 
   /// Aggregate utilization over all covered pairs.  Normally in [0,1];
   /// under fault degradation existing reservations may transiently exceed
-  /// the scaled capacity.
+  /// the scaled capacity.  The capacity total is cached and summed again
+  /// only after a pair factor changed.
   [[nodiscard]] double utilization() const;
 
   // --- fault hooks (src/fault): per-pair capacity scaling ---
@@ -105,12 +116,20 @@ class WavelengthFabric {
   int radix_;
   double gbps_per_lambda_;
   std::vector<int> lambdas_;             // wavelengths per port, per AWGR
-  std::vector<std::vector<double>> alloc_;  // [awgr][src*mcms+dst] allocated Gb/s
+  std::size_t pairs_;                    // mcms * mcms
+  // Per-(awgr, pair) tables, awgr-major: cell a*pairs + src*mcms + dst.
+  std::vector<double> alloc_;            // allocated Gb/s
+  std::vector<std::uint8_t> covered_;    // covers(a, src, dst)
+  std::vector<double> free_;             // [src*mcms+dst] free_direct value
   std::vector<double> scale_;            // per-pair effective multiplier (lazy)
   std::vector<std::vector<double>> factors_;  // per-pair live fault factors (lazy)
+  mutable double capacity_ = 0.0;        // Σ scaled capacity of covered cells
+  mutable bool capacity_dirty_ = true;   // a pair factor changed since the sum
 
   void check_pair(int src, int dst, double value, const char* who) const;
   void recompute_scale(int src, int dst);
+  /// Rewrite free_[pair] from the pair's cells; the only writer of free_.
+  void refresh_free(std::size_t pair);
 
   [[nodiscard]] std::size_t idx(int src, int dst) const {
     return static_cast<std::size_t>(src) * mcms_ + dst;

@@ -3,17 +3,7 @@
 namespace photorack::net {
 
 PiggybackView::PiggybackView(const WavelengthFabric& fabric, sim::TimePs update_interval)
-    : fabric_(&fabric), interval_(update_interval) {
-  snapshot_.assign(static_cast<std::size_t>(fabric.mcms()) * fabric.mcms(), 0.0);
-  take_snapshot();
-}
-
-void PiggybackView::take_snapshot() {
-  const int n = fabric_->mcms();
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d)
-      snapshot_[static_cast<std::size_t>(s) * n + d] = fabric_->free_direct(s, d);
-}
+    : fabric_(&fabric), interval_(update_interval), snapshot_(fabric.free_table()) {}
 
 double PiggybackView::stale_free_direct(int src, int dst) const {
   return snapshot_[static_cast<std::size_t>(src) * fabric_->mcms() + dst];
@@ -26,7 +16,8 @@ bool PiggybackView::maybe_refresh(sim::TimePs now) {
 }
 
 void PiggybackView::force_refresh(sim::TimePs now) {
-  take_snapshot();
+  // The fabric keeps its free table current, so a broadcast round is a copy.
+  snapshot_ = fabric_->free_table();
   last_refresh_ = now;
   ++rounds_;
 }

@@ -43,8 +43,6 @@ class PiggybackView {
   sim::TimePs last_refresh_ = 0;
   std::uint64_t rounds_ = 0;
   std::vector<double> snapshot_;  // [src*mcms+dst] free Gb/s at last refresh
-
-  void take_snapshot();
 };
 
 }  // namespace photorack::net

@@ -2,13 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "rack/rack_builder.hpp"
+#include "sim/rng.hpp"
 
 namespace photorack::net {
 namespace {
 
 rack::AwgrFabricPlan paper_plan() {
   return rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr;
+}
+
+/// The co-sim slice: `lambdas` fully populated AWGRs of radix `mcms`, one
+/// 25 Gb/s wavelength per pair on each.
+rack::AwgrFabricPlan slice_plan(int mcms, int lambdas) {
+  rack::AwgrFabricPlan plan;
+  plan.parallel_awgrs = lambdas;
+  plan.awgr_radix = mcms;
+  plan.port_wavelength_cap = mcms;
+  plan.lambdas_per_port.assign(static_cast<std::size_t>(lambdas), mcms);
+  plan.full_coverage_awgrs = lambdas;
+  plan.min_direct_lambdas_per_pair = lambdas;
+  plan.direct_pair_bandwidth = phot::Gbps{25.0 * lambdas};
+  return plan;
 }
 
 TEST(Fabric, ConstructionFromPaperPlan) {
@@ -60,9 +80,17 @@ TEST(Fabric, PairsAreIndependent) {
 }
 
 TEST(Fabric, OverReleaseThrows) {
+  // Same pre-mutation contract as RackAllocator's double free: the refused
+  // release leaves every table as it was.
   WavelengthFabric fabric(350, paper_plan());
   fabric.allocate_direct(1, 2, 10.0);
+  const std::vector<double> cells = fabric.allocation_snapshot();
+  const double free = fabric.free_direct(1, 2);
+  const double util = fabric.utilization();
   EXPECT_THROW(fabric.release_direct(1, 2, 20.0), std::logic_error);
+  EXPECT_EQ(fabric.allocation_snapshot(), cells);
+  EXPECT_EQ(fabric.free_direct(1, 2), free);
+  EXPECT_EQ(fabric.utilization(), util);
 }
 
 TEST(Fabric, UtilizationTracksAllocation) {
@@ -90,6 +118,148 @@ TEST(Fabric, PartialPortCoversSubsetOfDestinations) {
   }
   EXPECT_TRUE(saw5);
   EXPECT_TRUE(saw6);
+}
+
+// --- full-scan oracle for the cached tables ---------------------------------
+//
+// The fabric keeps its free table and utilization totals current as it
+// changes.  The references below rebuild both from scratch out of the
+// public per-cell state (allocation_snapshot, covers, pair_scale) with the
+// expressions the fabric is specified by: free_direct sums its covering
+// AWGRs in index order (healthy branch unclamped, scaled branch clamped at
+// zero), and utilization is Σused / Σscaled capacity over covered cells.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+double reference_free(const WavelengthFabric& f, const std::vector<double>& cells,
+                      int s, int d) {
+  const auto n = static_cast<std::size_t>(f.mcms());
+  const double g = f.gbps_per_wavelength();
+  const double scale = f.pair_scale(s, d);
+  double free = 0.0;
+  for (int a = 0; a < f.parallel_awgrs(); ++a) {
+    if (!f.covers(a, s, d)) continue;
+    const double used = cells[static_cast<std::size_t>(a) * n * n +
+                              static_cast<std::size_t>(s) * n + static_cast<std::size_t>(d)];
+    free += scale == 1.0 ? g - used : std::max(0.0, g * scale - used);
+  }
+  return free;
+}
+
+double reference_utilization(const WavelengthFabric& f, const std::vector<double>& cells) {
+  const auto n = static_cast<std::size_t>(f.mcms());
+  const double g = f.gbps_per_wavelength();
+  double cap = 0.0, used = 0.0;
+  for (int a = 0; a < f.parallel_awgrs(); ++a)
+    for (int s = 0; s < f.mcms(); ++s)
+      for (int d = 0; d < f.mcms(); ++d) {
+        if (!f.covers(a, s, d)) continue;
+        const double scale = f.pair_scale(s, d);
+        cap += scale == 1.0 ? g : g * scale;
+        used += cells[static_cast<std::size_t>(a) * n * n +
+                      static_cast<std::size_t>(s) * n + static_cast<std::size_t>(d)];
+      }
+  return cap > 0.0 ? used / cap : 0.0;
+}
+
+void expect_matches_full_scan(const WavelengthFabric& f, int op) {
+  const std::vector<double> cells = f.allocation_snapshot();
+  for (int s = 0; s < f.mcms(); ++s)
+    for (int d = 0; d < f.mcms(); ++d)
+      ASSERT_EQ(bits(f.free_direct(s, d)), bits(reference_free(f, cells, s, d)))
+          << "free_direct(" << s << ", " << d << ") after op " << op;
+  EXPECT_NEAR(f.utilization(), reference_utilization(f, cells), 1e-12) << "after op " << op;
+}
+
+/// Randomized allocate / release / push / pop churn over the pairs of
+/// `mcms`, checked against the full scan after every operation, then drained
+/// back to an idle, healthy fabric.
+void churn_against_full_scan(WavelengthFabric& f, const std::vector<int>& mcms, int ops,
+                             std::uint64_t seed) {
+  struct Hold {
+    int src, dst;
+    double gbps;
+  };
+  struct Factor {
+    int src, dst;
+    double value;
+  };
+  sim::Rng rng(seed);
+  std::vector<Hold> holds;
+  std::vector<Factor> factors;
+  const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng.below(n)); };
+  const auto pick_pair = [&] {
+    const int s = mcms[pick(mcms.size())];
+    int d = mcms[pick(mcms.size())];
+    while (d == s) d = mcms[pick(mcms.size())];
+    return std::pair{s, d};
+  };
+  constexpr double kFactors[] = {0.0, 0.3, 0.5, 0.8};
+
+  for (int op = 0; op < ops; ++op) {
+    const double roll = rng.uniform();
+    if (roll < 0.45 || holds.empty()) {
+      const auto [s, d] = pick_pair();
+      const double want = rng.uniform(0.0, 1.5 * f.gbps_per_wavelength() * f.direct_lambdas(s, d));
+      const double got = f.allocate_direct(s, d, want);
+      if (got > 0.0) holds.push_back({s, d, got});
+    } else if (roll < 0.8) {
+      const std::size_t i = pick(holds.size());
+      // Half the releases return a random part and keep the rest live.
+      const double give = rng.bernoulli(0.5) ? holds[i].gbps : holds[i].gbps * rng.uniform();
+      f.release_direct(holds[i].src, holds[i].dst, give);
+      holds[i].gbps -= give;
+      if (holds[i].gbps <= 0.0) holds.erase(holds.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (roll < 0.9 || factors.empty()) {
+      const auto [s, d] = pick_pair();
+      const double factor = kFactors[pick(std::size(kFactors))];
+      f.push_pair_factor(s, d, factor);
+      factors.push_back({s, d, factor});
+    } else {
+      const std::size_t i = pick(factors.size());
+      f.pop_pair_factor(factors[i].src, factors[i].dst, factors[i].value);
+      factors.erase(factors.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_matches_full_scan(f, op));
+  }
+
+  // Drain: return every hold, then sweep the rounding residue that
+  // partial releases leave behind until each pair holds nothing.
+  for (const Hold& h : holds) f.release_direct(h.src, h.dst, h.gbps);
+  for (const Factor& x : factors) f.pop_pair_factor(x.src, x.dst, x.value);
+  for (const int s : mcms)
+    for (const int d : mcms)
+      while (s != d && f.allocated(s, d) > 0.0) f.release_direct(s, d, f.allocated(s, d));
+  ASSERT_NO_FATAL_FAILURE(expect_matches_full_scan(f, ops));
+  for (const double cell : f.allocation_snapshot()) ASSERT_EQ(bits(cell), bits(0.0));
+  EXPECT_EQ(bits(f.utilization()), bits(0.0));
+}
+
+TEST(FabricOracle, PaperPlanWithPartialSixthAwgr) {
+  WavelengthFabric fabric(350, paper_plan());
+  ASSERT_EQ(fabric.parallel_awgrs(), 6);
+  // Ten MCMs spread over the rack, so the churn meets both the pairs the
+  // partial sixth AWGR covers (6 lambdas) and those it misses (5).
+  const std::vector<int> mcms = {0, 1, 2, 90, 170, 171, 260, 300, 348, 349};
+  bool saw5 = false, saw6 = false;
+  for (const int s : mcms)
+    for (const int d : mcms) {
+      if (s == d) continue;
+      saw5 |= fabric.direct_lambdas(s, d) == 5;
+      saw6 |= fabric.direct_lambdas(s, d) == 6;
+    }
+  ASSERT_TRUE(saw5 && saw6);
+  churn_against_full_scan(fabric, mcms, 150, 11);
+}
+
+TEST(FabricOracle, CosimSliceOneAndTwoLambdas) {
+  std::vector<int> all(24);
+  for (int i = 0; i < 24; ++i) all[static_cast<std::size_t>(i)] = i;
+  for (const int lambdas : {1, 2}) {
+    SCOPED_TRACE(lambdas);
+    WavelengthFabric fabric(24, slice_plan(24, lambdas));
+    churn_against_full_scan(fabric, all, 3000, 23 + static_cast<std::uint64_t>(lambdas));
+  }
 }
 
 }  // namespace
