@@ -59,6 +59,17 @@ double WavelengthFabric::direct_capacity(int src, int dst) const {
   return direct_lambdas(src, dst) * gbps_per_lambda_ * pair_scale(src, dst);
 }
 
+void WavelengthFabric::set_cell(std::size_t c, double value) {
+  const double before = alloc_[c];
+  alloc_[c] = value;
+  used_ += value - before;
+  if (before == 0.0 && value != 0.0) ++nonzero_cells_;
+  if (before != 0.0 && value == 0.0) --nonzero_cells_;
+  // A drained table reads exactly 0.0, not the rounding residue of the
+  // changes that drained it (RackAllocator snaps its pools the same way).
+  if (nonzero_cells_ == 0) used_ = 0.0;
+}
+
 void WavelengthFabric::refresh_free(std::size_t pair) {
   // The scale != 1 branch clamps at zero because reservations made before a
   // degradation may exceed the reduced capacity; the healthy branch keeps
@@ -86,7 +97,7 @@ double WavelengthFabric::allocate_direct(int src, int dst, double gbps) {
   double granted = 0.0;
   for (std::size_t c = pair; c < alloc_.size() && gbps > granted; c += pairs_) {
     if (!covered_[c]) continue;
-    double& used = alloc_[c];
+    const double used = alloc_[c];
     // Same clamping asymmetry as refresh_free: the scaled wavelength may
     // already hold more than its reduced capacity, which must grant zero,
     // never a negative take.
@@ -94,7 +105,7 @@ double WavelengthFabric::allocate_direct(int src, int dst, double gbps) {
                              ? gbps_per_lambda_ - used
                              : std::max(0.0, gbps_per_lambda_ * scale - used);
     const double take = std::min(gbps - granted, avail);
-    used += take;
+    set_cell(c, used + take);
     granted += take;
   }
   refresh_free(pair);
@@ -109,9 +120,8 @@ void WavelengthFabric::release_direct(int src, int dst, double gbps) {
   const std::size_t pair = idx(src, dst);
   for (std::size_t c = pair; c < alloc_.size() && gbps > 0.0; c += pairs_) {
     if (!covered_[c]) continue;
-    double& used = alloc_[c];
-    const double give = std::min(gbps, used);
-    used -= give;
+    const double give = std::min(gbps, alloc_[c]);
+    set_cell(c, alloc_[c] - give);
     gbps -= give;
   }
   refresh_free(pair);
@@ -121,7 +131,6 @@ std::vector<double> WavelengthFabric::allocation_snapshot() const { return alloc
 
 double WavelengthFabric::utilization() const {
   if (capacity_dirty_) {
-    // Covered cells in table order, the order the used sum runs in.
     double cap = 0.0;
     for (std::size_t a = 0; a < alloc_.size(); a += pairs_) {
       for (std::size_t p = 0; p < pairs_; ++p) {
@@ -133,10 +142,7 @@ double WavelengthFabric::utilization() const {
     capacity_ = cap;
     capacity_dirty_ = false;
   }
-  // Uncovered cells hold +0.0 and leave the sum's bits unchanged.
-  double used = 0.0;
-  for (const double u : alloc_) used += u;
-  return capacity_ > 0.0 ? used / capacity_ : 0.0;
+  return capacity_ > 0.0 ? used_ / capacity_ : 0.0;
 }
 
 void WavelengthFabric::check_pair(int src, int dst, double value,

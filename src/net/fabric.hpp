@@ -33,8 +33,9 @@ struct FabricSliceConfig {
 ///
 /// Derived state is kept current rather than rescanned: every call that
 /// changes a pair's allocation or scale rewrites that pair's entry of a flat
-/// free table, so free_direct() is one load, and the piggyback view's
-/// refresh is a copy of the table.
+/// free table, so free_direct() is one load and the piggyback view's
+/// refresh is a copy of the table, and utilization() divides a running used
+/// total by a cached capacity total.
 class WavelengthFabric {
  public:
   WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan);
@@ -75,8 +76,8 @@ class WavelengthFabric {
 
   /// Aggregate utilization over all covered pairs.  Normally in [0,1];
   /// under fault degradation existing reservations may transiently exceed
-  /// the scaled capacity.  The capacity total is cached and summed again
-  /// only after a pair factor changed.
+  /// the scaled capacity.  O(1): a running used total over a capacity total
+  /// that is summed again only after a pair factor changed.
   [[nodiscard]] double utilization() const;
 
   // --- fault hooks (src/fault): per-pair capacity scaling ---
@@ -125,11 +126,16 @@ class WavelengthFabric {
   std::vector<std::vector<double>> factors_;  // per-pair live fault factors (lazy)
   mutable double capacity_ = 0.0;        // Σ scaled capacity of covered cells
   mutable bool capacity_dirty_ = true;   // a pair factor changed since the sum
+  double used_ = 0.0;                    // running Σ of every cell's change
+  std::size_t nonzero_cells_ = 0;        // cells of alloc_ holding anything
 
   void check_pair(int src, int dst, double value, const char* who) const;
   void recompute_scale(int src, int dst);
   /// Rewrite free_[pair] from the pair's cells; the only writer of free_.
   void refresh_free(std::size_t pair);
+  /// Store `value` in cell `c`, carrying its change into used_; the only
+  /// writer of alloc_.
+  void set_cell(std::size_t c, double value);
 
   [[nodiscard]] std::size_t idx(int src, int dst) const {
     return static_cast<std::size_t>(src) * mcms_ + dst;
