@@ -45,8 +45,6 @@ bool WavelengthFabric::covers(int awgr, int src, int dst) const {
   return (src + dst) % radix_ < lambdas_[static_cast<std::size_t>(awgr)];
 }
 
-// A pair's cells sit one table stride apart: cell = pair + awgr * pairs_.
-
 int WavelengthFabric::direct_lambdas(int src, int dst) const {
   int n = 0;
   for (std::size_t c = idx(src, dst); c < covered_.size(); c += pairs_) n += covered_[c];

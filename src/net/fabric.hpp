@@ -31,11 +31,11 @@ struct FabricSliceConfig {
 /// The fabric tracks allocated Gb/s per (awgr, src, dst) and exposes the
 /// occupancy queries that indirect routing needs.
 ///
-/// Derived state is kept current rather than rescanned: every call that
+/// Derived state is kept current rather than rescanned.  Every call that
 /// changes a pair's allocation or scale rewrites that pair's entry of a flat
-/// free table, so free_direct() is one load and the piggyback view's
-/// refresh is a copy of the table, and utilization() divides a running used
-/// total by a cached capacity total.
+/// free table, so free_direct() is one load and a piggyback refresh is a
+/// copy of the table.  utilization() divides a running used total by a
+/// cached capacity total.
 class WavelengthFabric {
  public:
   WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan);
@@ -117,7 +117,7 @@ class WavelengthFabric {
   int radix_;
   double gbps_per_lambda_;
   std::vector<int> lambdas_;             // wavelengths per port, per AWGR
-  std::size_t pairs_;                    // mcms * mcms
+  std::size_t pairs_ = 0;                // mcms * mcms
   // Per-(awgr, pair) tables, awgr-major: cell a*pairs + src*mcms + dst.
   std::vector<double> alloc_;            // allocated Gb/s
   std::vector<std::uint8_t> covered_;    // covers(a, src, dst)

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/piggyback.hpp"
 #include "rack/rack_builder.hpp"
 #include "sim/rng.hpp"
 
@@ -260,6 +261,84 @@ TEST(FabricOracle, CosimSliceOneAndTwoLambdas) {
     WavelengthFabric fabric(24, slice_plan(24, lambdas));
     churn_against_full_scan(fabric, all, 3000, 23 + static_cast<std::uint64_t>(lambdas));
   }
+}
+
+// --- piggybacked view (§IV-A): a stale copy, refreshed on an interval -------
+
+constexpr sim::TimePs kRefresh = 10 * sim::kPsPerUs;
+
+std::vector<double> stale_table(const PiggybackView& view, int mcms) {
+  std::vector<double> out;
+  for (int s = 0; s < mcms; ++s)
+    for (int d = 0; d < mcms; ++d) out.push_back(view.stale_free_direct(s, d));
+  return out;
+}
+
+void touch_pairs(WavelengthFabric& fabric) {
+  fabric.allocate_direct(0, 1, 10.0);
+  fabric.allocate_direct(3, 7, 40.0);  // saturates the pair
+  fabric.allocate_direct(5, 2, 7.5);
+  fabric.release_direct(5, 2, 2.5);
+  fabric.push_pair_factor(9, 4, 0.5);
+  fabric.push_pair_factor(11, 12, 0.0);
+}
+
+TEST(Piggyback, RefreshShowsTheFabricsCurrentFreeCapacity) {
+  WavelengthFabric fabric(24, slice_plan(24, 1));
+  PiggybackView view(fabric, kRefresh);
+  touch_pairs(fabric);
+  view.force_refresh(3 * sim::kPsPerUs);
+  for (int s = 0; s < fabric.mcms(); ++s)
+    for (int d = 0; d < fabric.mcms(); ++d)
+      EXPECT_EQ(view.stale_free_direct(s, d), fabric.free_direct(s, d))
+          << "pair " << s << "->" << d;
+  EXPECT_EQ(view.stale_free_direct(3, 7), 0.0);
+  EXPECT_EQ(view.stale_free_direct(9, 4), 12.5);
+}
+
+TEST(Piggyback, ViewHoldsStillBetweenRefreshes) {
+  WavelengthFabric fabric(24, slice_plan(24, 1));
+  PiggybackView view(fabric, kRefresh);
+  const std::vector<double> idle = stale_table(view, fabric.mcms());
+  touch_pairs(fabric);
+  EXPECT_EQ(stale_table(view, fabric.mcms()), idle);
+  EXPECT_EQ(view.stale_free_direct(0, 1), 25.0);
+  EXPECT_EQ(fabric.free_direct(0, 1), 15.0);
+
+  view.force_refresh(kRefresh);
+  const std::vector<double> refreshed = stale_table(view, fabric.mcms());
+  fabric.release_direct(0, 1, 10.0);
+  fabric.pop_pair_factor(11, 12, 0.0);
+  fabric.allocate_direct(20, 21, 25.0);
+  EXPECT_EQ(stale_table(view, fabric.mcms()), refreshed);
+}
+
+TEST(Piggyback, MaybeRefreshFiresOncePerElapsedInterval) {
+  WavelengthFabric fabric(24, slice_plan(24, 1));
+  PiggybackView view(fabric, kRefresh);
+  EXPECT_EQ(view.last_refresh(), 0);
+  EXPECT_EQ(view.broadcast_rounds(), 0u);
+  fabric.allocate_direct(0, 1, 10.0);
+
+  EXPECT_FALSE(view.maybe_refresh(kRefresh - 1));  // one ps short
+  EXPECT_EQ(view.broadcast_rounds(), 0u);
+  EXPECT_EQ(view.stale_free_direct(0, 1), 25.0);
+
+  EXPECT_TRUE(view.maybe_refresh(kRefresh));  // now - last == interval
+  EXPECT_EQ(view.broadcast_rounds(), 1u);
+  EXPECT_EQ(view.last_refresh(), kRefresh);
+  EXPECT_EQ(view.stale_free_direct(0, 1), 15.0);
+
+  // The interval runs from the last refresh, not from a fixed grid.
+  const sim::TimePs late = 2 * kRefresh + 5;
+  EXPECT_FALSE(view.maybe_refresh(2 * kRefresh - 1));
+  EXPECT_TRUE(view.maybe_refresh(late));
+  EXPECT_EQ(view.last_refresh(), late);
+  EXPECT_FALSE(view.maybe_refresh(late + kRefresh - 1));
+  EXPECT_FALSE(view.maybe_refresh(late + kRefresh - 1));  // refusals do not count
+  EXPECT_EQ(view.broadcast_rounds(), 2u);
+  EXPECT_TRUE(view.maybe_refresh(late + kRefresh));
+  EXPECT_EQ(view.broadcast_rounds(), 3u);
 }
 
 }  // namespace
