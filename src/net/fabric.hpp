@@ -77,7 +77,8 @@ class WavelengthFabric {
   /// Aggregate utilization over all covered pairs.  Normally in [0,1];
   /// under fault degradation existing reservations may transiently exceed
   /// the scaled capacity.  O(1): a running used total over a capacity total
-  /// that is summed again only after a pair factor changed.
+  /// that is summed again only after a pair factor changed.  Refreshing
+  /// that cache writes the fabric, so concurrent callers need a lock.
   [[nodiscard]] double utilization() const;
 
   // --- fault hooks (src/fault): per-pair capacity scaling ---
@@ -131,10 +132,11 @@ class WavelengthFabric {
 
   void check_pair(int src, int dst, double value, const char* who) const;
   void recompute_scale(int src, int dst);
-  /// Rewrite free_[pair] from the pair's cells; the only writer of free_.
+  /// Rewrite free_[pair] from the pair's cells; after construction, the only
+  /// writer of free_.
   void refresh_free(std::size_t pair);
-  /// Store `value` in cell `c`, carrying its change into used_; the only
-  /// writer of alloc_.
+  /// Store `value` in cell `c`, carrying its change into used_; after
+  /// construction, the only writer of alloc_.
   void set_cell(std::size_t c, double value);
 
   [[nodiscard]] std::size_t idx(int src, int dst) const {

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "net/piggyback.hpp"
