@@ -828,17 +828,19 @@ void RackCosim::schedule_retry(JobPlan plan, sim::TimePs arrived, int retries) {
   // queue_cap bound as a fresh arrival (no reserved headroom), and a full
   // backlog kills it: a revoked job must not be able to wait in a place
   // arrivals are being turned away from.
-  queue_.schedule_after(delay, [this, plan = std::move(plan), arrived, retries]() {
+  // The event fires once, so the closure hands its plan on instead of
+  // copying it.
+  queue_.schedule_after(delay, [this, plan = std::move(plan), arrived, retries]() mutable {
     engine_.refresh_view(queue_.now());
     if (cfg_.admission == AdmissionPolicy::kQueue) {
       if (backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap)) {
-        backlog_.push_back(PendingJob{plan, arrived, retries, false});
+        backlog_.push_back(PendingJob{std::move(plan), arrived, retries, false});
         drain_backlog();
       } else {
         ++tally_.fault.killed;  // backlog full: the retry has nowhere to wait
       }
     } else if (!try_start(plan, arrived, retries, false)) {
-      schedule_retry(plan, arrived, retries + 1);
+      schedule_retry(std::move(plan), arrived, retries + 1);
     }
   });
 }

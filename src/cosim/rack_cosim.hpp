@@ -357,11 +357,14 @@ class RackCosim {
   phot::EnergyTrace energy_;
   double photonic_w_ = 0.0;
 
+  /// Every placed job, keyed by a cosim-local id: each placement fills it,
+  /// completion and revocation erase it.
+  std::unordered_map<std::uint64_t, LiveJob> live_map_;
+  std::uint64_t next_live_id_ = 1;
+
   // --- fault engine (all empty / untouched when cfg_.fault.enabled=false) ---
   bool faults_on_ = false;
   std::unique_ptr<fault::FaultScheduler> fault_sched_;
-  std::unordered_map<std::uint64_t, LiveJob> live_map_;
-  std::uint64_t next_live_id_ = 1;
   /// Per rack node: 0 = free, kNodeOffline = crashed, else the static job
   /// id exclusively holding it.  Disagg jobs never own entries here; their
   /// node dependency is the round-robin `home_node` on the LiveJob.

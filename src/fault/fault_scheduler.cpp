@@ -1,7 +1,6 @@
 #include "fault/fault_scheduler.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <tuple>
 
@@ -143,26 +142,46 @@ FaultScheduler::FaultScheduler(const FaultConfig& cfg, int mcms, int nodes,
 
 void FaultScheduler::arm(sim::EventQueue& queue,
                          std::function<void(const FaultEvent&)> handler) const {
-  for (const FaultEvent& ev : timeline_)
-    queue.schedule_at(ev.at, [handler, ev]() { handler(ev); });
+  std::vector<sim::TimePs> times;
+  times.reserve(timeline_.size());
+  for (const FaultEvent& ev : timeline_) times.push_back(ev.at);
+  queue.schedule_sorted(std::move(times),
+                        [this, handler = std::move(handler)](std::size_t i) {
+                          handler(timeline_[i]);
+                        });
+}
+
+std::size_t FaultScheduler::component(const FaultEvent& ev) const {
+  const auto a = static_cast<std::size_t>(ev.a);
+  const auto mcms = static_cast<std::size_t>(mcms_);
+  switch (ev.cls) {
+    case ComponentClass::kMcm:
+      return a;
+    case ComponentClass::kNode:
+      return mcms + a;
+    case ComponentClass::kLink:
+      return mcms + static_cast<std::size_t>(nodes_) + a;
+    case ComponentClass::kLaser:
+      break;
+  }
+  return 2 * mcms + static_cast<std::size_t>(nodes_) + a;
 }
 
 double FaultScheduler::availability(sim::TimePs horizon) const {
   if (horizon <= 0) return 1.0;
   // Pair each fail with its repair (per component; the timeline alternates
   // within a component) and integrate crash-stop downtime over the window.
-  std::map<std::tuple<int, int, int>, sim::TimePs> down_since;
+  std::vector<sim::TimePs> down_since(component_count());
   double downtime_ps = 0.0;
   for (const FaultEvent& ev : timeline_) {
     if (ev.cls != ComponentClass::kMcm && ev.cls != ComponentClass::kNode) continue;
-    const auto key = std::make_tuple(static_cast<int>(ev.cls), ev.a, ev.b);
+    sim::TimePs& since = down_since[component(ev)];
     if (ev.kind == FaultKind::kFail) {
-      down_since[key] = ev.at;
+      since = ev.at;
     } else {
-      const sim::TimePs from = std::min(down_since[key], horizon);
+      const sim::TimePs from = std::min(since, horizon);
       const sim::TimePs to = std::min(ev.at, horizon);
       downtime_ps += static_cast<double>(to - from);
-      down_since.erase(key);
     }
   }
   const double components = static_cast<double>(mcms_ + nodes_);
@@ -171,15 +190,15 @@ double FaultScheduler::availability(sim::TimePs horizon) const {
 }
 
 double FaultScheduler::mean_mttr_ms() const {
-  std::map<std::tuple<int, int, int>, sim::TimePs> fail_at;
+  std::vector<sim::TimePs> fail_at(component_count());
   double total_ms = 0.0;
   std::uint64_t repairs = 0;
   for (const FaultEvent& ev : timeline_) {
-    const auto key = std::make_tuple(static_cast<int>(ev.cls), ev.a, ev.b);
+    sim::TimePs& failed = fail_at[component(ev)];
     if (ev.kind == FaultKind::kFail) {
-      fail_at[key] = ev.at;
+      failed = ev.at;
     } else {
-      total_ms += static_cast<double>(ev.at - fail_at[key]) /
+      total_ms += static_cast<double>(ev.at - failed) /
                   static_cast<double>(sim::kPsPerMs);
       ++repairs;
     }

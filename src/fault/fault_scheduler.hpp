@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -44,8 +45,10 @@ class FaultScheduler {
 
   [[nodiscard]] const std::vector<FaultEvent>& timeline() const { return timeline_; }
 
-  /// Schedule every timeline entry onto `queue`, calling `handler(event)`
-  /// at its fire time.  Call once, before the queue starts running.
+  /// Schedule every timeline entry onto `queue` as one sorted run, calling
+  /// `handler(event)` at its fire time.  Entry i gets the id the i-th of
+  /// timeline().size() schedule_at calls would.  Call once, before the queue
+  /// starts running; the scheduler must outlive the run's dispatch.
   void arm(sim::EventQueue& queue, std::function<void(const FaultEvent&)> handler) const;
 
   /// 1 - mean downtime fraction of the crash-stop components (MCMs and
@@ -58,6 +61,14 @@ class FaultScheduler {
   [[nodiscard]] double mean_mttr_ms() const;
 
  private:
+  /// Flat index of the renewal process that drew `ev`: MCMs, then nodes,
+  /// then the link and laser streams keyed by source MCM (each stream draws
+  /// its destination per cut, so its fail/repair pairs alternate too).
+  [[nodiscard]] std::size_t component(const FaultEvent& ev) const;
+  [[nodiscard]] std::size_t component_count() const {
+    return 3 * static_cast<std::size_t>(mcms_) + static_cast<std::size_t>(nodes_);
+  }
+
   int mcms_;
   int nodes_;
   std::vector<FaultEvent> timeline_;

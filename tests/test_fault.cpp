@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cosim/rack_cosim.hpp"
@@ -19,6 +22,7 @@
 #include "rack/rack_builder.hpp"
 #include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
+#include "sim/event_queue.hpp"
 
 namespace photorack::fault {
 namespace {
@@ -90,6 +94,99 @@ TEST(FaultTimeline, AvailabilityIsAFractionAndMttrPositive) {
   EXPECT_GT(avail, 0.0);
   EXPECT_LT(avail, 1.0);  // MTBF 50/80 ms over 200 ms: faults are certain
   EXPECT_GT(sched.mean_mttr_ms(), 0.0);
+}
+
+// Reference availability and MTTR: the std::map pairing both functions used
+// before they moved to a flat per-component table.  Same loops, same
+// summation order, so the results must agree bit for bit.
+double reference_availability(const std::vector<FaultEvent>& timeline, int mcms,
+                              int nodes, sim::TimePs horizon) {
+  if (horizon <= 0) return 1.0;
+  std::map<std::tuple<int, int, int>, sim::TimePs> down_since;
+  double downtime_ps = 0.0;
+  for (const FaultEvent& ev : timeline) {
+    if (ev.cls != ComponentClass::kMcm && ev.cls != ComponentClass::kNode) continue;
+    const auto key = std::make_tuple(static_cast<int>(ev.cls), ev.a, ev.b);
+    if (ev.kind == FaultKind::kFail) {
+      down_since[key] = ev.at;
+    } else {
+      const sim::TimePs from = std::min(down_since[key], horizon);
+      const sim::TimePs to = std::min(ev.at, horizon);
+      downtime_ps += static_cast<double>(to - from);
+      down_since.erase(key);
+    }
+  }
+  const double window = static_cast<double>(horizon) * static_cast<double>(mcms + nodes);
+  return std::clamp(1.0 - downtime_ps / window, 0.0, 1.0);
+}
+
+double reference_mean_mttr_ms(const std::vector<FaultEvent>& timeline) {
+  std::map<std::tuple<int, int, int>, sim::TimePs> fail_at;
+  double total_ms = 0.0;
+  std::uint64_t repairs = 0;
+  for (const FaultEvent& ev : timeline) {
+    const auto key = std::make_tuple(static_cast<int>(ev.cls), ev.a, ev.b);
+    if (ev.kind == FaultKind::kFail) {
+      fail_at[key] = ev.at;
+    } else {
+      total_ms += static_cast<double>(ev.at - fail_at[key]) /
+                  static_cast<double>(sim::kPsPerMs);
+      ++repairs;
+    }
+  }
+  return repairs ? total_ms / static_cast<double>(repairs) : 0.0;
+}
+
+TEST(FaultTimeline, AvailabilityAndMttrMatchTheMapReferenceBitForBit) {
+  constexpr int kMcms = 24, kNodes = 16;
+  for (const std::uint64_t seed : {1ULL, 7ULL, 13ULL, 42ULL, 99ULL}) {
+    const FaultScheduler sched(all_classes_config(), kMcms, kNodes, seed, kHorizon);
+    const auto& timeline = sched.timeline();
+    ASSERT_FALSE(timeline.empty());
+    // A horizon inside the first crash-stop downtime, so one repair is cut
+    // off by the window.
+    const auto fail = std::find_if(timeline.begin(), timeline.end(), [](const auto& ev) {
+      return ev.kind == FaultKind::kFail && ev.cls == ComponentClass::kMcm;
+    });
+    ASSERT_NE(fail, timeline.end());
+    const auto repair = std::find_if(fail + 1, timeline.end(), [&](const auto& ev) {
+      return ev.cls == fail->cls && ev.a == fail->a;
+    });
+    ASSERT_NE(repair, timeline.end());
+    ASSERT_EQ(repair->kind, FaultKind::kRepair);
+    ASSERT_GT(repair->at - fail->at, 1);
+    const sim::TimePs cut = fail->at + (repair->at - fail->at) / 2;
+
+    for (const sim::TimePs horizon : {kHorizon, cut, kHorizon / 3, sim::TimePs{0}}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sched.availability(horizon)),
+                std::bit_cast<std::uint64_t>(
+                    reference_availability(timeline, kMcms, kNodes, horizon)))
+          << "seed " << seed << " horizon " << horizon;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sched.mean_mttr_ms()),
+              std::bit_cast<std::uint64_t>(reference_mean_mttr_ms(timeline)))
+        << "seed " << seed;
+  }
+}
+
+TEST(FaultTimeline, ArmFiresTheTimelineInOrderWithConsecutiveIds) {
+  const FaultScheduler sched(all_classes_config(), 8, 16, 7, kHorizon);
+  const auto& timeline = sched.timeline();
+  sim::EventQueue queue;
+  const std::uint64_t before = queue.schedule_at(0, [] {});
+  std::vector<FaultEvent> fired;
+  sched.arm(queue, [&](const FaultEvent& ev) {
+    EXPECT_EQ(queue.now(), ev.at);
+    fired.push_back(ev);
+  });
+  EXPECT_EQ(queue.stats().scheduled, timeline.size() + 1);
+  EXPECT_EQ(queue.pending(), timeline.size() + 1);
+  EXPECT_EQ(queue.stats().pending_peak, timeline.size() + 1);
+  // The timeline holds ids before+1 .. before+n: the next id follows them.
+  EXPECT_EQ(queue.schedule_at(0, [] {}), before + 1 + timeline.size());
+  queue.run();
+  EXPECT_EQ(fired, timeline);
+  EXPECT_EQ(queue.stats().dispatched, timeline.size() + 2);
 }
 
 TEST(FaultTimeline, MalformedConfigThrows) {
