@@ -404,18 +404,18 @@ void RackCosim::schedule_next_arrival() {
   queue_.schedule_after(gap, [this]() { on_arrival(); });
 }
 
-bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries,
-                          bool record) {
+bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries) {
   std::shared_ptr<disagg::Allocation> alloc;
   {
     obs::ScopedTimer timer(obs_.profiler, sc_allocate_);
     alloc = std::make_shared<disagg::Allocation>(allocator_.allocate(plan.request));
   }
   if (!alloc->placed) return false;
-  // `record` is false only for fault-requeued jobs: their acceptance, wait
-  // and contention tails were recorded at FIRST placement and must not be
-  // double-counted.  Fault-free runs always record, so this path is the
-  // historical one byte for byte.
+  // A fault-requeued job's acceptance, wait and contention tails were
+  // recorded at FIRST placement and must not be double-counted.
+  // Fault-free runs always record, so this path is the historical one byte
+  // for byte.
+  const bool record = retries == 0;
   if (record) tally_.jobs.accept();
   ++live_jobs_;
   const std::uint64_t job_id = next_live_id_++;
@@ -566,23 +566,39 @@ void RackCosim::on_ml_collective_done(std::uint64_t job_id,
     complete_job(job_id);
 }
 
-void RackCosim::complete_job(std::uint64_t job_id) {
+RackCosim::LiveJob RackCosim::teardown(std::uint64_t job_id, bool revoke) {
   const auto it = live_map_.find(job_id);
   if (it == live_map_.end())
-    throw std::logic_error("complete_job: job already revoked or completed");
-  const LiveJob job = std::move(it->second);
+    throw std::logic_error("teardown: job already revoked or completed");
+  LiveJob job = std::move(it->second);
   live_map_.erase(it);
+  const sim::TimePs now = queue_.now();
+  // A revoked job's pending completion must die with it: a stale completion
+  // firing on a revoked id would double-release the allocation.  On the
+  // completion path the event has already fired and the cancel counts
+  // nothing.
+  queue_.cancel(job.completion);
+  // A mid-collective victim also holds phase flows and a pending phase
+  // event inside its runner; abort tears both down before the release.
+  if (job.runner) job.runner->abort();
   for (std::size_t i = 0; i < job.flow_ids.size(); ++i)
-    if (job.flow_open[i]) engine_.close(job.flow_ids[i], queue_.now());
-  {
+    if (job.flow_open[i]) engine_.close(job.flow_ids[i], now);
+  if (revoke) {
+    allocator_.revoke(*job.alloc);
+  } else {
     obs::ScopedTimer timer(obs_.profiler, sc_release_);
     allocator_.release(*job.alloc);
   }
   --live_jobs_;
-  if (faults_on_) {
-    ++tally_.fault.goodput_jobs;
-    unbind_nodes(job);
-  }
+  unbind_nodes(job);
+  // A spill hands back its inter-rack reservation whichever way it ends.
+  close_remote(job.plan, /*placed=*/true);
+  return job;
+}
+
+void RackCosim::complete_job(std::uint64_t job_id) {
+  const LiveJob job = teardown(job_id, /*revoke=*/false);
+  if (faults_on_) ++tally_.fault.goodput_jobs;
   if (job.plan.ml.is_ml) {
     // ML slowdown is known only at completion (steps ran at live collective
     // speeds, not an admission-time stretch); revoked jobs never reach here,
@@ -596,7 +612,6 @@ void RackCosim::complete_job(std::uint64_t job_id) {
     obs_.trace->complete(obs::Track::kJobs, "job", job.placed_at, queue_.now(),
                          {{"breadth", static_cast<double>(job.plan.breadth)},
                           {"speed", job.speed}});
-  close_remote(job.plan, /*placed=*/true);
   drain_backlog();
   step_energy();
 }
@@ -614,37 +629,43 @@ void RackCosim::drain_backlog() {
   // make wait tails incomparable across policies.
   while (!backlog_.empty() &&
          try_start(backlog_.front().plan, backlog_.front().arrived,
-                   backlog_.front().retries, backlog_.front().record))
+                   backlog_.front().retries))
     backlog_.pop_front();
 }
 
 // The timeline alternates fail/repair strictly per component, so every fail
 // here is matched by exactly one later pop of the same value — the factor
 // stack never holds two entries from the same component instance, and when a
-// pair's last fault repairs, the empty product restores exactly 1.0.
-
-void RackCosim::scale_mcm_pairs(int mcm, double factor, bool fail) {
-  // A crashed MCM severs every pair touching it, both directions.
-  for (int d = 0; d < cfg_.fabric.mcms; ++d) {
-    if (d == mcm) continue;
-    if (fail) {
-      fabric_->push_pair_factor(mcm, d, factor);
-      fabric_->push_pair_factor(d, mcm, factor);
-    } else {
-      fabric_->pop_pair_factor(mcm, d, factor);
-      fabric_->pop_pair_factor(d, mcm, factor);
-    }
-  }
-}
-
-void RackCosim::scale_laser_pairs(int src, double factor, bool fail) {
-  // A degraded comb laser dims only the wavelengths its own port transmits.
-  for (int d = 0; d < cfg_.fabric.mcms; ++d) {
-    if (d == src) continue;
+// pair's last fault repairs, the empty product restores exactly 1.0.  Pops
+// walk the pairs in push order: the fabric's running used total is a
+// floating-point sum, so the order is part of the output.
+void RackCosim::scale_fabric(const fault::FaultEvent& ev, bool fail) {
+  auto scale = [&](int src, int dst, double factor) {
     if (fail)
-      fabric_->push_pair_factor(src, d, factor);
+      fabric_->push_pair_factor(src, dst, factor);
     else
-      fabric_->pop_pair_factor(src, d, factor);
+      fabric_->pop_pair_factor(src, dst, factor);
+  };
+  switch (ev.cls) {
+    case fault::ComponentClass::kMcm:
+      // A crashed MCM severs every pair touching it, both directions.
+      for (int d = 0; d < cfg_.fabric.mcms; ++d) {
+        if (d == ev.a) continue;
+        scale(ev.a, d, 0.0);
+        scale(d, ev.a, 0.0);
+      }
+      break;
+    case fault::ComponentClass::kLink:
+      scale(ev.a, ev.b, 0.0);
+      break;
+    case fault::ComponentClass::kLaser:
+      // A degraded comb laser dims only the wavelengths its own port
+      // transmits.
+      for (int d = 0; d < cfg_.fabric.mcms; ++d)
+        if (d != ev.a) scale(ev.a, d, cfg_.fault.degrade_fraction);
+      break;
+    case fault::ComponentClass::kNode:
+      break;  // node capacity lives in the allocator (see on_fault)
   }
 }
 
@@ -725,22 +746,8 @@ std::vector<std::uint64_t> RackCosim::victims_of(const fault::FaultEvent& ev) co
 }
 
 void RackCosim::revoke_job(std::uint64_t job_id, const fault::FaultEvent& ev) {
-  const auto it = live_map_.find(job_id);
-  LiveJob job = std::move(it->second);
-  live_map_.erase(it);
+  LiveJob job = teardown(job_id, /*revoke=*/true);
   const sim::TimePs now = queue_.now();
-  // The pending completion must die with the job: a stale completion firing
-  // on a revoked id would double-release the allocation (audited by the
-  // event-queue cancel tests).
-  queue_.cancel(job.completion);
-  // A mid-collective victim also holds phase flows and a pending phase
-  // event inside its runner; abort tears both down before the release.
-  if (job.runner) job.runner->abort();
-  for (std::size_t i = 0; i < job.flow_ids.size(); ++i)
-    if (job.flow_open[i]) engine_.close(job.flow_ids[i], now);
-  allocator_.revoke(*job.alloc);
-  --live_jobs_;
-  unbind_nodes(job);
   ++tally_.fault.interrupted;
   tally_.fault.work_lost_ms += to_ms(now - job.placed_at);
   if (obs_.trace)
@@ -748,10 +755,9 @@ void RackCosim::revoke_job(std::uint64_t job_id, const fault::FaultEvent& ev) {
         obs::Track::kFaults, "revoke", now,
         {{"job", static_cast<double>(job_id)},
          {"cls", static_cast<double>(static_cast<int>(ev.cls))}});
-  // A revoked spill hands back its inter-rack reservation immediately; any
+  // Teardown already handed back a spill's inter-rack reservation; any
   // retry re-enters THIS rack's admission path as an untagged local job, so
   // the grant can never be released twice.
-  close_remote(job.plan, /*placed=*/true);
   job.plan.remote_speed_cap = 1.0;
   job.plan.remote_link = -1;
   job.plan.remote_gbps = 0.0;
@@ -820,60 +826,37 @@ void RackCosim::schedule_retry(JobPlan plan, sim::TimePs arrived, int retries) {
   const auto delay = std::max<sim::TimePs>(
       1, static_cast<sim::TimePs>(backoff_ms * static_cast<double>(sim::kPsPerMs)));
   ++tally_.fault.requeued;
-  // Admission semantics for retries, pinned by test_fault: the backlog is a
-  // kQueue-only structure.  Under kDrop a retry never touches the backlog —
-  // it re-attempts placement directly and backs off again on failure, so a
-  // drop-mode rack's queue depth stays identically zero even under fault
-  // churn.  Under kQueue the retry competes for backlog space on the same
-  // queue_cap bound as a fresh arrival (no reserved headroom), and a full
-  // backlog kills it: a revoked job must not be able to wait in a place
-  // arrivals are being turned away from.
   // The event fires once, so the closure hands its plan on instead of
   // copying it.
   queue_.schedule_after(delay, [this, plan = std::move(plan), arrived, retries]() mutable {
     engine_.refresh_view(queue_.now());
-    if (cfg_.admission == AdmissionPolicy::kQueue) {
-      if (backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap)) {
-        backlog_.push_back(PendingJob{std::move(plan), arrived, retries, false});
-        drain_backlog();
-      } else {
-        ++tally_.fault.killed;  // backlog full: the retry has nowhere to wait
-      }
-    } else if (!try_start(plan, arrived, retries, false)) {
-      schedule_retry(std::move(plan), arrived, retries + 1);
-    }
+    admit(std::move(plan), arrived, retries);
   });
 }
 
 void RackCosim::on_fault(const fault::FaultEvent& ev) {
   obs::ScopedTimer timer(obs_.profiler, sc_fault_);
   const sim::TimePs now = queue_.now();
+  const bool fail = ev.kind == fault::FaultKind::kFail;
   if (obs_.trace)
-    obs_.trace->instant(obs::Track::kFaults,
-                        ev.kind == fault::FaultKind::kFail ? "fail" : "repair",
-                        now,
+    obs_.trace->instant(obs::Track::kFaults, fail ? "fail" : "repair", now,
                         {{"cls", static_cast<double>(static_cast<int>(ev.cls))},
                          {"a", static_cast<double>(ev.a)},
                          {"b", static_cast<double>(ev.b)}});
-  if (ev.kind == fault::FaultKind::kFail) {
-    ++tally_.fault.faults;
-    // Capacity first, victims second: a victim's surviving flows must be
-    // judged against the post-fault fabric.  Node capacity is the exception
-    // — static victims have to be revoked before their nodes can retire.
-    switch (ev.cls) {
-      case fault::ComponentClass::kMcm:
-        scale_mcm_pairs(ev.a, 0.0, /*fail=*/true);
-        break;
-      case fault::ComponentClass::kLink:
-        fabric_->push_pair_factor(ev.a, ev.b, 0.0);
-        break;
-      case fault::ComponentClass::kLaser:
-        scale_laser_pairs(ev.a, cfg_.fault.degrade_fraction, /*fail=*/true);
-        break;
-      case fault::ComponentClass::kNode:
-        break;
-    }
-    engine_.refresh_view(now);
+  ++(fail ? tally_.fault.faults : tally_.fault.repairs);
+  // Capacity first, victims second: a victim's surviving flows must be
+  // judged against the post-fault fabric.  Node capacity is the exception
+  // — static victims have to be revoked before their nodes can retire, and
+  // a repaired node must be back before the backlog drains onto it.
+  scale_fabric(ev, fail);
+  if (!fail && ev.cls == fault::ComponentClass::kNode) {
+    allocator_.bring_nodes_online(1);
+    node_owner_[static_cast<std::size_t>(ev.a)] = 0;
+  }
+  engine_.refresh_view(now);
+  if (!fail) {
+    drain_backlog();  // restored capacity may admit backlogged work
+  } else {
     for (const std::uint64_t id : victims_of(ev)) {
       // A crashed node cannot run degraded — its CPUs are gone.  Fabric
       // faults can: drop the dead flows and re-stretch the remainder.
@@ -891,29 +874,53 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
       allocator_.take_nodes_offline(1);
       node_owner_[static_cast<std::size_t>(ev.a)] = kNodeOffline;
     }
-  } else {
-    ++tally_.fault.repairs;
-    // Each repair pops exactly the factor its fail pushed; faults still
-    // active on the same pairs keep their own contributions in the product.
-    switch (ev.cls) {
-      case fault::ComponentClass::kMcm:
-        scale_mcm_pairs(ev.a, 0.0, /*fail=*/false);
-        break;
-      case fault::ComponentClass::kLink:
-        fabric_->pop_pair_factor(ev.a, ev.b, 0.0);
-        break;
-      case fault::ComponentClass::kLaser:
-        scale_laser_pairs(ev.a, cfg_.fault.degrade_fraction, /*fail=*/false);
-        break;
-      case fault::ComponentClass::kNode:
-        allocator_.bring_nodes_online(1);
-        node_owner_[static_cast<std::size_t>(ev.a)] = 0;
-        break;
-    }
-    engine_.refresh_view(now);
-    drain_backlog();  // restored capacity may admit backlogged work
   }
   step_energy();
+}
+
+void RackCosim::admit(JobPlan plan, sim::TimePs arrived, int retries) {
+  const sim::TimePs now = queue_.now();
+  const bool queued = cfg_.admission == AdmissionPolicy::kQueue;
+  const bool retry = retries > 0;
+  const bool spilled = plan.remote_link >= 0;
+  // kQueue holds every origin in one bounded FIFO on the same queue_cap (no
+  // reserved headroom for retries or spills); kDrop places directly, and a
+  // drop-mode rack's backlog stays identically empty even under fault churn.
+  bool admitted;
+  if (queued) {
+    admitted = backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap);
+    if (admitted) {
+      if (obs_.trace && !retry && !spilled)
+        obs_.trace->instant(obs::Track::kJobs, "enqueue", now);
+      backlog_.push_back(PendingJob{std::move(plan), arrived, retries});
+      drain_backlog();
+    }
+  } else {
+    admitted = try_start(plan, arrived, retries);
+  }
+  if (!admitted) {
+    // Refused: the outcome depends only on where the job came from.
+    if (retry) {
+      // A fault victim must not wait where arrivals are turned away (queue:
+      // killed); under drop it backs off and tries again.
+      if (queued)
+        ++tally_.fault.killed;
+      else
+        schedule_retry(std::move(plan), arrived, retries + 1);
+    } else if (spilled) {
+      // A second refusal is final: the spill is lost and the inter-rack
+      // grant goes back unused.
+      close_remote(plan, /*placed=*/false);
+      if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "spill_lost", now);
+    } else if (spill_ && spill_(plan, now)) {
+      // A local arrival is offered to the spill handler before it is
+      // dropped; it stays in `offered` here and is accepted (or lost)
+      // wherever it lands, so cluster-wide acceptance stays conservative.
+      if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "spill", now);
+    } else if (obs_.trace) {
+      obs_.trace->instant(obs::Track::kJobs, queued ? "queue_drop" : "reject", now);
+    }
+  }
 }
 
 void RackCosim::on_arrival() {
@@ -927,32 +934,7 @@ void RackCosim::on_arrival() {
   sim::Rng job_rng = base_rng_.child(16 + next_job_index_++);
   JobPlan plan = make_plan(job_rng);
   if (plan.ml.is_ml) tally_.ml.offer();
-
-  // A job the rack cannot admit is offered to the spill handler before being
-  // dropped; a standalone rack (no handler) takes the historical drop path
-  // unchanged.  The spilled job stays in `offered` here but is accepted (or
-  // lost) wherever it lands, so cluster-wide acceptance stays conservative.
-  if (cfg_.admission == AdmissionPolicy::kQueue) {
-    // Bounded FIFO: over-cap arrivals are dropped (they stay counted in
-    // `offered`, so acceptance reflects the loss).
-    if (backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap)) {
-      if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "enqueue", queue_.now());
-      backlog_.push_back(PendingJob{std::move(plan), queue_.now()});
-      drain_backlog();
-    } else if (spill_ && spill_(plan, queue_.now())) {
-      if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "spill", queue_.now());
-    } else if (obs_.trace) {
-      obs_.trace->instant(obs::Track::kJobs, "queue_drop", queue_.now());
-    }
-  } else {
-    if (!try_start(plan, queue_.now())) {
-      if (spill_ && spill_(plan, queue_.now())) {
-        if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "spill", queue_.now());
-      } else if (obs_.trace) {
-        obs_.trace->instant(obs::Track::kJobs, "reject", queue_.now());
-      }
-    }
-  }
+  admit(std::move(plan), queue_.now(), 0);
   // Step the trace on EVERY arrival, rejected ones included: the level only
   // changes on placements, but the integration point must advance to the
   // last event or the tail of the horizon silently drops out of the total
@@ -969,26 +951,10 @@ void RackCosim::inject_remote_job(JobPlan plan, sim::TimePs deliver_at,
     engine_.refresh_view(queue_.now());
     if (obs_.trace)
       obs_.trace->instant(obs::Track::kJobs, "remote_arrival", queue_.now());
-    // A spilled job is admitted like a local arrival (record = true: its
-    // acceptance, wait and tails are accounted where it runs) but is NOT
-    // offered here — the origin rack already counted the offer, so cluster
-    // totals add up.  A second rejection is final: the spill is lost and
-    // the inter-rack grant goes back (placed = false).
-    bool admitted = false;
-    if (cfg_.admission == AdmissionPolicy::kQueue) {
-      if (backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap)) {
-        backlog_.push_back(PendingJob{std::move(plan), arrived, 0, true});
-        drain_backlog();
-        admitted = true;
-      }
-    } else {
-      admitted = try_start(plan, arrived);
-    }
-    if (!admitted) {
-      close_remote(plan, /*placed=*/false);
-      if (obs_.trace)
-        obs_.trace->instant(obs::Track::kJobs, "spill_lost", queue_.now());
-    }
+    // Admitted like a local arrival (its acceptance, wait and tails are
+    // accounted where it runs) but NOT offered here — the origin rack
+    // already counted the offer, so cluster totals add up.
+    admit(std::move(plan), arrived, 0);
     step_energy();
   });
 }
@@ -1003,13 +969,13 @@ CosimTally RackCosim::tally() const {
   // only a LOWER bound, but leaving them out entirely is worse — a backed-up
   // queue would report the rosy tails of the jobs that escaped it.  Fold
   // each queued job's wait-so-far into the snapshot's wait sketch.
-  // Fault-requeued entries (record = false) are skipped: their wait was
+  // Fault-requeued entries (retries > 0) are skipped: their wait was
   // recorded at FIRST placement, and folding them again would both
   // double-count the job in the wait sketch and break the invariant
   //   wait count == accepted + censored_waiting
   // that ties the sketch to the acceptance counters.
   for (const PendingJob& pending : backlog_) {
-    if (!pending.record) continue;
+    if (pending.retries > 0) continue;
     ++t.censored_waiting;
     t.jobs.record_wait(to_ms(queue_.now() - pending.arrived));
   }

@@ -48,10 +48,10 @@ const config::EnumCodec<AdmissionPolicy>& admission_policy_codec();
 /// The loop closes through contention: a job's measured satisfied fraction
 /// (reserved / requested fabric bandwidth at admission) stretches its
 /// residual duration, so congested racks hold resources longer, which
-/// raises occupancy, which lowers acceptance — the dynamics an open-loop
-/// job stream (disagg::JobStreamSim) cannot express.
+/// raises occupancy, which lowers acceptance.  contention_feedback = false
+/// opens the loop: the same job stream with durations never stretched.
 struct CosimConfig {
-  // --- job stream (mirrors disagg::JobSimConfig) ---
+  // --- job stream (the §II-A demand shape, disagg::draw_job_request) ---
   double arrivals_per_ms = 4.0;
   sim::TimePs mean_duration = 20 * sim::kPsPerMs;
   sim::TimePs sim_time = 400 * sim::kPsPerMs;
@@ -285,6 +285,8 @@ class RackCosim {
   /// (its origin already counted it) and keeps its original `arrived` time
   /// so wait statistics include the transfer.  If this rack cannot admit it
   /// either, the remote-close handler fires with placed = false.
+  /// Precondition: `plan` carries the inter-rack tag (remote_link >= 0) —
+  /// admission tells a spilled job from a local arrival by that tag alone.
   void inject_remote_job(JobPlan plan, sim::TimePs deliver_at,
                          sim::TimePs arrived);
 
@@ -299,14 +301,13 @@ class RackCosim {
 
  private:
   /// A planned job waiting in the kQueue backlog for resources.  `retries`
-  /// and `record` carry fault-requeue state: a re-admitted victim keeps its
-  /// original arrival time and is never double-counted in the acceptance /
-  /// wait statistics (record = false).
+  /// carries fault-requeue state: a re-admitted victim (retries > 0) keeps
+  /// its original arrival time and is never double-counted in the
+  /// acceptance / wait statistics.
   struct PendingJob {
     JobPlan plan;
     sim::TimePs arrived = 0;
     int retries = 0;
-    bool record = true;
   };
 
   /// A running job the fault engine can find, revoke, degrade or complete.
@@ -400,9 +401,19 @@ class RackCosim {
   void step_energy();
   void schedule_next_arrival();
   void on_arrival();
-  bool try_start(const JobPlan& plan, sim::TimePs arrived, int retries = 0,
-                 bool record = true);
+  /// The one admission decision, for every origin: local arrivals,
+  /// spilled deliveries (plan.remote_link >= 0) and fault retries
+  /// (retries > 0) differ only in what happens when the rack refuses them.
+  void admit(JobPlan plan, sim::TimePs arrived, int retries);
+  /// Place now or return false.  Statistics are recorded only for a job's
+  /// first placement (retries == 0).
+  bool try_start(const JobPlan& plan, sim::TimePs arrived, int retries);
   void complete_job(std::uint64_t job_id);
+  /// The one teardown, shared by completion and revocation: removes the
+  /// live job, cancels its completion (a no-op once fired), aborts its
+  /// collective, closes its flows, releases (or revokes) its allocation,
+  /// unbinds its nodes and returns a spilled job's inter-rack grant.
+  LiveJob teardown(std::uint64_t job_id, bool revoke);
   void drain_backlog();
 
   // --- training-job step loop (reachable only for is_ml plans) ---
@@ -426,9 +437,8 @@ class RackCosim {
   // (push_pair_factor / pop_pair_factor), so overlapping faults on the same
   // pair — an MCM crash atop a degraded laser — compose multiplicatively
   // and each repair removes exactly its own contribution.  `fail` pushes,
-  // repair pops the same value.
-  void scale_mcm_pairs(int mcm, double factor, bool fail);   // both directions
-  void scale_laser_pairs(int src, double factor, bool fail); // src side only
+  // repair pops the same factors in the same pair order.
+  void scale_fabric(const fault::FaultEvent& ev, bool fail);
   void close_remote(const JobPlan& plan, bool placed);
 };
 
