@@ -3,8 +3,8 @@
 // print the iso-performance provisioning plan (Section VI-E).
 #include <iostream>
 
+#include "cosim/rack_cosim.hpp"
 #include "disagg/iso_perf.hpp"
-#include "disagg/job_scheduler.hpp"
 #include "sim/table.hpp"
 
 int main() {
@@ -13,11 +13,18 @@ int main() {
   const auto usage = workloads::UsageModel::cori();
   const rack::RackConfig rack_cfg;
 
-  disagg::JobSimConfig cfg;
+  // Open loop: flows still occupy the fabric, but contention never stretches
+  // a job, so the comparison isolates the allocation policy.
+  cosim::CosimConfig cfg;
+  cfg.contention_feedback = false;
+  cfg.sim_time = 2000 * sim::kPsPerMs;
+  cfg.max_job_nodes = 16;
   const auto static_report =
-      disagg::run_job_stream(rack_cfg, disagg::AllocationPolicy::kStaticNodes, usage, cfg);
-  const auto disagg_report = disagg::run_job_stream(
-      rack_cfg, disagg::AllocationPolicy::kDisaggregated, usage, cfg);
+      cosim::run_rack_cosim(rack_cfg, disagg::AllocationPolicy::kStaticNodes, usage, cfg)
+          .jobs;
+  const auto disagg_report =
+      cosim::run_rack_cosim(rack_cfg, disagg::AllocationPolicy::kDisaggregated, usage, cfg)
+          .jobs;
 
   std::cout << "job-stream comparison (" << static_report.offered << " jobs offered)\n";
   sim::Table table({"Metric", "Static nodes", "Disaggregated"});

@@ -283,9 +283,9 @@ RackCosim::JobPlan RackCosim::make_plan(sim::Rng& rng) const {
       (cfg_.ml.mix_fraction >= 1.0 || rng.uniform() < cfg_.ml.mix_fraction))
     return make_ml_plan(rng);
   JobPlan plan;
-  // The one definition of the §II-A demand shape, shared with
-  // disagg::JobStreamSim — both simulators must offer identical job mixes
-  // for closed-vs-open and static-vs-disagg comparisons to be controlled.
+  // The one definition of the §II-A demand shape: every policy and
+  // feedback mode draws identical job mixes, so closed-vs-open and
+  // static-vs-disagg comparisons stay controlled.
   const disagg::JobDraw draw =
       disagg::draw_job_request(rng, usage_, rack_.node, cfg_.max_job_nodes);
   plan.request = draw.request;

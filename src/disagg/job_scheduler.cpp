@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 namespace photorack::disagg {
 
@@ -51,17 +50,6 @@ JobSimReport JobStreamStats::report() const {
   return report;
 }
 
-JobStreamSim::JobStreamSim(const rack::RackConfig& rack, AllocationPolicy policy,
-                           const workloads::UsageModel& usage, JobSimConfig cfg)
-    : allocator_(rack, policy),
-      usage_(usage),
-      cfg_(cfg),
-      rack_(rack),
-      arrival_rng_(cfg.seed),
-      job_rng_(arrival_rng_.child(1)) {
-  schedule_next_arrival();
-}
-
 // Job demands: breadth in nodes, then per-resource usage fractions drawn
 // from the production distributions — exactly the §II-A picture where a
 // job occupies N nodes but touches a small slice of their memory/NIC.
@@ -84,55 +72,6 @@ JobDraw draw_job_request(sim::Rng& rng, const workloads::UsageModel& usage,
   draw.request.memory_gb = draw.breadth * 256.0 * mem_frac;
   draw.request.nic_gbps = draw.breadth * 800.0 * nic_frac;
   return draw;
-}
-
-JobRequest JobStreamSim::make_request() {
-  return draw_job_request(job_rng_, usage_, rack_.node, cfg_.max_job_nodes).request;
-}
-
-void JobStreamSim::schedule_next_arrival() {
-  const double mean_gap = static_cast<double>(sim::kPsPerMs) / cfg_.arrivals_per_ms;
-  const auto gap = static_cast<sim::TimePs>(arrival_rng_.exponential(mean_gap));
-  if (queue_.now() + gap >= cfg_.sim_time) return;
-  queue_.schedule_after(gap, [this]() {
-    stats_.offer();
-    const JobRequest req = make_request();
-    auto alloc = std::make_shared<Allocation>(allocator_.allocate(req));
-    if (alloc->placed) {
-      stats_.accept();
-      const auto hold = static_cast<sim::TimePs>(
-          job_rng_.exponential(static_cast<double>(cfg_.mean_duration)));
-      const auto clamped = std::max<sim::TimePs>(hold, 1);
-      // Admit-or-drop with no fabric: placed jobs never wait and run at
-      // full speed, so the tails record the degenerate truth (wait 0,
-      // slowdown 1, fct = hold) rather than staying silently empty.
-      stats_.record_wait(0.0);
-      stats_.record_slowdown(1.0);
-      stats_.record_fct(static_cast<double>(clamped) /
-                        static_cast<double>(sim::kPsPerMs));
-      queue_.schedule_after(clamped,
-                            [this, alloc]() { allocator_.release(*alloc); });
-    }
-    stats_.sample(allocator_);
-    schedule_next_arrival();
-  });
-}
-
-void JobStreamSim::advance_to(sim::TimePs t) { queue_.run(t); }
-
-void JobStreamSim::finish() { queue_.run(); }
-
-JobSimReport JobStreamSim::report() const {
-  JobSimReport report = stats_.report();
-  report.events = queue_.stats();
-  return report;
-}
-
-JobSimReport run_job_stream(const rack::RackConfig& rack, AllocationPolicy policy,
-                            const workloads::UsageModel& usage, const JobSimConfig& cfg) {
-  JobStreamSim sim(rack, policy, usage, cfg);
-  sim.finish();
-  return sim.report();
 }
 
 }  // namespace photorack::disagg

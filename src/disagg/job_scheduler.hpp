@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "disagg/allocator.hpp"
 #include "sim/event_queue.hpp"
@@ -9,18 +8,6 @@
 #include "workloads/usage.hpp"
 
 namespace photorack::disagg {
-
-/// Job-stream comparison of static-node vs disaggregated allocation: jobs
-/// with usage-distribution-shaped demands arrive Poisson, hold, and leave.
-/// The interesting outputs are acceptance ratio and how much capacity the
-/// static policy maroons (§I / §II-A motivation).
-struct JobSimConfig {
-  double arrivals_per_ms = 4.0;
-  sim::TimePs mean_duration = 20 * sim::kPsPerMs;
-  sim::TimePs sim_time = 2000 * sim::kPsPerMs;
-  std::uint64_t seed = 7;
-  int max_job_nodes = 16;  // job breadth drawn in [1, max]
-};
 
 /// Acceptance reported for a stream that offered no jobs at all.  An empty
 /// stream rejects nothing, so the vacuous value is 1.0 — chosen explicitly
@@ -82,12 +69,10 @@ struct JobSimReport {
   }
 };
 
-/// Job-stream telemetry shared by every simulator that offers the §II-A
-/// stream (JobStreamSim and cosim::RackCosim): the offered/accepted
+/// Job-stream telemetry of the §II-A stream: the offered/accepted
 /// counters, the PASTA utilization probes taken at each arrival, and the
-/// JobSimReport assembly.  One definition keeps the simulators' reports
-/// field-for-field comparable — the controlled closed-vs-open comparisons
-/// depend on it.
+/// JobSimReport assembly.  cosim::RackCosim keeps one per rack, and a
+/// cluster total is a merge() of them.
 class JobStreamStats {
  public:
   void offer() { ++offered_; }
@@ -118,52 +103,6 @@ class JobStreamStats {
   sim::QuantileSketch wait_ms_, slowdown_, fct_ms_;
 };
 
-/// Stepwise job-stream simulation against one rack policy.  advance_to(t)
-/// processes arrivals and departures strictly before t, finish() drains the
-/// departures of jobs still holding resources after the arrival horizon, and
-/// report() snapshots the statistics at any point in between.  The rack
-/// co-simulation engine layers fabric traffic on the same event loop; this
-/// class is the open-loop (no contention feedback) core.
-class JobStreamSim {
- public:
-  JobStreamSim(const rack::RackConfig& rack, AllocationPolicy policy,
-               const workloads::UsageModel& usage, JobSimConfig cfg = {});
-
-  // Queued event handlers capture `this`; a copied or moved instance would
-  // leave them pointing at the original object.
-  JobStreamSim(const JobStreamSim&) = delete;
-  JobStreamSim& operator=(const JobStreamSim&) = delete;
-
-  /// Process every event strictly before time `t`.
-  void advance_to(sim::TimePs t);
-  /// Drain all remaining events (job departures past the arrival horizon).
-  void finish();
-
-  [[nodiscard]] sim::TimePs now() const { return queue_.now(); }
-  [[nodiscard]] JobSimReport report() const;
-  [[nodiscard]] const RackAllocator& allocator() const { return allocator_; }
-
- private:
-  RackAllocator allocator_;
-  workloads::UsageModel usage_;
-  JobSimConfig cfg_;
-  rack::RackConfig rack_;
-  sim::EventQueue queue_;
-  sim::Rng arrival_rng_;
-  sim::Rng job_rng_;
-  JobStreamStats stats_;
-
-  [[nodiscard]] JobRequest make_request();
-  void schedule_next_arrival();
-};
-
-/// Run the same deterministic job stream against one rack policy
-/// (run-to-completion convenience over JobStreamSim).
-[[nodiscard]] JobSimReport run_job_stream(const rack::RackConfig& rack,
-                                          AllocationPolicy policy,
-                                          const workloads::UsageModel& usage,
-                                          const JobSimConfig& cfg = {});
-
 /// One §II-A-shaped job demand: breadth in nodes plus the request it implies.
 struct JobDraw {
   JobRequest request;
@@ -171,9 +110,9 @@ struct JobDraw {
 };
 
 /// Draw one job's demands from the usage distributions, in a fixed RNG
-/// order.  Shared by JobStreamSim and cosim::RackCosim — both simulators
-/// MUST offer the same demand shape or their comparisons stop being
-/// controlled, so this is the single definition.
+/// order.  The single definition of the §II-A demand shape: every policy
+/// and feedback mode of cosim::RackCosim offers exactly these draws, which
+/// is what keeps static-vs-disaggregated comparisons controlled.
 [[nodiscard]] JobDraw draw_job_request(sim::Rng& rng, const workloads::UsageModel& usage,
                                        const rack::NodeConfig& node, int max_job_nodes);
 

@@ -65,8 +65,11 @@ TEST(Cosim, SeedPlusOneProducesDifferentTrajectory) {
 // worse — stretched jobs hold CPUs, memory and wavelengths longer, so a
 // later arrival sees a fuller rack.  The offered stream is identical in
 // both modes (per-job child RNG streams), making this a controlled pair.
+// The open-loop run is also the §II-A static-vs-disaggregated pin: on the
+// same offered stream, pooling accepts at least as many jobs as whole-node
+// allocation.
 TEST(Cosim, ClosedLoopAcceptanceAtMostOpenLoop) {
-  for (const double rate : {4.0, 8.0, 16.0}) {
+  for (const double rate : {2.0, 4.0, 8.0, 16.0, 20.0}) {
     const auto closed = run_quick(disagg::AllocationPolicy::kDisaggregated,
                                   quick(rate, /*feedback=*/true));
     const auto open = run_quick(disagg::AllocationPolicy::kDisaggregated,
@@ -75,6 +78,10 @@ TEST(Cosim, ClosedLoopAcceptanceAtMostOpenLoop) {
     EXPECT_LE(closed.jobs.accepted, open.jobs.accepted) << "rate " << rate;
     EXPECT_LE(closed.jobs.acceptance(), open.jobs.acceptance() + 1e-12)
         << "rate " << rate;
+    const auto open_static = run_quick(disagg::AllocationPolicy::kStaticNodes,
+                                       quick(rate, /*feedback=*/false));
+    ASSERT_EQ(open_static.jobs.offered, open.jobs.offered) << "rate " << rate;
+    EXPECT_GE(open.jobs.acceptance(), open_static.jobs.acceptance()) << "rate " << rate;
   }
 }
 
@@ -82,13 +89,16 @@ TEST(Cosim, ClosedLoopAcceptanceAtMostOpenLoop) {
 // arrival process divides one unit-exponential gap stream by the rate, so a
 // higher rate offers a superset pattern of the same compressed jobs.
 TEST(Cosim, AcceptanceDegradesMonotonicallyWithLoad) {
-  double previous = 2.0;  // above any acceptance ratio
-  for (const double rate : {2.0, 8.0, 32.0}) {
-    const auto report = run_quick(disagg::AllocationPolicy::kDisaggregated, quick(rate));
-    EXPECT_LE(report.jobs.acceptance(), previous + 1e-12) << "rate " << rate;
-    previous = report.jobs.acceptance();
+  for (const auto policy : {disagg::AllocationPolicy::kStaticNodes,
+                            disagg::AllocationPolicy::kDisaggregated}) {
+    double previous = 2.0;  // above any acceptance ratio
+    for (const double rate : {2.0, 8.0, 32.0}) {
+      const auto report = run_quick(policy, quick(rate));
+      EXPECT_LE(report.jobs.acceptance(), previous + 1e-12) << "rate " << rate;
+      previous = report.jobs.acceptance();
+    }
+    EXPECT_LT(previous, 0.5);  // the top of the sweep is genuinely saturated
   }
-  EXPECT_LT(previous, 0.5);  // the top of the sweep is genuinely saturated
 }
 
 TEST(Cosim, OpenLoopNeverStretches) {
@@ -99,6 +109,10 @@ TEST(Cosim, OpenLoopNeverStretches) {
   // Contention is still measured (the fabric sees the same flows)...
   EXPECT_LT(report.mean_speed_fraction, 1.0);
   EXPECT_GT(report.mean_speed_fraction, 0.0);
+  // ...and pooled placement holds exactly what each job asked for, so no
+  // CPU or memory is ever marooned.
+  EXPECT_EQ(report.jobs.mean_marooned_cpu, 0.0);
+  EXPECT_EQ(report.jobs.mean_marooned_memory, 0.0);
 }
 
 TEST(Cosim, ClosedLoopStretchBoundedByFloor) {

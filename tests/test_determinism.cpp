@@ -11,7 +11,6 @@
 
 #include "cosim/rack_cosim.hpp"
 #include "cpusim/trace.hpp"
-#include "disagg/job_scheduler.hpp"
 #include "sim/rng.hpp"
 #include "workloads/cpu_profiles.hpp"
 #include "workloads/generators.hpp"
@@ -136,45 +135,11 @@ TEST(Determinism, SyntheticTraceBatchSizeDoesNotChangeStream) {
 }
 
 // ---------------------------------------------------------------------------
-// Seed sensitivity of the job-stream simulators (ISSUE 4 satellite): the
-// same seed must reproduce byte-identical reports, and seed+1 must diverge —
+// Seed sensitivity of the rack co-simulation (ISSUE 4 satellite): the same
+// seed must reproduce byte-identical reports, and seed+1 must diverge —
 // guarding the PR 2 id-hash seed derivation against a silent "all seeds
 // collapse to one stream" regression.
 // ---------------------------------------------------------------------------
-
-disagg::JobSimConfig job_stream_config(std::uint64_t seed) {
-  disagg::JobSimConfig cfg;
-  cfg.sim_time = 200 * sim::kPsPerMs;
-  cfg.arrivals_per_ms = 4.0;
-  cfg.seed = seed;
-  return cfg;
-}
-
-TEST(SeedSensitivity, JobStreamSameSeedIsBitIdentical) {
-  const auto a = disagg::run_job_stream({}, disagg::AllocationPolicy::kStaticNodes,
-                                        workloads::UsageModel::cori(),
-                                        job_stream_config(7));
-  const auto b = disagg::run_job_stream({}, disagg::AllocationPolicy::kStaticNodes,
-                                        workloads::UsageModel::cori(),
-                                        job_stream_config(7));
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.accepted, b.accepted);
-  // EXPECT_EQ on doubles: bit-identical, not merely close.
-  EXPECT_EQ(a.mean_cpu_utilization, b.mean_cpu_utilization);
-  EXPECT_EQ(a.mean_memory_utilization, b.mean_memory_utilization);
-  EXPECT_EQ(a.mean_marooned_memory, b.mean_marooned_memory);
-}
-
-TEST(SeedSensitivity, JobStreamSeedPlusOneDiverges) {
-  const auto a = disagg::run_job_stream({}, disagg::AllocationPolicy::kStaticNodes,
-                                        workloads::UsageModel::cori(),
-                                        job_stream_config(7));
-  const auto b = disagg::run_job_stream({}, disagg::AllocationPolicy::kStaticNodes,
-                                        workloads::UsageModel::cori(),
-                                        job_stream_config(8));
-  EXPECT_TRUE(a.offered != b.offered || a.accepted != b.accepted ||
-              a.mean_memory_utilization != b.mean_memory_utilization);
-}
 
 cosim::CosimConfig cosim_config(std::uint64_t seed) {
   cosim::CosimConfig cfg;
