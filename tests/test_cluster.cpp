@@ -170,37 +170,65 @@ TEST(Cluster, FlowFractionsPoolBandwidthAcrossRacks) {
   EXPECT_EQ(report.total.jobs.events.pending_peak, deepest);
 }
 
+// Fault inputs reach the one path where a revoked spilled job returns its
+// grant and retries as a local job: every accepted job still ends exactly
+// once (completed or killed), and every grant still comes back.
 TEST(Cluster, SpillBookkeepingConservesJobsAndBandwidth) {
-  auto cfg = quick_cosim(8.0);
-  cfg.admission = cosim::AdmissionPolicy::kQueue;
-  cfg.queue_cap = 4;
-  ClusterConfig cluster;
-  cluster.racks = 3;
-  cluster.spill = SpillPolicy::kNext;
-  const auto report = run_cluster(cluster, cfg);
-  EXPECT_GT(report.spilled, 0u);
-  EXPECT_LE(report.spill_failed, report.spilled);
-  // Offers are recorded at the origin rack only, acceptance where the job
-  // actually ran — totals are exact sums either way.
-  std::uint64_t offered = 0, accepted = 0;
-  for (const auto& rack : report.racks) {
-    offered += rack.jobs.offered;
-    accepted += rack.jobs.accepted;
+  const struct {
+    cosim::AdmissionPolicy admission;
+    bool faults;
+    fault::ResiliencePolicy resilience;
+  } cases[] = {
+      {cosim::AdmissionPolicy::kQueue, false, fault::ResiliencePolicy::kRequeue},
+      {cosim::AdmissionPolicy::kDrop, true, fault::ResiliencePolicy::kRequeue},
+      {cosim::AdmissionPolicy::kDrop, true, fault::ResiliencePolicy::kKill},
+      {cosim::AdmissionPolicy::kQueue, true, fault::ResiliencePolicy::kRequeue},
+      {cosim::AdmissionPolicy::kQueue, true, fault::ResiliencePolicy::kKill},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << cosim::admission_policy_codec().name(c.admission) << " faults="
+                 << c.faults << " " << fault::resilience_policy_codec().name(c.resilience));
+    auto cfg = quick_cosim(8.0);
+    cfg.admission = c.admission;
+    cfg.queue_cap = 4;
+    cfg.fault.enabled = c.faults;
+    cfg.fault.policy = c.resilience;
+    cfg.fault.mcm_mtbf_ms = 60.0;
+    cfg.fault.node_mtbf_ms = 240.0;
+    ClusterConfig cluster;
+    cluster.racks = 3;
+    cluster.spill = SpillPolicy::kNext;
+    const auto report = run_cluster(cluster, cfg);
+    EXPECT_GT(report.spilled, 0u);
+    EXPECT_LE(report.spill_failed, report.spilled);
+    // Offers are recorded at the origin rack only, acceptance where the job
+    // actually ran — totals are exact sums either way.
+    std::uint64_t offered = 0, accepted = 0;
+    for (const auto& rack : report.racks) {
+      offered += rack.jobs.offered;
+      accepted += rack.jobs.accepted;
+    }
+    EXPECT_EQ(report.total.jobs.offered, offered);
+    EXPECT_EQ(report.total.jobs.accepted, accepted);
+    if (c.faults) {
+      EXPECT_GT(report.total.fault.interrupted, 0u);
+      EXPECT_EQ(report.total.jobs.accepted,
+                report.total.fault.goodput_jobs + report.total.fault.killed);
+    }
+    // Every inter-rack grant is returned when its job closes: after a full
+    // drain the interconnect must be idle (up to release rounding dust),
+    // while its always-on uplinks burned power the whole run (the
+    // cluster-scale energy tax).
+    EXPECT_LT(report.interconnect_utilization, 1e-12);
+    EXPECT_GT(report.interconnect_power_w, 0.0);
+    EXPECT_GT(report.interconnect_energy_j, 0.0);
+    EXPECT_GT(report.total.energy_joules,
+              std::accumulate(report.racks.begin(), report.racks.end(), 0.0,
+                              [](double s, const cosim::CosimReport& r) {
+                                return s + r.energy_joules;
+                              }));  // total folds the interconnect in
   }
-  EXPECT_EQ(report.total.jobs.offered, offered);
-  EXPECT_EQ(report.total.jobs.accepted, accepted);
-  // Every inter-rack grant is returned when its job closes: after a full
-  // drain the interconnect must be idle (up to release rounding dust), while
-  // its always-on uplinks burned power the whole run (the cluster-scale
-  // energy tax).
-  EXPECT_LT(report.interconnect_utilization, 1e-12);
-  EXPECT_GT(report.interconnect_power_w, 0.0);
-  EXPECT_GT(report.interconnect_energy_j, 0.0);
-  EXPECT_GT(report.total.energy_joules,
-            std::accumulate(report.racks.begin(), report.racks.end(), 0.0,
-                            [](double s, const cosim::CosimReport& r) {
-                              return s + r.energy_joules;
-                            }));  // total folds the interconnect in
 }
 
 TEST(Cluster, RackScaleKeepsUplinksDark) {

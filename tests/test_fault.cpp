@@ -356,48 +356,56 @@ TEST(FaultCosim, SameSeedSameFaultTrajectory) {
   EXPECT_NE(a.fault.work_lost_ms, c.fault.work_lost_ms);
 }
 
-// Every accepted job ends exactly one way — completed (goodput) or killed —
-// or is still waiting in the backlog; nothing is double-counted and the
-// allocator drains to zero live allocations.
+// Every accepted job ends exactly one way — completed (goodput) or killed;
+// after the drain nothing waits in the backlog, nothing is double-counted
+// and the allocator holds zero live allocations.  Both admission modes run:
+// a drop-mode retry re-places directly, a queue-mode one waits in the
+// backlog, and both must conserve jobs.
 TEST(FaultCosim, PolicyConservationAndDrain) {
-  for (const auto policy : {ResiliencePolicy::kKill, ResiliencePolicy::kRequeue,
-                            ResiliencePolicy::kDegrade}) {
-    auto cfg = quick_cosim();
-    cfg.queue_cap = 64;
-    cfg.admission = cosim::AdmissionPolicy::kQueue;
-    cfg.fault.enabled = true;
-    cfg.fault.policy = policy;
-    cfg.fault.mcm_mtbf_ms = 60.0;
-    cfg.fault.node_mtbf_ms = 240.0;
+  for (const auto admission :
+       {cosim::AdmissionPolicy::kDrop, cosim::AdmissionPolicy::kQueue}) {
+    for (const auto policy : {ResiliencePolicy::kKill, ResiliencePolicy::kRequeue,
+                              ResiliencePolicy::kDegrade}) {
+      SCOPED_TRACE(cosim::admission_policy_codec().name(admission) + " / " +
+                   resilience_policy_codec().name(policy));
+      auto cfg = quick_cosim();
+      cfg.queue_cap = 64;
+      cfg.admission = admission;
+      cfg.fault.enabled = true;
+      cfg.fault.policy = policy;
+      cfg.fault.mcm_mtbf_ms = 60.0;
+      cfg.fault.node_mtbf_ms = 240.0;
 
-    cosim::RackCosim sim({}, disagg::AllocationPolicy::kDisaggregated,
-                         workloads::UsageModel::cori(), cfg);
-    sim.finish();
-    const auto report = sim.report();
+      cosim::RackCosim sim({}, disagg::AllocationPolicy::kDisaggregated,
+                           workloads::UsageModel::cori(), cfg);
+      sim.finish();
+      const auto report = sim.report();
 
-    EXPECT_GT(report.fault.faults, 0u);
-    EXPECT_EQ(report.fault.repairs, report.fault.faults);
-    EXPECT_GT(report.fault.interrupted, 0u);
-    EXPECT_GT(report.fault.goodput_jobs, 0u);
-    EXPECT_LE(report.fault.goodput_jobs + report.fault.killed,
-              report.jobs.accepted);
-    EXPECT_GT(report.fault.work_lost_ms, 0.0);
-    EXPECT_GT(report.fault.availability, 0.0);
-    EXPECT_LT(report.fault.availability, 1.0);
-    EXPECT_GT(report.fault.mean_mttr_ms, 0.0);
+      EXPECT_GT(report.fault.faults, 0u);
+      EXPECT_EQ(report.fault.repairs, report.fault.faults);
+      EXPECT_GT(report.fault.interrupted, 0u);
+      EXPECT_GT(report.fault.goodput_jobs, 0u);
+      EXPECT_EQ(report.fault.goodput_jobs + report.fault.killed,
+                report.jobs.accepted);
+      EXPECT_EQ(sim.queued_jobs(), 0u);
+      EXPECT_GT(report.fault.work_lost_ms, 0.0);
+      EXPECT_GT(report.fault.availability, 0.0);
+      EXPECT_LT(report.fault.availability, 1.0);
+      EXPECT_GT(report.fault.mean_mttr_ms, 0.0);
 
-    if (policy == ResiliencePolicy::kKill) {
-      EXPECT_EQ(report.fault.requeued, 0u);
-      EXPECT_EQ(report.fault.killed, report.fault.interrupted);
-    } else {
-      EXPECT_GT(report.fault.requeued, 0u);
+      if (policy == ResiliencePolicy::kKill) {
+        EXPECT_EQ(report.fault.requeued, 0u);
+        EXPECT_EQ(report.fault.killed, report.fault.interrupted);
+      } else {
+        EXPECT_GT(report.fault.requeued, 0u);
+      }
+      if (policy == ResiliencePolicy::kDegrade) EXPECT_GT(report.fault.degraded, 0u);
+
+      EXPECT_EQ(sim.live_jobs(), 0u);
+      EXPECT_EQ(sim.allocator().live_allocations(), 0u);
+      const auto& counters = sim.allocator().counters();
+      EXPECT_EQ(counters.revocations + counters.releases, counters.placements);
     }
-    if (policy == ResiliencePolicy::kDegrade) EXPECT_GT(report.fault.degraded, 0u);
-
-    EXPECT_EQ(sim.live_jobs(), 0u);
-    EXPECT_EQ(sim.allocator().live_allocations(), 0u);
-    const auto& counters = sim.allocator().counters();
-    EXPECT_EQ(counters.revocations + counters.releases, counters.placements);
   }
 }
 
