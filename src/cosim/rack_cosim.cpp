@@ -921,6 +921,12 @@ void RackCosim::admit(JobPlan plan, sim::TimePs arrived, int retries) {
       obs_.trace->instant(obs::Track::kJobs, queued ? "queue_drop" : "reject", now);
     }
   }
+  // Step the trace on EVERY admission, refused ones included: the level
+  // changes on any placement (a retry's too), and the integration point
+  // must advance to the last event or the tail of the horizon silently
+  // drops out of the total (an all-rejected stream still burns idle +
+  // lasers-on photonic power).
+  step_energy();
 }
 
 void RackCosim::on_arrival() {
@@ -935,12 +941,6 @@ void RackCosim::on_arrival() {
   JobPlan plan = make_plan(job_rng);
   if (plan.ml.is_ml) tally_.ml.offer();
   admit(std::move(plan), queue_.now(), 0);
-  // Step the trace on EVERY arrival, rejected ones included: the level only
-  // changes on placements, but the integration point must advance to the
-  // last event or the tail of the horizon silently drops out of the total
-  // (an all-rejected stream still burns idle + lasers-on photonic power).
-  step_energy();
-
   tally_.jobs.sample(allocator_);
   schedule_next_arrival();
 }
@@ -955,7 +955,6 @@ void RackCosim::inject_remote_job(JobPlan plan, sim::TimePs deliver_at,
     // accounted where it runs) but NOT offered here — the origin rack
     // already counted the offer, so cluster totals add up.
     admit(std::move(plan), arrived, 0);
-    step_energy();
   });
 }
 

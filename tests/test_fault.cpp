@@ -551,6 +551,56 @@ TEST(FaultCosim, RequeuePushThenDrainConservesJobsAndStaysDeterministic) {
   expect_same_report(a, b);
 }
 
+// Energy oracle: the power level can only change when an event moves the
+// allocator, so stepping a faulty run one event at a time and integrating
+// the level recomputed from the pools after each event must reproduce the
+// reported energy.  A fault retry that places a job (directly under drop,
+// through the backlog under queue) moves the allocator like any other
+// admission, so the trace has to step on it too.
+TEST(FaultCosim, EnergyMatchesAnEventByEventOracle) {
+  for (const auto admission :
+       {cosim::AdmissionPolicy::kDrop, cosim::AdmissionPolicy::kQueue}) {
+    for (const auto policy : {ResiliencePolicy::kRequeue, ResiliencePolicy::kDegrade}) {
+      SCOPED_TRACE(cosim::admission_policy_codec().name(admission) + " / " +
+                   resilience_policy_codec().name(policy));
+      auto cfg = faulty_requeue_cosim();
+      cfg.admission = admission;
+      cfg.fault.policy = policy;
+      const rack::RackConfig rack;
+      cosim::RackCosim sim(rack, disagg::AllocationPolicy::kDisaggregated,
+                           workloads::UsageModel::cori(), cfg);
+      const double photonic_w = sim.report().photonic_power_w;
+      const double nodes = rack.nodes;
+      const double idle = cfg.idle_power_fraction;
+      auto level = [&](double utilization, double full_watts) {
+        return full_watts * (idle + (1.0 - idle) * utilization);
+      };
+      auto rack_watts = [&] {
+        const auto& pools = sim.allocator().pools();
+        const auto& base = cfg.baseline;
+        return level(pools.cpu_utilization(), nodes * base.cpu_per_node.value) +
+               level(pools.gpu_utilization(),
+                     nodes * rack.node.gpus * base.gpu_each.value) +
+               level(pools.memory_utilization(), nodes * base.memory_per_node.value) +
+               photonic_w;
+      };
+
+      double joules = 0.0, watts = rack_watts();
+      sim::TimePs last = 0;
+      for (sim::TimePs t = sim.next_event_time(); t != INT64_MAX;
+           t = sim.next_event_time()) {
+        sim.advance_to(t + 1);  // every event at t, nothing later
+        joules += watts * (sim::to_s(t) - sim::to_s(last));
+        last = t;
+        watts = rack_watts();
+      }
+      const auto report = sim.report();
+      EXPECT_GT(report.fault.requeued, 0u);
+      EXPECT_NEAR(report.energy_joules, joules, 1e-9 * joules);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Campaign determinism: the two fault campaigns serialize byte-identically
 // at every --jobs level (the same pin test_scenario.cpp holds for the
