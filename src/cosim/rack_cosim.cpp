@@ -854,9 +854,7 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
     node_owner_[static_cast<std::size_t>(ev.a)] = 0;
   }
   engine_.refresh_view(now);
-  if (!fail) {
-    drain_backlog();  // restored capacity may admit backlogged work
-  } else {
+  if (fail) {
     for (const std::uint64_t id : victims_of(ev)) {
       // A crashed node cannot run degraded — its CPUs are gone.  Fabric
       // faults can: drop the dead flows and re-stretch the remainder.
@@ -874,6 +872,8 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
       allocator_.take_nodes_offline(1);
       node_owner_[static_cast<std::size_t>(ev.a)] = kNodeOffline;
     }
+  } else {
+    drain_backlog();  // restored capacity may admit backlogged work
   }
   step_energy();
 }
@@ -890,7 +890,7 @@ void RackCosim::admit(JobPlan plan, sim::TimePs arrived, int retries) {
   if (queued) {
     admitted = backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap);
     if (admitted) {
-      if (obs_.trace && !retry && !spilled)
+      if (obs_.trace && !retry && !spilled)  // fresh arrivals only
         obs_.trace->instant(obs::Track::kJobs, "enqueue", now);
       backlog_.push_back(PendingJob{std::move(plan), arrived, retries});
       drain_backlog();

@@ -401,18 +401,13 @@ class RackCosim {
   void step_energy();
   void schedule_next_arrival();
   void on_arrival();
-  /// The one admission decision, for every origin: local arrivals,
-  /// spilled deliveries (plan.remote_link >= 0) and fault retries
-  /// (retries > 0) differ only in what happens when the rack refuses them.
+  /// The one admission decision.  Local arrivals, spilled deliveries
+  /// (plan.remote_link >= 0) and fault retries (retries > 0) differ only in
+  /// what happens when the rack refuses them.
   void admit(JobPlan plan, sim::TimePs arrived, int retries);
-  /// Place now or return false.  Statistics are recorded only for a job's
-  /// first placement (retries == 0).
   bool try_start(const JobPlan& plan, sim::TimePs arrived, int retries);
   void complete_job(std::uint64_t job_id);
-  /// The one teardown, shared by completion and revocation: removes the
-  /// live job, cancels its completion (a no-op once fired), aborts its
-  /// collective, closes its flows, releases (or revokes) its allocation,
-  /// unbinds its nodes and returns a spilled job's inter-rack grant.
+  /// The one teardown, shared by completion and revocation.
   LiveJob teardown(std::uint64_t job_id, bool revoke);
   void drain_backlog();
 
