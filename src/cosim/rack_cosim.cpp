@@ -591,8 +591,13 @@ RackCosim::LiveJob RackCosim::teardown(std::uint64_t job_id, bool revoke) {
   }
   --live_jobs_;
   unbind_nodes(job);
-  // A spill hands back its inter-rack reservation whichever way it ends.
+  // A spill hands back its inter-rack reservation whichever way it ends and
+  // drops the tag: a retry re-enters THIS rack's admission path as an
+  // untagged local job, so the grant can never be released twice.
   close_remote(job.plan, /*placed=*/true);
+  job.plan.remote_speed_cap = 1.0;
+  job.plan.remote_link = -1;
+  job.plan.remote_gbps = 0.0;
   return job;
 }
 
@@ -755,12 +760,6 @@ void RackCosim::revoke_job(std::uint64_t job_id, const fault::FaultEvent& ev) {
         obs::Track::kFaults, "revoke", now,
         {{"job", static_cast<double>(job_id)},
          {"cls", static_cast<double>(static_cast<int>(ev.cls))}});
-  // Teardown already handed back a spill's inter-rack reservation; any
-  // retry re-enters THIS rack's admission path as an untagged local job, so
-  // the grant can never be released twice.
-  job.plan.remote_speed_cap = 1.0;
-  job.plan.remote_link = -1;
-  job.plan.remote_gbps = 0.0;
   if (cfg_.fault.policy == fault::ResiliencePolicy::kKill) {
     ++tally_.fault.killed;
     if (obs_.trace) obs_.trace->instant(obs::Track::kFaults, "kill", now);
