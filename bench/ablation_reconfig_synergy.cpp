@@ -92,7 +92,8 @@ int main() {
     const int src = static_cast<int>(rng.below(64));
     int dst = static_cast<int>(rng.below(64));
     if (dst == src) dst = (dst + 1) % 64;
-    auto r = awgr_router.route(src, dst, demand.sample_gbps(rng));
+    net::RouteResult r;
+    awgr_router.route(src, dst, demand.sample_gbps(rng), r);
     if (r.fully_satisfied()) ++placed;
     held.push_back(std::move(r));
     if (held.size() > 64) {  // rolling departures keep load bounded

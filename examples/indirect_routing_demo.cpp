@@ -24,7 +24,8 @@ int main() {
                     "2nd hops"});
   std::vector<net::RouteResult> held;
   for (const double demand : {50.0, 125.0, 500.0, 2000.0, 8000.0}) {
-    auto result = router.route(src, dst, demand);
+    net::RouteResult result;
+    router.route(src, dst, demand, result);
     table.add_row({sim::fmt_fixed(result.requested, 0),
                    sim::fmt_fixed(result.direct_gbps, 0),
                    sim::fmt_fixed(result.indirect_gbps, 0),

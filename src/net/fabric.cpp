@@ -5,6 +5,25 @@
 
 namespace photorack::net {
 
+namespace {
+
+void put_bit(std::uint64_t& word, int bit, bool on) {
+  word = (word & ~(std::uint64_t{1} << bit)) | (std::uint64_t{on} << bit);
+}
+
+/// Set bits [lo, hi) of the bitset at `bits`.
+void set_run(std::uint64_t* bits, int lo, int hi) {
+  for (int i = lo; i < hi;) {
+    const int bit = i % 64;
+    const int n = std::min(64 - bit, hi - i);
+    const std::uint64_t ones = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    bits[i / 64] |= ones << bit;
+    i += n;
+  }
+}
+
+}  // namespace
+
 WavelengthFabric::WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan)
     : mcms_(mcms),
       radix_(plan.awgr_radix),
@@ -35,6 +54,35 @@ WavelengthFabric::WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan)
       }
     }
   }
+  // The bitsets follow from the coverage rule rather than pair by pair.  An
+  // idle pair's free capacity depends only on its wavelength index and does
+  // not grow with it (fewer ports drive a higher index), so the free pairs
+  // are those whose index lies below a cut, and row s is at most two runs
+  // of destinations: s + d below the cut, and s + d - radix below it.
+  // Coverage is symmetric in (s, d), so the idle columns equal the rows.
+  const auto idle_free = [this](int lambda) {
+    double free = 0.0;
+    for (const int n : lambdas_)
+      if (lambda < n) free += gbps_per_lambda_;
+    return free;
+  };
+  int cut = 0;
+  for (int hi = radix_; cut < hi;) {
+    const int mid = cut + (hi - cut) / 2;
+    if (idle_free(mid) > kGbpsEpsilon)
+      cut = mid + 1;
+    else
+      hi = mid;
+  }
+  words_ = (static_cast<std::size_t>(mcms_) + 63) / 64;
+  row_bits_.assign(static_cast<std::size_t>(mcms_) * words_, 0);
+  for (int s = 0; s < mcms_; ++s) {
+    std::uint64_t* row = row_bits_.data() + static_cast<std::size_t>(s) * words_;
+    set_run(row, 0, std::min(mcms_, cut - s));
+    set_run(row, radix_ - s, std::min(mcms_, radix_ - s + cut));
+    put_bit(row[s / 64], s % 64, false);
+  }
+  col_bits_ = row_bits_;
 }
 
 bool WavelengthFabric::covers(int awgr, int src, int dst) const {
@@ -68,7 +116,8 @@ void WavelengthFabric::set_cell(std::size_t c, double value) {
   if (nonzero_cells_ == 0) used_ = 0.0;
 }
 
-void WavelengthFabric::refresh_free(std::size_t pair) {
+void WavelengthFabric::refresh_free(int src, int dst) {
+  const std::size_t pair = idx(src, dst);
   // The scale != 1 branch clamps at zero because reservations made before a
   // degradation may exceed the reduced capacity; the healthy branch keeps
   // the historical expression bit for bit (it can carry an epsilon-negative
@@ -81,6 +130,9 @@ void WavelengthFabric::refresh_free(std::size_t pair) {
                          : std::max(0.0, gbps_per_lambda_ * scale - alloc_[c]);
   }
   free_[pair] = free;
+  const bool on = free > kGbpsEpsilon;
+  put_bit(row_bits_[static_cast<std::size_t>(src) * words_ + dst / 64], dst % 64, on);
+  put_bit(col_bits_[static_cast<std::size_t>(dst) * words_ + src / 64], src % 64, on);
 }
 
 double WavelengthFabric::allocated(int src, int dst) const {
@@ -106,14 +158,14 @@ double WavelengthFabric::allocate_direct(int src, int dst, double gbps) {
     set_cell(c, used + take);
     granted += take;
   }
-  refresh_free(pair);
+  refresh_free(src, dst);
   return granted;
 }
 
 void WavelengthFabric::release_direct(int src, int dst, double gbps) {
   // Refuse before touching any table, as RackAllocator refuses a double
   // free: a throwing release leaves the fabric exactly as it was.
-  if (gbps > allocated(src, dst) + 1e-9)
+  if (gbps > allocated(src, dst) + kGbpsEpsilon)
     throw std::logic_error("release_direct: released more than allocated");
   const std::size_t pair = idx(src, dst);
   for (std::size_t c = pair; c < alloc_.size() && gbps > 0.0; c += pairs_) {
@@ -122,7 +174,7 @@ void WavelengthFabric::release_direct(int src, int dst, double gbps) {
     set_cell(c, alloc_[c] - give);
     gbps -= give;
   }
-  refresh_free(pair);
+  refresh_free(src, dst);
 }
 
 std::vector<double> WavelengthFabric::allocation_snapshot() const { return alloc_; }
@@ -161,7 +213,7 @@ void WavelengthFabric::recompute_scale(int src, int dst) {
   double scale = 1.0;
   for (const double f : live) scale *= f;
   scale_[idx(src, dst)] = scale;
-  refresh_free(idx(src, dst));
+  refresh_free(src, dst);
   capacity_dirty_ = true;
 }
 

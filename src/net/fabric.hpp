@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "phot/units.hpp"
@@ -8,6 +9,11 @@
 #include "sim/time.hpp"
 
 namespace photorack::net {
+
+/// Gb/s at or below which an amount counts as nothing.  A pair is free when
+/// its free_direct() exceeds this, and routing treats a demand, placement or
+/// stranded residue at or under it as zero.
+inline constexpr double kGbpsEpsilon = 1e-9;
 
 /// Geometry of a co-sim-scale all-pairs wavelength fabric: `mcms` endpoints
 /// where every (src, dst) pair gets `lambdas_per_pair` dedicated DWDM
@@ -33,9 +39,12 @@ struct FabricSliceConfig {
 ///
 /// Derived state is kept current rather than rescanned.  Every call that
 /// changes a pair's allocation or scale rewrites that pair's entry of a flat
-/// free table, so free_direct() is one load and a piggyback refresh is a
-/// copy of the table.  utilization() divides a running used total by a
-/// cached capacity total.
+/// free table, so free_direct() is one load, and the pair's bit in two
+/// bitsets of `bit_words()` words per MCM: row `src` has bit `mid` set when
+/// src->mid is free, column `dst` has bit `mid` set when mid->dst is free
+/// (both "free > kGbpsEpsilon").  The router ANDs a row with a column to
+/// find intermediates, and a piggyback refresh copies the columns.
+/// utilization() divides a running used total by a cached capacity total.
 class WavelengthFabric {
  public:
   WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan);
@@ -57,8 +66,19 @@ class WavelengthFabric {
   [[nodiscard]] double free_direct(int src, int dst) const { return free_[idx(src, dst)]; }
   [[nodiscard]] double allocated(int src, int dst) const;
 
-  /// free_direct() of every pair, indexed [src*mcms+dst].
-  [[nodiscard]] const std::vector<double>& free_table() const { return free_; }
+  /// 64-bit words per bitset row or column: one bit per MCM.
+  [[nodiscard]] std::size_t bit_words() const { return words_; }
+  /// Bit `mid` set when free_direct(src, mid) > kGbpsEpsilon.
+  [[nodiscard]] std::span<const std::uint64_t> free_row(int src) const {
+    return {row_bits_.data() + static_cast<std::size_t>(src) * words_, words_};
+  }
+  /// Bit `mid` set when free_direct(mid, dst) > kGbpsEpsilon.
+  [[nodiscard]] std::span<const std::uint64_t> free_col(int dst) const {
+    return {col_bits_.data() + static_cast<std::size_t>(dst) * words_, words_};
+  }
+  /// Every column, column `dst` at [dst * bit_words()]: what a piggyback
+  /// refresh copies.
+  [[nodiscard]] const std::vector<std::uint64_t>& free_cols() const { return col_bits_; }
 
   /// Reserve up to `gbps` of direct capacity; returns the amount actually
   /// reserved (fills AWGRs in index order — deterministic).
@@ -123,6 +143,9 @@ class WavelengthFabric {
   std::vector<double> alloc_;            // allocated Gb/s
   std::vector<std::uint8_t> covered_;    // covers(a, src, dst)
   std::vector<double> free_;             // [src*mcms+dst] free_direct value
+  std::size_t words_ = 0;                // bitset words per row / column
+  std::vector<std::uint64_t> row_bits_;  // [src*words + mid/64]: src->mid free
+  std::vector<std::uint64_t> col_bits_;  // [dst*words + mid/64]: mid->dst free
   std::vector<double> scale_;            // per-pair effective multiplier (lazy)
   std::vector<std::vector<double>> factors_;  // per-pair live fault factors (lazy)
   mutable double capacity_ = 0.0;        // Σ scaled capacity of covered cells
@@ -132,9 +155,10 @@ class WavelengthFabric {
 
   void check_pair(int src, int dst, double value, const char* who) const;
   void recompute_scale(int src, int dst);
-  /// Rewrite free_[pair] from the pair's cells; after construction, the only
-  /// writer of free_.
-  void refresh_free(std::size_t pair);
+  /// Rewrite the pair's free_ entry from its cells, and its row and column
+  /// bits from that value; after construction, the only writer of free_ and
+  /// of both bitsets.
+  void refresh_free(int src, int dst);
   /// Store `value` in cell `c`, carrying its change into used_; after
   /// construction, the only writer of alloc_.
   void set_cell(std::size_t c, double value);

@@ -27,7 +27,20 @@ void FlowEngine::refresh_view(sim::TimePs now) {
 
 std::uint64_t FlowEngine::open(const FlowSpec& spec, sim::TimePs now) {
   obs::ScopedTimer timer(obs_.profiler, sc_open_);
-  RouteResult result = router_.route(spec.src, spec.dst, spec.gbps);
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  // The slot leaves the free list only once routing succeeded.
+  const std::uint32_t index = free_slots_.back();
+  Slot& slot = slots_[index];
+  router_.route(spec.src, spec.dst, spec.gbps, slot.result);
+  free_slots_.pop_back();
+  slot.live = true;
+  slot.opened_at = now;
+  slot.src = spec.src;
+  slot.dst = spec.dst;
+  const RouteResult& result = slot.result;
   ++tally_.flows;
   if (result.fully_satisfied()) ++tally_.fully_satisfied;
   tally_.offered.add(spec.gbps);
@@ -37,42 +50,35 @@ std::uint64_t FlowEngine::open(const FlowSpec& spec, sim::TimePs now) {
   tally_.direct += result.direct_gbps;
   tally_.indirect += result.indirect_gbps;
   tally_.peak_utilization = std::max(tally_.peak_utilization, fabric_->utilization());
-  const std::uint64_t id = next_id_++;
-  if (obs_.trace) {
-    // Span endpoints are only known at close; remember the opening here.
-    opened_.emplace(id, OpenedAt{now, spec.gbps,
-                                 spec.gbps > 0.0 ? result.satisfied() / spec.gbps : 1.0,
-                                 spec.src, spec.dst});
-  }
-  live_.emplace(id, std::move(result));
-  return id;
+  return std::uint64_t{slot.generation} << 32 | index;
+}
+
+std::uint32_t FlowEngine::live_slot(std::uint64_t flow_id, const char* what) const {
+  const auto index = static_cast<std::uint32_t>(flow_id);
+  if (index >= slots_.size() || !slots_[index].live ||
+      slots_[index].generation != flow_id >> 32)
+    throw std::out_of_range(what + std::to_string(flow_id));
+  return index;
 }
 
 const RouteResult& FlowEngine::result(std::uint64_t flow_id) const {
-  const auto it = live_.find(flow_id);
-  if (it == live_.end())
-    throw std::out_of_range("FlowEngine: no live flow with id " + std::to_string(flow_id));
-  return it->second;
+  return slots_[live_slot(flow_id, "FlowEngine: no live flow with id ")].result;
 }
 
 void FlowEngine::close(std::uint64_t flow_id, sim::TimePs now) {
-  const auto it = live_.find(flow_id);
-  if (it == live_.end())
-    throw std::out_of_range("FlowEngine: closing unknown flow id " +
-                            std::to_string(flow_id));
-  router_.release(it->second);
-  live_.erase(it);
+  const std::uint32_t index = live_slot(flow_id, "FlowEngine: closing unknown flow id ");
+  Slot& slot = slots_[index];
+  router_.release(slot.result);
+  slot.live = false;
+  ++slot.generation;
+  free_slots_.push_back(index);
   if (obs_.trace) {
-    const auto opened = opened_.find(flow_id);
-    if (opened != opened_.end()) {
-      const OpenedAt& o = opened->second;
-      obs_.trace->complete(obs::Track::kFlows, "flow", o.at, now,
-                           {{"src", static_cast<double>(o.src)},
-                            {"dst", static_cast<double>(o.dst)},
-                            {"gbps", o.gbps},
-                            {"satisfied", o.satisfied}});
-      opened_.erase(opened);
-    }
+    const double gbps = slot.result.requested;
+    obs_.trace->complete(obs::Track::kFlows, "flow", slot.opened_at, now,
+                         {{"src", static_cast<double>(slot.src)},
+                          {"dst", static_cast<double>(slot.dst)},
+                          {"gbps", gbps},
+                          {"satisfied", gbps > 0.0 ? slot.result.satisfied() / gbps : 1.0}});
   }
 }
 

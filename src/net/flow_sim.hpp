@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/routing.hpp"
@@ -71,6 +70,12 @@ struct FlowTally {
 /// view and router, so any event-driven layer — FlowSimulator's Poisson
 /// arrivals or the rack co-simulation's job-emitted traffic — can share the
 /// same contention model without re-implementing the bookkeeping.
+///
+/// Live flows sit in a slot vector recycled through a free list, and a
+/// reused slot keeps its route's segment capacity, so steady-state open and
+/// close allocate nothing.  A flow handle carries the slot index and the
+/// slot's generation, which every close advances: a closed handle never
+/// matches again, even after its slot is reused.
 class FlowEngine {
  public:
   FlowEngine(WavelengthFabric& fabric, sim::TimePs piggyback_interval,
@@ -93,38 +98,44 @@ class FlowEngine {
   /// for result() / close().  `now` is the caller's sim time, used only for
   /// trace span endpoints (callers without a clock may leave it 0).
   std::uint64_t open(const FlowSpec& spec, sim::TimePs now = 0);
-  /// Routing outcome of a live flow (throws std::out_of_range for dead ids).
+  /// Routing outcome of a live flow (throws std::out_of_range for a closed
+  /// or unknown handle).  The reference is valid until the next open().
   [[nodiscard]] const RouteResult& result(std::uint64_t flow_id) const;
-  /// Release every segment the flow reserved; the id becomes invalid.
+  /// Release every segment the flow reserved; the handle becomes invalid.
   void close(std::uint64_t flow_id, sim::TimePs now = 0);
 
-  [[nodiscard]] std::uint64_t live_flows() const { return live_.size(); }
+  [[nodiscard]] std::uint64_t live_flows() const {
+    return slots_.size() - free_slots_.size();
+  }
   [[nodiscard]] double fabric_utilization() const { return fabric_->utilization(); }
   /// Snapshot of the cumulative statistics over every open() so far.
   [[nodiscard]] FlowTally tally() const;
   [[nodiscard]] FlowSimReport report() const { return tally().report(); }
 
  private:
-  /// Trace-only record of a live flow's opening, kept solely while a
-  /// TraceRecorder is attached (the uninstrumented engine carries no extra
-  /// per-flow state).
-  struct OpenedAt {
-    sim::TimePs at = 0;
-    double gbps = 0.0;
-    double satisfied = 0.0;
+  /// One flow, live or awaiting reuse on the free list.
+  struct Slot {
+    RouteResult result;
+    std::uint32_t generation = 1;  // advanced by every close
+    bool live = false;
+    // The opening, for the trace span a close emits.
+    sim::TimePs opened_at = 0;
     int src = 0;
     int dst = 0;
   };
 
+  /// Index of the live slot `flow_id` names; throws std::out_of_range with
+  /// `what` and the handle when it names none.
+  [[nodiscard]] std::uint32_t live_slot(std::uint64_t flow_id, const char* what) const;
+
   WavelengthFabric* fabric_;
   PiggybackView view_;
   IndirectRouter router_;
-  std::unordered_map<std::uint64_t, RouteResult> live_;
-  std::uint64_t next_id_ = 1;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 
   obs::Obs obs_{};
   obs::Profiler::ScopeId sc_open_ = 0, sc_refresh_ = 0;
-  std::unordered_map<std::uint64_t, OpenedAt> opened_;  // trace mode only
 
   FlowTally tally_;  // router counters (mispicks, second hops) filled by tally()
 };

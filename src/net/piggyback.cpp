@@ -3,10 +3,13 @@
 namespace photorack::net {
 
 PiggybackView::PiggybackView(const WavelengthFabric& fabric, sim::TimePs update_interval)
-    : fabric_(&fabric), interval_(update_interval), snapshot_(fabric.free_table()) {}
+    : fabric_(&fabric),
+      interval_(update_interval),
+      words_(fabric.bit_words()),
+      cols_(fabric.free_cols()) {}
 
-double PiggybackView::stale_free_direct(int src, int dst) const {
-  return snapshot_[static_cast<std::size_t>(src) * fabric_->mcms() + dst];
+bool PiggybackView::stale_free(int src, int dst) const {
+  return (stale_col(dst)[static_cast<std::size_t>(src) / 64] >> (src % 64)) & 1;
 }
 
 bool PiggybackView::maybe_refresh(sim::TimePs now) {
@@ -16,8 +19,8 @@ bool PiggybackView::maybe_refresh(sim::TimePs now) {
 }
 
 void PiggybackView::force_refresh(sim::TimePs now) {
-  // The fabric keeps its free table current, so a broadcast round is a copy.
-  snapshot_ = fabric_->free_table();
+  // The fabric keeps its bitsets current, so a broadcast round is a copy.
+  cols_ = fabric_->free_cols();
   last_refresh_ = now;
   ++rounds_;
 }

@@ -1,6 +1,7 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace photorack::net {
 
@@ -8,9 +9,11 @@ IndirectRouter::IndirectRouter(WavelengthFabric& fabric, PiggybackView& view,
                                std::uint64_t seed, Config cfg)
     : fabric_(&fabric), view_(&view), rng_(seed), cfg_(cfg) {}
 
-RouteResult IndirectRouter::route(int src, int dst, double gbps) {
-  RouteResult out;
+void IndirectRouter::route(int src, int dst, double gbps, RouteResult& out) {
   out.requested = gbps;
+  out.direct_gbps = out.indirect_gbps = out.blocked_gbps = 0.0;
+  out.intermediates_used = out.stale_mispicks = out.second_hops = 0;
+  out.segments.clear();
   ++flows_;
 
   // 1. Direct wavelengths first (§IV-A: indirect paths are considered only
@@ -23,30 +26,43 @@ RouteResult IndirectRouter::route(int src, int dst, double gbps) {
 
   // 2. Spill the remainder over Valiant intermediates.
   double remaining = gbps - direct;
-  while (remaining > 1e-9 && out.intermediates_used < cfg_.max_intermediates_per_flow) {
+  while (remaining > kGbpsEpsilon &&
+         out.intermediates_used < cfg_.max_intermediates_per_flow) {
     const double placed = try_indirect(src, dst, remaining, out);
-    if (placed <= 1e-9) break;
+    if (placed <= kGbpsEpsilon) break;
     remaining -= placed;
   }
   out.indirect_gbps = gbps - direct - remaining;
   out.blocked_gbps = remaining;
-  return out;
 }
 
 double IndirectRouter::try_indirect(int src, int dst, double gbps, RouteResult& out) {
-  // Candidate intermediates: free src->mid in the source's true local view,
-  // free mid->dst in the piggybacked view.
-  std::vector<int> candidates;
-  candidates.reserve(static_cast<std::size_t>(fabric_->mcms()));
-  for (int mid = 0; mid < fabric_->mcms(); ++mid) {
-    if (mid == src || mid == dst) continue;
-    if (fabric_->free_direct(src, mid) <= 1e-9) continue;
-    if (view_->stale_free_direct(mid, dst) <= 1e-9) continue;
-    candidates.push_back(mid);
-  }
-  if (candidates.empty()) return 0.0;
+  // Candidate intermediates: free src->mid in the source's true local view
+  // (the fabric's row), free mid->dst in the piggybacked view (the view's
+  // column), neither endpoint.  Drawing k over their count and taking the
+  // k-th set bit in ascending order picks the k-th entry of the ascending
+  // candidate list.
+  const std::span<const std::uint64_t> row = fabric_->free_row(src);
+  const std::span<const std::uint64_t> col = view_->stale_col(dst);
+  const auto candidates = [&](std::size_t w) {
+    std::uint64_t bits = row[w] & col[w];
+    if (w == static_cast<std::size_t>(src / 64)) bits &= ~(std::uint64_t{1} << (src % 64));
+    if (w == static_cast<std::size_t>(dst / 64)) bits &= ~(std::uint64_t{1} << (dst % 64));
+    return bits;
+  };
+  std::uint64_t n = 0;
+  for (std::size_t w = 0; w < row.size(); ++w) n += std::popcount(candidates(w));
+  if (n == 0) return 0.0;
 
-  const int mid = candidates[rng_.below(candidates.size())];
+  std::uint64_t k = rng_.below(n);
+  std::size_t w = 0;
+  std::uint64_t bits = candidates(0);
+  while (k >= static_cast<std::uint64_t>(std::popcount(bits))) {
+    k -= static_cast<std::uint64_t>(std::popcount(bits));
+    bits = candidates(++w);
+  }
+  for (; k > 0; --k) bits &= bits - 1;  // drop the k lowest set bits
+  const int mid = static_cast<int>(w * 64) + std::countr_zero(bits);
   ++out.intermediates_used;
 
   // First leg always succeeds (source state is current).
@@ -59,21 +75,21 @@ double IndirectRouter::try_indirect(int src, int dst, double gbps, RouteResult& 
   double placed = leg2;
   double stranded = leg1 - leg2;
 
-  if (stranded > 1e-9) {
+  if (stranded > kGbpsEpsilon) {
     ++mispicks_;
     ++out.stale_mispicks;
     if (cfg_.allow_second_hop) {
       // The intermediate repairs the shortfall through a second intermediate
       // chosen with its own current view (§IV-A's two-stage fallback).
-      for (int mid2 = 0; mid2 < fabric_->mcms() && stranded > 1e-9; ++mid2) {
+      for (int mid2 = 0; mid2 < fabric_->mcms() && stranded > kGbpsEpsilon; ++mid2) {
         if (mid2 == mid || mid2 == dst || mid2 == src) continue;
-        if (fabric_->free_direct(mid, mid2) <= 1e-9) continue;
-        if (fabric_->free_direct(mid2, dst) <= 1e-9) continue;
+        if (fabric_->free_direct(mid, mid2) <= kGbpsEpsilon) continue;
+        if (fabric_->free_direct(mid2, dst) <= kGbpsEpsilon) continue;
         const double want = std::min({stranded, fabric_->free_direct(mid, mid2),
                                       fabric_->free_direct(mid2, dst)});
         const double a = fabric_->allocate_direct(mid, mid2, want);
         const double b = fabric_->allocate_direct(mid2, dst, a);
-        if (a - b > 1e-9) fabric_->release_direct(mid, mid2, a - b);
+        if (a - b > kGbpsEpsilon) fabric_->release_direct(mid, mid2, a - b);
         if (b > 0.0) {
           out.segments.push_back({mid, mid2, b});
           out.segments.push_back({mid2, dst, b});
@@ -85,7 +101,7 @@ double IndirectRouter::try_indirect(int src, int dst, double gbps, RouteResult& 
       }
     }
     // Whatever could not be repaired is returned to the first leg.
-    if (stranded > 1e-9) fabric_->release_direct(src, mid, stranded);
+    if (stranded > kGbpsEpsilon) fabric_->release_direct(src, mid, stranded);
   }
 
   if (placed > 0.0) {

@@ -28,7 +28,7 @@ struct RouteResult {
   std::vector<PathSegment> segments;  // all reservations, for release()
 
   [[nodiscard]] double satisfied() const { return direct_gbps + indirect_gbps; }
-  [[nodiscard]] bool fully_satisfied() const { return blocked_gbps <= 1e-9; }
+  [[nodiscard]] bool fully_satisfied() const { return blocked_gbps <= kGbpsEpsilon; }
 };
 
 /// Distributed Valiant-style indirect routing over the AWGR fabric (§IV-A,
@@ -37,7 +37,9 @@ struct RouteResult {
 /// else's.  Indirect paths are considered only when direct bandwidth does
 /// not suffice; candidates are intermediates with a free src->mid wavelength
 /// (true state) and a free mid->dst wavelength (stale state); one candidate
-/// is chosen uniformly at random (Valiant).  A stale mis-pick is repaired by
+/// is chosen uniformly at random (Valiant): with n candidates, draw
+/// k = below(n) and take the k-th set bit, in ascending order, of the
+/// fabric's src row AND the view's dst column.  A stale mis-pick is repaired by
 /// the intermediate routing through a second intermediate using its own
 /// current view; flows are pinned to their segments to preserve ordering.
 struct RouterConfig {
@@ -52,8 +54,10 @@ class IndirectRouter {
   IndirectRouter(WavelengthFabric& fabric, PiggybackView& view, std::uint64_t seed,
                  Config cfg = {});
 
-  /// Reserve capacity for a flow of `gbps` from src to dst.
-  [[nodiscard]] RouteResult route(int src, int dst, double gbps);
+  /// Reserve capacity for a flow of `gbps` from src to dst into `out`, which
+  /// is overwritten; its segment vector keeps its capacity, so a caller that
+  /// reuses one result routes without allocating.
+  void route(int src, int dst, double gbps, RouteResult& out);
 
   /// Release every segment of a previous RouteResult.
   void release(const RouteResult& result);

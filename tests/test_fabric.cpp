@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -166,12 +167,37 @@ double reference_utilization(const WavelengthFabric& f, const std::vector<double
   return cap > 0.0 ? used / cap : 0.0;
 }
 
+bool bit_of(std::span<const std::uint64_t> set, int i) {
+  return (set[static_cast<std::size_t>(i) / 64] >> (i % 64)) & 1;
+}
+
+/// Row s bit d and column d bit s both read free_direct(s, d) > 1e-9, on
+/// every pair (self pairs included), and no bit is set past the last MCM.
+void expect_bits_match_free(const WavelengthFabric& f, int op) {
+  const int n = f.mcms();
+  ASSERT_EQ(f.bit_words(), (static_cast<std::size_t>(n) + 63) / 64);
+  for (int s = 0; s < n; ++s)
+    for (int d = 0; d < n; ++d) {
+      const bool free = f.free_direct(s, d) > 1e-9;
+      if (bit_of(f.free_row(s), d) != free || bit_of(f.free_col(d), s) != free)
+        FAIL() << "pair " << s << "->" << d << " (free " << f.free_direct(s, d)
+               << "): row bit " << bit_of(f.free_row(s), d) << ", col bit "
+               << bit_of(f.free_col(d), s) << " after op " << op;
+    }
+  for (int i = 0; i < n; ++i)
+    for (int pad = n; pad < static_cast<int>(f.bit_words()) * 64; ++pad) {
+      ASSERT_FALSE(bit_of(f.free_row(i), pad)) << "row " << i << " padding bit " << pad;
+      ASSERT_FALSE(bit_of(f.free_col(i), pad)) << "col " << i << " padding bit " << pad;
+    }
+}
+
 void expect_matches_full_scan(const WavelengthFabric& f, int op) {
   const std::vector<double> cells = f.allocation_snapshot();
   for (int s = 0; s < f.mcms(); ++s)
     for (int d = 0; d < f.mcms(); ++d)
       ASSERT_EQ(bits(f.free_direct(s, d)), bits(reference_free(f, cells, s, d)))
           << "free_direct(" << s << ", " << d << ") after op " << op;
+  ASSERT_NO_FATAL_FAILURE(expect_bits_match_free(f, op));
   EXPECT_NEAR(f.utilization(), reference_utilization(f, cells), 1e-12) << "after op " << op;
 }
 
@@ -202,7 +228,14 @@ void churn_against_full_scan(WavelengthFabric& f, const std::vector<int>& mcms, 
 
   for (int op = 0; op < ops; ++op) {
     const double roll = rng.uniform();
-    if (roll < 0.45 || holds.empty()) {
+    if (roll < 0.05) {
+      // Leave the pair a residue in (0, 1e-9]: free, but not free enough to
+      // set its bits.
+      const auto [s, d] = pick_pair();
+      const double want = f.free_direct(s, d) - 5e-10;
+      const double got = want > 0.0 ? f.allocate_direct(s, d, want) : 0.0;
+      if (got > 0.0) holds.push_back({s, d, got});
+    } else if (roll < 0.45 || holds.empty()) {
       const auto [s, d] = pick_pair();
       const double want = rng.uniform(0.0, 1.5 * f.gbps_per_wavelength() * f.direct_lambdas(s, d));
       const double got = f.allocate_direct(s, d, want);
@@ -266,14 +299,55 @@ TEST(FabricOracle, CosimSliceOneAndTwoLambdas) {
   }
 }
 
+TEST(FabricOracle, ResidueAtOrBelowThresholdIsNotFree) {
+  WavelengthFabric fabric(24, slice_plan(24, 1));
+  fabric.allocate_direct(2, 5, 25.0 - 5e-10);
+  ASSERT_GT(fabric.free_direct(2, 5), 0.0);
+  ASSERT_LE(fabric.free_direct(2, 5), 1e-9);
+  EXPECT_FALSE(bit_of(fabric.free_row(2), 5));
+  EXPECT_FALSE(bit_of(fabric.free_col(5), 2));
+  ASSERT_NO_FATAL_FAILURE(expect_matches_full_scan(fabric, 0));
+  fabric.release_direct(2, 5, 25.0 - 5e-10);
+  EXPECT_TRUE(bit_of(fabric.free_row(2), 5));
+  EXPECT_TRUE(bit_of(fabric.free_col(5), 2));
+}
+
+TEST(FabricOracle, IdleBitsFollowCoverageOnEveryGeometry) {
+  // The constructor fills the bitsets from the coverage rule, not pair by
+  // pair: check them against free_direct on idle fabrics from 1 to 6 words,
+  // radix above the MCM count, partial and empty AWGR ports, and
+  // wavelengths so narrow that one alone is not free but several are.
+  int geometries = 0;
+  for (const int mcms : {1, 2, 23, 63, 64, 65, 130, 200, 350})
+    for (const int extra_radix : {0, 1, 37})
+      for (const std::vector<int>& fill :
+           {std::vector<int>{100}, std::vector<int>{100, 40}, std::vector<int>{60, 100, 0, 5},
+            std::vector<int>{0}})
+        for (const double gbps : {25.0, 6e-10}) {
+          const int radix = mcms + extra_radix;
+          rack::AwgrFabricPlan plan;
+          plan.awgr_radix = radix;
+          for (const int pct : fill) plan.lambdas_per_port.push_back(radix * pct / 100);
+          plan.parallel_awgrs = static_cast<int>(fill.size());
+          plan.min_direct_lambdas_per_pair = 1;
+          plan.direct_pair_bandwidth = phot::Gbps{gbps};
+          SCOPED_TRACE(::testing::Message() << mcms << " MCMs, radix " << radix << ", "
+                                            << fill.size() << " AWGRs, " << gbps << " Gb/s");
+          WavelengthFabric fabric(mcms, plan);
+          ASSERT_NO_FATAL_FAILURE(expect_bits_match_free(fabric, -1));
+          ++geometries;
+        }
+  EXPECT_EQ(geometries, 216);
+}
+
 // --- piggybacked view (§IV-A): a stale copy, refreshed on an interval -------
 
 constexpr sim::TimePs kRefresh = 10 * sim::kPsPerUs;
 
-std::vector<double> stale_table(const PiggybackView& view, int mcms) {
-  std::vector<double> out;
+std::vector<bool> stale_table(const PiggybackView& view, int mcms) {
+  std::vector<bool> out;
   for (int s = 0; s < mcms; ++s)
-    for (int d = 0; d < mcms; ++d) out.push_back(view.stale_free_direct(s, d));
+    for (int d = 0; d < mcms; ++d) out.push_back(view.stale_free(s, d));
   return out;
 }
 
@@ -292,28 +366,37 @@ TEST(Piggyback, RefreshShowsTheFabricsCurrentFreeCapacity) {
   touch_pairs(fabric);
   view.force_refresh(3 * sim::kPsPerUs);
   for (int s = 0; s < fabric.mcms(); ++s)
-    for (int d = 0; d < fabric.mcms(); ++d)
-      EXPECT_EQ(view.stale_free_direct(s, d), fabric.free_direct(s, d))
+    for (int d = 0; d < fabric.mcms(); ++d) {
+      EXPECT_EQ(view.stale_free(s, d), fabric.free_direct(s, d) > 1e-9)
           << "pair " << s << "->" << d;
-  EXPECT_EQ(view.stale_free_direct(3, 7), 0.0);
-  EXPECT_EQ(view.stale_free_direct(9, 4), 12.5);
+      EXPECT_EQ(bit_of(view.stale_col(d), s), view.stale_free(s, d))
+          << "pair " << s << "->" << d;
+    }
+  EXPECT_FALSE(view.stale_free(3, 7));   // saturated
+  EXPECT_TRUE(view.stale_free(9, 4));    // 12.5 Gb/s left at half scale
+  EXPECT_FALSE(view.stale_free(11, 12));  // dead pair
+  EXPECT_TRUE(view.stale_free(0, 1));
+  EXPECT_FALSE(view.stale_free(6, 6));
 }
 
 TEST(Piggyback, ViewHoldsStillBetweenRefreshes) {
   WavelengthFabric fabric(24, slice_plan(24, 1));
   PiggybackView view(fabric, kRefresh);
-  const std::vector<double> idle = stale_table(view, fabric.mcms());
+  const std::vector<bool> idle = stale_table(view, fabric.mcms());
   touch_pairs(fabric);
   EXPECT_EQ(stale_table(view, fabric.mcms()), idle);
-  EXPECT_EQ(view.stale_free_direct(0, 1), 25.0);
-  EXPECT_EQ(fabric.free_direct(0, 1), 15.0);
+  EXPECT_TRUE(view.stale_free(3, 7));
+  EXPECT_EQ(fabric.free_direct(3, 7), 0.0);
 
   view.force_refresh(kRefresh);
-  const std::vector<double> refreshed = stale_table(view, fabric.mcms());
-  fabric.release_direct(0, 1, 10.0);
+  const std::vector<bool> refreshed = stale_table(view, fabric.mcms());
+  EXPECT_NE(refreshed, idle);
+  fabric.release_direct(3, 7, 25.0);
   fabric.pop_pair_factor(11, 12, 0.0);
   fabric.allocate_direct(20, 21, 25.0);
   EXPECT_EQ(stale_table(view, fabric.mcms()), refreshed);
+  EXPECT_FALSE(view.stale_free(3, 7));
+  EXPECT_TRUE(view.stale_free(20, 21));
 }
 
 TEST(Piggyback, MaybeRefreshFiresOncePerElapsedInterval) {
@@ -321,16 +404,16 @@ TEST(Piggyback, MaybeRefreshFiresOncePerElapsedInterval) {
   PiggybackView view(fabric, kRefresh);
   EXPECT_EQ(view.last_refresh(), 0);
   EXPECT_EQ(view.broadcast_rounds(), 0u);
-  fabric.allocate_direct(0, 1, 10.0);
+  fabric.allocate_direct(0, 1, 25.0);
 
   EXPECT_FALSE(view.maybe_refresh(kRefresh - 1));  // one ps short
   EXPECT_EQ(view.broadcast_rounds(), 0u);
-  EXPECT_EQ(view.stale_free_direct(0, 1), 25.0);
+  EXPECT_TRUE(view.stale_free(0, 1));
 
   EXPECT_TRUE(view.maybe_refresh(kRefresh));  // now - last == interval
   EXPECT_EQ(view.broadcast_rounds(), 1u);
   EXPECT_EQ(view.last_refresh(), kRefresh);
-  EXPECT_EQ(view.stale_free_direct(0, 1), 15.0);
+  EXPECT_FALSE(view.stale_free(0, 1));
 
   // The interval runs from the last refresh, not from a fixed grid.
   const sim::TimePs late = 2 * kRefresh + 5;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "rack/rack_builder.hpp"
 #include "workloads/usage.hpp"
@@ -141,6 +146,61 @@ TEST(FlowEngine, DeadFlowIdsAreRejected) {
   EXPECT_THROW(engine.result(id), std::out_of_range);
   EXPECT_THROW(engine.close(id), std::out_of_range);
   EXPECT_THROW(engine.close(424242), std::out_of_range);
+
+  // B reuses A's slot: A's handle stays dead, B's names B's route.
+  FlowSpec other;
+  other.src = 7;
+  other.dst = 9;
+  other.gbps = 40.0;
+  const auto b = engine.open(other);
+  EXPECT_NE(b, id);
+  EXPECT_THROW(engine.result(id), std::out_of_range);
+  EXPECT_THROW(engine.close(id), std::out_of_range);
+  EXPECT_EQ(engine.live_flows(), 1u);
+  const RouteResult& route = engine.result(b);
+  EXPECT_EQ(route.requested, 40.0);
+  ASSERT_FALSE(route.segments.empty());
+  EXPECT_EQ(route.segments.front().from, 7);
+  EXPECT_EQ(route.segments.front().to, 9);
+  engine.close(b);
+  EXPECT_EQ(engine.live_flows(), 0u);
+  EXPECT_THROW(engine.close(b), std::out_of_range);
+}
+
+TEST(FlowEngine, ChurnKeepsLiveCountAndDrainsExactly) {
+  // Random opens and closes over reused slots: live_flows() tracks a
+  // reference set of handles, every closed handle stays dead, and closing
+  // everything leaves the fabric at exactly zero utilization.
+  auto fabric = make_fabric();
+  FlowEngine engine(fabric, 1 * sim::kPsPerUs, /*router_seed=*/5);
+  sim::Rng rng(2024);
+  std::set<std::uint64_t> live;
+  std::vector<std::uint64_t> closed;
+  for (int op = 0; op < 4000; ++op) {
+    if (live.empty() || rng.bernoulli(0.55)) {
+      FlowSpec spec;
+      spec.src = static_cast<int>(rng.below(350));
+      spec.dst = static_cast<int>((spec.src + 1 + rng.below(349)) % 350);
+      spec.gbps = rng.uniform(0.0, 400.0);
+      const auto id = engine.open(spec, op);
+      ASSERT_TRUE(live.insert(id).second) << "handle " << id << " issued twice";
+      EXPECT_EQ(engine.result(id).requested, spec.gbps);
+    } else {
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size())));
+      engine.close(*it, op);
+      closed.push_back(*it);
+      live.erase(it);
+    }
+    ASSERT_EQ(engine.live_flows(), live.size()) << "op " << op;
+  }
+  for (const auto id : closed) {
+    EXPECT_THROW(engine.result(id), std::out_of_range);
+    EXPECT_THROW(engine.close(id), std::out_of_range);
+  }
+  for (const auto id : live) engine.close(id);
+  EXPECT_EQ(engine.live_flows(), 0u);
+  EXPECT_EQ(engine.fabric_utilization(), 0.0);
 }
 
 TEST(FlowEngine, ReportAccumulatesAcrossOpens) {
