@@ -74,9 +74,7 @@ std::vector<Phase> compile_broadcast(int ranks, double bytes) {
   return program;
 }
 
-}  // namespace
-
-std::vector<Phase> compile(Pattern pattern, int ranks, double bytes) {
+void check_collective(int ranks, double bytes) {
   if (ranks < 1) {
     throw std::invalid_argument("collective ranks must be >= 1, got " +
                                 std::to_string(ranks));
@@ -84,6 +82,37 @@ std::vector<Phase> compile(Pattern pattern, int ranks, double bytes) {
   if (!(bytes >= 0.0)) {
     throw std::invalid_argument("collective bytes must be >= 0");
   }
+}
+
+/// Phase count of compile(pattern, ranks, bytes), and the bytes each of its
+/// flows carries (the same in every phase of every pattern).
+struct ProgramShape {
+  int phases = 0;
+  double flow_bytes = 0.0;
+};
+
+ProgramShape program_shape(Pattern pattern, int ranks, double bytes) {
+  if (ranks == 1) return {0, bytes};
+  switch (pattern) {
+    case Pattern::kRingAllReduce:
+      return {2 * (ranks - 1), bytes / ranks};
+    case Pattern::kAllToAll:
+      return {ranks - 1, bytes / (ranks - 1)};
+    case Pattern::kParamServer:
+      return {2, bytes};
+    case Pattern::kBroadcast: {
+      int phases = 0;
+      for (int covered = 1; covered < ranks; covered *= 2) ++phases;
+      return {phases, bytes};
+    }
+  }
+  throw std::invalid_argument("unhandled collective pattern");
+}
+
+}  // namespace
+
+std::vector<Phase> compile(Pattern pattern, int ranks, double bytes) {
+  check_collective(ranks, bytes);
   if (ranks == 1) return {};
   switch (pattern) {
     case Pattern::kRingAllReduce:
@@ -102,14 +131,14 @@ double lower_bound_seconds(Pattern pattern, int ranks, double bytes, double gbps
   if (!(gbps > 0.0)) {
     throw std::invalid_argument("collective bandwidth must be > 0 Gb/s");
   }
+  check_collective(ranks, bytes);
+  // Every flow of every phase carries the same bytes, so each phase's
+  // slowest flow is one term: compile()'s sum is that term added once per
+  // phase, in the same order, and so equal to it bit for bit.
+  const ProgramShape shape = program_shape(pattern, ranks, bytes);
+  const double slowest = std::max(0.0, shape.flow_bytes * 8.0 / (gbps * 1e9));
   double seconds = 0.0;
-  for (const Phase& phase : compile(pattern, ranks, bytes)) {
-    double slowest = 0.0;
-    for (const PhaseFlow& flow : phase.flows) {
-      slowest = std::max(slowest, flow.bytes * 8.0 / (gbps * 1e9));
-    }
-    seconds += slowest;
-  }
+  for (int p = 0; p < shape.phases; ++p) seconds += slowest;
   return seconds;
 }
 

@@ -56,9 +56,28 @@ struct Phase {
 /// Closed-form uncontended time of the compiled program: the sum over phases
 /// of the slowest flow's serialization time at `gbps` per flow.  For the
 /// ring this is exactly 2(ranks-1)/ranks * bytes*8 / (gbps*1e9) — the
-/// classic ring all-reduce lower bound the acceptance test pins.
+/// classic ring all-reduce lower bound the acceptance test pins.  Computed
+/// without compiling (O(phases), no allocation), bit for bit equal to the
+/// sum over compile()'s phases.  Throws std::invalid_argument for gbps <= 0,
+/// then for compile()'s bad ranks, then for its bad bytes.
 [[nodiscard]] double lower_bound_seconds(Pattern pattern, int ranks, double bytes,
                                          double gbps);
+
+/// A compiled program with the arguments it was compiled from, so that one
+/// compilation can serve every run of the same collective.
+struct CompiledCollective {
+  CompiledCollective(Pattern pattern, int ranks, double bytes)
+      : pattern(pattern), ranks(ranks), bytes(bytes), phases(compile(pattern, ranks, bytes)) {}
+
+  [[nodiscard]] bool compiled_for(Pattern p, int r, double b) const {
+    return p == pattern && r == ranks && b == bytes;
+  }
+
+  Pattern pattern;
+  int ranks;
+  double bytes;
+  std::vector<Phase> phases;
+};
 
 /// The "ml" registry section: the training-job stream the rack co-simulation
 /// admits alongside (or instead of) the paper's HPC mix.  Disabled by

@@ -8,8 +8,9 @@
 namespace photorack::collectives {
 
 CollectiveRunner::CollectiveRunner(net::FlowEngine& engine, sim::EventQueue& queue,
-                                   CollectiveSpec spec)
-    : engine_(engine), queue_(queue), spec_(std::move(spec)) {
+                                   CollectiveSpec spec,
+                                   std::shared_ptr<const CompiledCollective> program)
+    : engine_(engine), queue_(queue), spec_(std::move(spec)), program_(std::move(program)) {
   if (spec_.endpoints.empty()) {
     throw std::invalid_argument("CollectiveRunner: no endpoints");
   }
@@ -23,8 +24,13 @@ CollectiveRunner::CollectiveRunner(net::FlowEngine& engine, sim::EventQueue& que
     throw std::invalid_argument(
         "CollectiveRunner: min_rate_fraction must be in (0, 1]");
   }
-  program_ = compile(spec_.pattern, static_cast<int>(spec_.endpoints.size()),
-                     spec_.bytes);
+  const int ranks = static_cast<int>(spec_.endpoints.size());
+  if (!program_) {
+    program_ = std::make_shared<const CompiledCollective>(spec_.pattern, ranks, spec_.bytes);
+  } else if (!program_->compiled_for(spec_.pattern, ranks, spec_.bytes)) {
+    throw std::invalid_argument(
+        "CollectiveRunner: program compiled for another pattern, rank count or size");
+  }
 }
 
 CollectiveRunner::~CollectiveRunner() { abort(); }
@@ -41,7 +47,7 @@ void CollectiveRunner::start(std::function<void(const CollectiveResult&)> done) 
 }
 
 void CollectiveRunner::start_phase() {
-  if (next_phase_ >= program_.size()) {
+  if (next_phase_ >= program_->phases.size()) {
     // Completed program (or an empty one): report via a zero-delay event so
     // the done handler never runs synchronously inside start()/close paths.
     phase_event_ = queue_.schedule_after(0, [this]() {
@@ -49,7 +55,7 @@ void CollectiveRunner::start_phase() {
       running_ = false;
       CollectiveResult result;
       result.elapsed = queue_.now() - started_;
-      result.phases = static_cast<int>(program_.size());
+      result.phases = static_cast<int>(program_->phases.size());
       result.flows = flows_opened_;
       result.straggler_stretch =
           mean_sum_ps_ > 0.0 ? slowest_sum_ps_ / mean_sum_ps_ : 1.0;
@@ -63,7 +69,7 @@ void CollectiveRunner::start_phase() {
   }
 
   engine_.refresh_view(queue_.now());
-  const Phase& phase = program_[next_phase_];
+  const Phase& phase = program_->phases[next_phase_];
   double slowest_ps = 0.0;
   double sum_ps = 0.0;
   int opened = 0;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "collectives/collective.hpp"
@@ -45,8 +46,12 @@ struct CollectiveResult {
 /// many concurrent training jobs interleave and contend naturally.
 class CollectiveRunner {
  public:
+  /// Runs `program`, which may be shared read-only with other runners and
+  /// must have been compiled for spec's pattern, endpoint count and bytes
+  /// (std::invalid_argument otherwise).  Null compiles the runner's own.
   CollectiveRunner(net::FlowEngine& engine, sim::EventQueue& queue,
-                   CollectiveSpec spec);
+                   CollectiveSpec spec,
+                   std::shared_ptr<const CompiledCollective> program = nullptr);
 
   // The phase event captures `this`; hold the runner behind a stable pointer.
   CollectiveRunner(const CollectiveRunner&) = delete;
@@ -77,7 +82,7 @@ class CollectiveRunner {
   net::FlowEngine& engine_;
   sim::EventQueue& queue_;
   CollectiveSpec spec_;
-  std::vector<Phase> program_;
+  std::shared_ptr<const CompiledCollective> program_;
   std::size_t next_phase_ = 0;
 
   std::vector<std::uint64_t> open_ids_;

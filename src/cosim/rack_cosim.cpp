@@ -535,9 +535,16 @@ void RackCosim::on_ml_compute_done(std::uint64_t job_id) {
                      job.plan.remote_speed_cap,
                  cfg_.min_speed_fraction, 1.0);
   spec.min_rate_fraction = cfg_.min_speed_fraction;
+  // Every training job of a rack runs the same collective, so it is
+  // compiled once, here at the first collective rather than in the
+  // constructor, and shared by every runner.
+  const int ranks = static_cast<int>(spec.endpoints.size());
+  if (!collective_ || !collective_->compiled_for(spec.pattern, ranks, spec.bytes))
+    collective_ = std::make_shared<const collectives::CompiledCollective>(
+        spec.pattern, ranks, spec.bytes);
   job.collective_started = queue_.now();
-  job.runner = std::make_unique<collectives::CollectiveRunner>(engine_, queue_,
-                                                               std::move(spec));
+  job.runner = std::make_unique<collectives::CollectiveRunner>(
+      engine_, queue_, std::move(spec), collective_);
   job.runner->start([this, job_id](const collectives::CollectiveResult& result) {
     on_ml_collective_done(job_id, result);
   });

@@ -358,6 +358,10 @@ class RackCosim {
   phot::EnergyTrace energy_;
   double photonic_w_ = 0.0;
 
+  /// The training jobs' compiled collective, shared by their runners; null
+  /// until the first collective.
+  std::shared_ptr<const collectives::CompiledCollective> collective_;
+
   /// Every placed job, keyed by a cosim-local id: each placement fills it,
   /// completion and revocation erase it.
   std::unordered_map<std::uint64_t, LiveJob> live_map_;

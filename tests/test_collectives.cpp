@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -132,6 +135,78 @@ TEST(LowerBound, BroadcastPaysFullPayloadPerDoublingRound) {
                    expected);
 }
 
+/// The lower bound as it was before its closed form: compile the program and
+/// add each phase's slowest flow time, in phase order.
+double compiled_sum_seconds(Pattern pattern, int ranks, double bytes, double gbps) {
+  if (!(gbps > 0.0)) {
+    throw std::invalid_argument("collective bandwidth must be > 0 Gb/s");
+  }
+  double seconds = 0.0;
+  for (const Phase& phase : compile(pattern, ranks, bytes)) {
+    double slowest = 0.0;
+    for (const PhaseFlow& flow : phase.flows) {
+      slowest = std::max(slowest, flow.bytes * 8.0 / (gbps * 1e9));
+    }
+    seconds += slowest;
+  }
+  return seconds;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+constexpr Pattern kPatterns[] = {Pattern::kRingAllReduce, Pattern::kAllToAll,
+                                 Pattern::kParamServer, Pattern::kBroadcast};
+
+TEST(LowerBound, ClosedFormEqualsCompiledSumBitForBit) {
+  int cases = 0;
+  for (const Pattern pattern : kPatterns)
+    for (const int ranks : {1, 2, 3, 7, 8, 24, 63, 64, 65, 512})
+      for (const double bytes : {0.0, 1e6 / 3, 64e6})
+        for (const double gbps : {0.3, 25.0}) {
+          const double closed = lower_bound_seconds(pattern, ranks, bytes, gbps);
+          const double summed = compiled_sum_seconds(pattern, ranks, bytes, gbps);
+          EXPECT_EQ(bits(closed), bits(summed))
+              << pattern_codec().name(pattern) << " ranks " << ranks << " bytes " << bytes
+              << " gbps " << gbps << ": " << closed << " vs " << summed;
+          ++cases;
+        }
+  EXPECT_EQ(cases, 240);
+}
+
+TEST(LowerBound, RejectsBandwidthThenRanksThenBytes) {
+  // Same exception types, messages and order as the compiled sum: gbps is
+  // checked first, then compile()'s ranks, then its bytes.
+  const auto what = [](auto&& call) -> std::string {
+    try {
+      (void)call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  const double nan = std::nan("");
+  struct Args {
+    int ranks;
+    double bytes, gbps;
+  };
+  const Args cases[] = {{0, -1.0, 0.0}, {0, -1.0, nan}, {0, -1.0, 25.0}, {-3, nan, 25.0},
+                        {4, -1.0, 25.0}, {4, nan, 25.0}, {1, -1.0, 25.0}, {1, 8.0, -2.0}};
+  for (const Pattern pattern : kPatterns)
+    for (const Args& a : cases) {
+      const std::string got =
+          what([&] { return lower_bound_seconds(pattern, a.ranks, a.bytes, a.gbps); });
+      EXPECT_EQ(got, what([&] { return compiled_sum_seconds(pattern, a.ranks, a.bytes, a.gbps); }))
+          << "ranks " << a.ranks << " bytes " << a.bytes << " gbps " << a.gbps;
+      EXPECT_NE(got, "no throw");
+    }
+  EXPECT_EQ(what([] { return lower_bound_seconds(Pattern::kRingAllReduce, 0, -1.0, 0.0); }),
+            "collective bandwidth must be > 0 Gb/s");
+  EXPECT_EQ(what([] { return lower_bound_seconds(Pattern::kRingAllReduce, 0, -1.0, 25.0); }),
+            "collective ranks must be >= 1, got 0");
+  EXPECT_EQ(what([] { return lower_bound_seconds(Pattern::kRingAllReduce, 4, -1.0, 25.0); }),
+            "collective bytes must be >= 0");
+}
+
 // ---------------------------------------------------------------------------
 // Enum codec: CLI/campaign-facing names.
 // ---------------------------------------------------------------------------
@@ -191,6 +266,63 @@ TEST(Runner, UncontendedRingMatchesLowerBound) {
   EXPECT_DOUBLE_EQ(result.straggler_stretch, 1.0);
   // Teardown: nothing left allocated.
   EXPECT_NEAR(fabric.utilization(), 0.0, 0.0);
+}
+
+TEST(Runner, SharedProgramRunsLikeOwnCompilation) {
+  // One compiled program read by several runners (as every training job of
+  // a rack shares one) gives each the result of a runner that compiled its
+  // own, on twin fabrics with the same router seed.
+  CollectiveSpec spec;
+  spec.pattern = Pattern::kRingAllReduce;
+  spec.endpoints = {3, 9, 1, 17, 4, 22, 12, 6};
+  spec.bytes = kBytes;
+  spec.demand_gbps = kGbps;
+  const auto shared = std::make_shared<const CompiledCollective>(
+      spec.pattern, static_cast<int>(spec.endpoints.size()), spec.bytes);
+
+  const auto run_twice = [&](std::shared_ptr<const CompiledCollective> program) {
+    net::WavelengthFabric fabric(24, slice_plan(24));
+    net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 0x77);
+    sim::EventQueue queue;
+    std::vector<CollectiveResult> results(2);
+    CollectiveRunner a(engine, queue, spec, program);
+    CollectiveRunner b(engine, queue, spec, program);
+    a.start([&](const CollectiveResult& r) { results[0] = r; });
+    b.start([&](const CollectiveResult& r) { results[1] = r; });
+    queue.run();
+    return results;
+  };
+  const auto own = run_twice(nullptr);
+  const auto shared_results = run_twice(shared);
+  ASSERT_EQ(own.size(), shared_results.size());
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    EXPECT_EQ(own[i].elapsed, shared_results[i].elapsed);
+    EXPECT_EQ(own[i].phases, shared_results[i].phases);
+    EXPECT_EQ(own[i].flows, shared_results[i].flows);
+    EXPECT_EQ(bits(own[i].straggler_stretch), bits(shared_results[i].straggler_stretch));
+  }
+  EXPECT_EQ(shared_results[0].phases, 14);
+  EXPECT_EQ(shared_results[1].flows, 14u * 8u);
+}
+
+TEST(Runner, RejectsAProgramCompiledForAnotherCollective) {
+  net::WavelengthFabric fabric(24, slice_plan(24));
+  net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 0x1234);
+  sim::EventQueue queue;
+  CollectiveSpec spec;
+  spec.pattern = Pattern::kRingAllReduce;
+  spec.endpoints = {0, 1, 2, 3};
+  spec.bytes = kBytes;
+  const auto make = [](Pattern p, int ranks, double bytes) {
+    return std::make_shared<const CompiledCollective>(p, ranks, bytes);
+  };
+  EXPECT_NO_THROW(CollectiveRunner(engine, queue, spec, make(Pattern::kRingAllReduce, 4, kBytes)));
+  EXPECT_THROW(CollectiveRunner(engine, queue, spec, make(Pattern::kAllToAll, 4, kBytes)),
+               std::invalid_argument);
+  EXPECT_THROW(CollectiveRunner(engine, queue, spec, make(Pattern::kRingAllReduce, 8, kBytes)),
+               std::invalid_argument);
+  EXPECT_THROW(CollectiveRunner(engine, queue, spec, make(Pattern::kRingAllReduce, 4, 1.0)),
+               std::invalid_argument);
 }
 
 TEST(Runner, CompletedCollectiveRestoresFabricBitExactly) {
