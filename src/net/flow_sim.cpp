@@ -28,8 +28,8 @@ void FlowEngine::refresh_view(sim::TimePs now) {
 std::uint64_t FlowEngine::open(const FlowSpec& spec, sim::TimePs now) {
   obs::ScopedTimer timer(obs_.profiler, sc_open_);
   if (free_slots_.empty()) {
-    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
     slots_.emplace_back();
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size() - 1));
   }
   // The slot leaves the free list only once routing succeeded.
   const std::uint32_t index = free_slots_.back();
