@@ -536,8 +536,8 @@ void RackCosim::on_ml_compute_done(std::uint64_t job_id) {
                  cfg_.min_speed_fraction, 1.0);
   spec.min_rate_fraction = cfg_.min_speed_fraction;
   // Every training job of a rack runs the same collective, so it is
-  // compiled once, here at the first collective rather than in the
-  // constructor, and shared by every runner.
+  // compiled once, at the first collective (a rack that runs no training
+  // job never compiles), and shared by every runner.
   const int ranks = static_cast<int>(spec.endpoints.size());
   if (!collective_ || !collective_->compiled_for(spec.pattern, ranks, spec.bytes))
     collective_ = std::make_shared<const collectives::CompiledCollective>(
