@@ -489,8 +489,7 @@ bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries)
       tally_.jobs.record_wait(to_ms(wait));
       tally_.jobs.record_slowdown(static_cast<double>(wait + hold) /
                                   static_cast<double>(plan.base_hold));
-      for (std::size_t i = 0; i < plan.flows.size(); ++i)
-        tally_.jobs.record_fct(to_ms(hold));
+      tally_.jobs.record_fct(to_ms(hold), plan.flows.size());
     }
     if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
   }

@@ -40,13 +40,13 @@ struct JobSimReport {
   double mean_marooned_cpu = 0.0;     // fraction of rack CPUs idle-but-held
   double mean_marooned_memory = 0.0;  // fraction of rack memory idle-but-held
 
-  // --- tail telemetry (sketch-backed, O(1) memory at any job count) ---
+  // --- tail telemetry (sketch-backed; memory independent of job count) ---
   TailStats wait_ms;   // queue wait: placement time - arrival time, in ms
   TailStats slowdown;  // (wait + actual hold) / base hold; >= 1
-  /// The job's hold time in ms (its stretched service time), recorded once
-  /// per flow the job opens — so a job's weight here is its flow count.  It
-  /// is not a per-flow completion time; the name stays because external
-  /// readers (perfbench) use it.
+  /// The job's hold time in ms (its stretched service time), recorded with
+  /// the number of flows the job opens as its weight.  It is not a per-flow
+  /// completion time; the name stays because external readers (perfbench)
+  /// use it.
   TailStats fct_ms;
 
   // --- censoring (set by simulators with a horizon; see RackCosim) ---
@@ -80,13 +80,13 @@ class JobStreamStats {
   /// Sample the allocator state (call at every arrival — PASTA probe).
   void sample(const RackAllocator& allocator);
   /// Tail telemetry, recorded when the value becomes known (wait and
-  /// slowdown at placement, the hold time as fct once per flow at
-  /// admission).  Sketch-backed: O(1) memory regardless of job count, and
-  /// exact to merge, so the reported quantiles do not depend on how a
-  /// campaign was sharded.
+  /// slowdown at placement, the hold time as fct at admission, weighted by
+  /// the job's flow count).  Sketch-backed: memory bounded by the value
+  /// range regardless of job count, and exact to merge, so the reported
+  /// quantiles do not depend on how a campaign was sharded.
   void record_wait(double ms) { wait_ms_.add(ms); }
   void record_slowdown(double x) { slowdown_.add(x); }
-  void record_fct(double ms) { fct_ms_.add(ms); }
+  void record_fct(double ms, std::uint64_t flows) { fct_ms_.add(ms, flows); }
   [[nodiscard]] std::uint64_t offered() const { return offered_; }
   [[nodiscard]] std::uint64_t accepted() const { return accepted_; }
   [[nodiscard]] JobSimReport report() const;

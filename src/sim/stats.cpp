@@ -108,6 +108,10 @@ namespace {
 /// keeps the log-bucket index bounded.
 constexpr double kSketchZeroThreshold = 1e-12;
 
+std::int32_t bucket_index(double x, double log_gamma) {
+  return static_cast<std::int32_t>(std::ceil(std::log(x) / log_gamma));
+}
+
 double checked_fraction(double q) {
   if (!(q >= 0.0 && q <= 1.0))
     throw std::invalid_argument("QuantileSketch: q must be a fraction in [0,1]");
@@ -122,22 +126,42 @@ QuantileSketch::QuantileSketch(double relative_error) : alpha_(relative_error) {
   log_gamma_ = std::log(gamma_);
 }
 
-void QuantileSketch::add(double x) {
+void QuantileSketch::add(double x) { add(x, 1); }
+
+void QuantileSketch::add(double x, std::uint64_t n) {
   if (!(x >= 0.0) || std::isinf(x))
     throw std::invalid_argument("QuantileSketch: values must be finite and >= 0");
+  if (n == 0) return;
   if (n_ == 0) {
     min_ = max_ = x;
   } else {
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
-  ++n_;
+  n_ += n;
   if (x < kSketchZeroThreshold) {
-    ++zero_count_;
+    zero_count_ += n;
     return;
   }
-  const auto idx = static_cast<std::int32_t>(std::ceil(std::log(x) / log_gamma_));
-  ++buckets_[idx];
+  counter(bucket_index(x, log_gamma_)) += n;
+}
+
+std::uint64_t& QuantileSketch::counter(std::int32_t idx) {
+  if (counts_.empty()) lo_ = idx;
+  if (idx < lo_) {
+    // Grow by at least the current length, so a descending stream shifts
+    // the array once per doubling rather than once per new bucket.  The
+    // slack stops at the zero threshold's bucket, below which no value maps.
+    const std::int64_t slack_lo =
+        std::max<std::int64_t>(lo_ - static_cast<std::int64_t>(counts_.size()),
+                               bucket_index(kSketchZeroThreshold, log_gamma_));
+    const auto new_lo = static_cast<std::int32_t>(std::min<std::int64_t>(idx, slack_lo));
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(lo_ - new_lo), 0);
+    lo_ = new_lo;
+  } else if (static_cast<std::size_t>(idx - lo_) >= counts_.size()) {
+    counts_.resize(static_cast<std::size_t>(idx - lo_) + 1, 0);
+  }
+  return counts_[static_cast<std::size_t>(idx - lo_)];
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -153,7 +177,17 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   }
   n_ += other.n_;
   zero_count_ += other.zero_count_;
-  for (const auto& [idx, cnt] : other.buckets_) buckets_[idx] += cnt;
+  if (other.counts_.empty()) return;
+  // Extend the range to cover the other's, then add its counters in place.
+  if (counts_.empty()) lo_ = other.lo_;
+  if (other.lo_ < lo_) {
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(lo_ - other.lo_), 0);
+    lo_ = other.lo_;
+  }
+  const auto offset = static_cast<std::size_t>(other.lo_ - lo_);
+  counts_.resize(std::max(counts_.size(), offset + other.counts_.size()), 0);
+  for (std::size_t i = 0; i < other.counts_.size(); ++i)
+    counts_[offset + i] += other.counts_[i];
 }
 
 double QuantileSketch::quantile(double q) const {
@@ -161,7 +195,7 @@ double QuantileSketch::quantile(double q) const {
   if (n_ == 0) throw std::logic_error("QuantileSketch: quantile of empty sketch");
   // Same rank convention as sim::percentile: rank q * (n-1); the bucket
   // holding that rank answers with its geometric midpoint, clamped into the
-  // observed [min, max] so p0/p100 are exact and no answer leaves the data.
+  // observed [min, max] so no answer leaves the data.
   const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(n_ - 1));
   double value = 0.0;
   if (rank < zero_count_) {
@@ -169,10 +203,13 @@ double QuantileSketch::quantile(double q) const {
   } else {
     std::uint64_t cum = zero_count_;
     value = max_;  // falls through only on floating slack in the last bucket
-    for (const auto& [idx, cnt] : buckets_) {
-      cum += cnt;
+    // Zero counters leave `cum` unchanged, so the walk stops on a non-empty
+    // bucket.
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+      cum += counts_[i];
       if (rank < cum) {
-        value = 2.0 * std::pow(gamma_, static_cast<double>(idx)) / (gamma_ + 1.0);
+        const auto idx = static_cast<double>(lo_) + static_cast<double>(i);
+        value = 2.0 * std::pow(gamma_, idx) / (gamma_ + 1.0);
         break;
       }
     }
