@@ -6,8 +6,8 @@
 
 namespace photorack::cluster {
 
-const config::EnumCodec<SpillPolicy>& spill_policy_codec() {
-  static const config::EnumCodec<SpillPolicy> codec(
+const sim::EnumCodec<SpillPolicy>& spill_policy_codec() {
+  static const sim::EnumCodec<SpillPolicy> codec(
       "spill policy", {{"none", SpillPolicy::kNone},
                        {"next", SpillPolicy::kNext},
                        {"least", SpillPolicy::kLeast}});

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "cluster/interconnect.hpp"
-#include "config/enum_codec.hpp"
 #include "cosim/rack_cosim.hpp"
+#include "sim/enum_codec.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace photorack::cluster {
@@ -19,7 +19,7 @@ enum class SpillPolicy {
 };
 
 /// Canonical CLI/axis/registry spelling: "none" | "next" | "least".
-[[nodiscard]] const config::EnumCodec<SpillPolicy>& spill_policy_codec();
+[[nodiscard]] const sim::EnumCodec<SpillPolicy>& spill_policy_codec();
 
 /// The "cluster" registry section: how many racks, whether overflow crosses
 /// racks, and the inter-rack photonic pipe it crosses on.

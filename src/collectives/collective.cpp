@@ -5,8 +5,8 @@
 
 namespace photorack::collectives {
 
-const config::EnumCodec<Pattern>& pattern_codec() {
-  static const config::EnumCodec<Pattern> codec{
+const sim::EnumCodec<Pattern>& pattern_codec() {
+  static const sim::EnumCodec<Pattern> codec{
       "collective pattern",
       {{"ring", Pattern::kRingAllReduce},
        {"alltoall", Pattern::kAllToAll},

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "config/enum_codec.hpp"
+#include "sim/enum_codec.hpp"
 
 namespace photorack::collectives {
 
@@ -17,7 +17,7 @@ enum class Pattern {
 };
 
 /// Canonical CLI/axis/registry spelling: "ring"|"alltoall"|"ps"|"broadcast".
-[[nodiscard]] const config::EnumCodec<Pattern>& pattern_codec();
+[[nodiscard]] const sim::EnumCodec<Pattern>& pattern_codec();
 
 /// One flow of one phase, in RANK space: src/dst index into the collective's
 /// accelerator list (the runner maps ranks onto fabric endpoints).

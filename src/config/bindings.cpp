@@ -284,7 +284,7 @@ void register_cosim(ParamRegistry& reg) {
       .bind("max_job_nodes", &CosimConfig::max_job_nodes,
             "job breadth drawn in [1, max]", {1, 64})
       .bind_enum("contention_feedback", &CosimConfig::contention_feedback,
-                 feedback_codec(),
+                 cosim::feedback_codec(),
                  "closed: stretch durations by contention; open: never stretch")
       .bind("min_speed_fraction", &CosimConfig::min_speed_fraction,
             "floor on per-job speed (caps stretch at 1/floor)", {0.001, 1})
@@ -423,11 +423,6 @@ void register_obs(ParamRegistry& reg) {
 
 }  // namespace
 
-const EnumCodec<bool>& feedback_codec() {
-  static const EnumCodec<bool> codec("feedback", {{"closed", true}, {"open", false}});
-  return codec;
-}
-
 const ParamRegistry& registry() {
   static const ParamRegistry* reg = [] {
     auto* r = new ParamRegistry();
@@ -446,6 +441,14 @@ const ParamRegistry& registry() {
     return r;
   }();
   return *reg;
+}
+
+cosim::CosimConfig cosim_config(const ConfigTree& tree) {
+  CosimConfig cfg = tree.build<CosimConfig>("cosim");
+  cfg.fabric = tree.build<FabricSliceConfig>("net");
+  cfg.fault = tree.build<fault::FaultConfig>("fault");
+  cfg.ml = tree.build<collectives::MlConfig>("ml");
+  return cfg;
 }
 
 }  // namespace photorack::config

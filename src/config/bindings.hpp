@@ -1,8 +1,11 @@
 #pragma once
 
-#include "config/enum_codec.hpp"
 #include "config/param_registry.hpp"
 #include "rack/rack_builder.hpp"
+
+namespace photorack::cosim {
+struct CosimConfig;  // cosim/rack_cosim.hpp
+}
 
 namespace photorack::config {
 
@@ -12,14 +15,14 @@ struct SystemParams {
   rack::FabricKind fabric = rack::FabricKind::kParallelAwgrs;
 };
 
-/// Canonical spelling of the co-simulation feedback mode: "closed" (stretch
-/// durations by measured contention) | "open" (flows occupy the fabric but
-/// never slow jobs).  Maps onto CosimConfig::contention_feedback.
-[[nodiscard]] const EnumCodec<bool>& feedback_codec();
-
 /// The process-wide parameter space: every layer's config struct registered
 /// as a section of typed, documented, validated paths.  Built once on first
 /// use; see bindings.cpp for the per-section knob tables.
 [[nodiscard]] const ParamRegistry& registry();
+
+/// The co-simulation config a tree resolves to: the "cosim" section with
+/// its fabric, fault and ML parts built from the "net", "fault" and "ml"
+/// sections.
+[[nodiscard]] cosim::CosimConfig cosim_config(const ConfigTree& tree);
 
 }  // namespace photorack::config

@@ -11,11 +11,11 @@ void append_axis_list(
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (i) out += ',';
     out += "{\"name\":";
-    out += json_quote(list[i].first);
+    out += sim::json_quote(list[i].first);
     out += ",\"values\":[";
     for (std::size_t j = 0; j < list[i].second.size(); ++j) {
       if (j) out += ',';
-      out += json_quote(list[i].second[j]);
+      out += sim::json_quote(list[i].second[j]);
     }
     out += "]}";
   }
@@ -33,9 +33,9 @@ std::string Manifest::to_json(const ParamRegistry& reg) const {
     if (values.size() == 1 && reg.has(name)) tree.set(name, values.front());
 
   std::string out = "{\"schema\":1,\"tool\":";
-  out += json_quote(tool);
+  out += sim::json_quote(tool);
   out += ",\"campaign\":";
-  out += json_quote(campaign);
+  out += sim::json_quote(campaign);
   out += ",\"base_seed\":";
   out += std::to_string(base_seed);
   out += ",\"axes\":";

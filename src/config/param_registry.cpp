@@ -1,7 +1,6 @@
 #include "config/param_registry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace photorack::config {
 
@@ -122,9 +121,9 @@ std::string ConfigTree::to_json() const {
   std::string out = "{";
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (i) out += ',';
-    out += json_quote(all[i]->path);
+    out += sim::json_quote(all[i]->path);
     out += ':';
-    out += json_quote(value(all[i]->path));
+    out += sim::json_quote(value(all[i]->path));
   }
   out += '}';
   return out;
@@ -138,29 +137,6 @@ std::string format_suggestions(const std::vector<std::string>& near) {
     out += near[i];
   }
   out += '?';
-  return out;
-}
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
   return out;
 }
 

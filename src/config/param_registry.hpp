@@ -10,8 +10,9 @@
 #include <utility>
 #include <vector>
 
-#include "config/enum_codec.hpp"
 #include "config/value_codec.hpp"
+#include "sim/enum_codec.hpp"
+#include "sim/table.hpp"
 
 namespace photorack::config {
 
@@ -24,6 +25,10 @@ struct Range {
   [[nodiscard]] bool bounded() const {
     return lo != -std::numeric_limits<double>::infinity() ||
            hi != std::numeric_limits<double>::infinity();
+  }
+  /// "[lo, hi]", as --params listings and range errors print it.
+  [[nodiscard]] std::string str() const {
+    return "[" + sim::fmt_double(lo) + ", " + sim::fmt_double(hi) + "]";
   }
 };
 
@@ -114,8 +119,7 @@ class SectionBinder {
     if constexpr (Codec::kNumeric) {
       p.numeric = true;
       p.bounds = range;
-      if (range.bounded())
-        p.range = "[" + format_double(range.lo) + ", " + format_double(range.hi) + "]";
+      if (range.bounded()) p.range = range.str();
     }
     auto parse_checked = [p_path = p.path, range](const std::string& value) -> V {
       V v{};
@@ -127,9 +131,8 @@ class SectionBinder {
       if constexpr (Codec::kNumeric) {
         const double d = Codec::as_double(v);
         if (d < range.lo || d > range.hi)
-          throw std::out_of_range(p_path + ": value " + value + " outside [" +
-                                  format_double(range.lo) + ", " +
-                                  format_double(range.hi) + "]");
+          throw std::out_of_range(p_path + ": value " + value + " outside " +
+                                  range.str());
       }
       return v;
     };
@@ -149,7 +152,7 @@ class SectionBinder {
   /// must outlive the registry (all canonical codecs are static).
   template <typename A, typename E>
   SectionBinder& bind_enum(const std::string& name, A accessor,
-                           const EnumCodec<E>& codec, std::string doc) {
+                           const sim::EnumCodec<E>& codec, std::string doc) {
     auto access = make_accessor(accessor);
     ParamInfo p;
     p.path = path_of(name);
@@ -183,8 +186,7 @@ class SectionBinder {
     p.doc = std::move(doc);
     p.numeric = true;
     p.bounds = range;
-    if (range.bounded())
-      p.range = "[" + format_double(range.lo) + ", " + format_double(range.hi) + "]";
+    if (range.bounded()) p.range = range.str();
     auto parse_checked = [p_path = p.path, range](const std::string& value) {
       double d = 0;
       try {
@@ -193,16 +195,14 @@ class SectionBinder {
         throw std::invalid_argument(p_path + ": " + e.what());
       }
       if (d < range.lo || d > range.hi)
-        throw std::out_of_range(p_path + ": value " + value + " outside [" +
-                                format_double(range.lo) + ", " +
-                                format_double(range.hi) + "]");
+        throw std::out_of_range(p_path + ": value " + value + " outside " + range.str());
       return d;
     };
     p.apply = [access, parse_checked, scale](void* obj, const std::string& value) {
       access(*static_cast<T*>(obj)) = static_cast<Stored>(parse_checked(value) * scale);
     };
     p.read = [access, scale](const void* obj) {
-      return format_double(
+      return sim::fmt_double(
           static_cast<double>(access(const_cast<T&>(*static_cast<const T*>(obj)))) /
           scale);
     };
@@ -377,9 +377,6 @@ class ConfigTree {
   const ParamRegistry* reg_;
   std::vector<std::pair<std::string, std::string>> overrides_;
 };
-
-/// JSON string literal with the escapes manifests need.
-[[nodiscard]] std::string json_quote(const std::string& s);
 
 /// "did you mean a, b, c?" from suggest() output; empty when there are no
 /// suggestions.  The one phrasing shared by every unknown-path error.

@@ -60,12 +60,4 @@ bool parse_bool(const std::string& s) {
   bad_value("bool (true|false|1|0)", s);
 }
 
-std::string format_double(double v) {
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc{})
-    throw std::invalid_argument("format_double: unrepresentable value");
-  return std::string(buf, ptr);
-}
-
 }  // namespace photorack::config

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "phot/units.hpp"
+#include "sim/table.hpp"
 
 namespace photorack::config {
 
@@ -20,12 +21,6 @@ namespace photorack::config {
 /// Accepts exactly "true" / "false" / "1" / "0".
 [[nodiscard]] bool parse_bool(const std::string& s);
 
-/// Canonical string form of a double: the shortest representation that
-/// round-trips the value exactly (std::to_chars).  The one formatter used
-/// by registry defaults, manifests and sweep cells, so values compare
-/// bit-exactly across serialize/parse cycles.
-[[nodiscard]] std::string format_double(double v);
-
 /// Per-field-type codec the registry's typed bindings dispatch on: a type
 /// name for --params listings, strict parse, canonical format, and (for
 /// numerics) a double view for range validation.
@@ -37,7 +32,7 @@ struct ValueCodec<double> {
   static constexpr const char* kTypeName = "double";
   static constexpr bool kNumeric = true;
   static double parse(const std::string& s) { return parse_double(s); }
-  static std::string format(double v) { return format_double(v); }
+  static std::string format(double v) { return sim::fmt_double(v); }
   static double as_double(double v) { return v; }
 };
 
@@ -102,7 +97,7 @@ struct UnitCodec {
   static constexpr const char* kTypeName = Name;
   static constexpr bool kNumeric = true;
   static U parse(const std::string& s) { return U{parse_double(s)}; }
-  static std::string format(U v) { return format_double(v.value); }
+  static std::string format(U v) { return sim::fmt_double(v.value); }
   static double as_double(U v) { return v.value; }
 };
 inline constexpr char kGbpsName[] = "Gbps";

@@ -9,12 +9,6 @@ RackSystem::RackSystem(rack::FabricKind fabric, const rack::RackConfig& rack,
                        const phot::PhotonicPowerConfig& power_base)
     : design_(rack::build_rack_design(fabric, rack, mcm)), power_base_(power_base) {}
 
-RackSystem::RackSystem(const config::ConfigTree& tree)
-    : RackSystem(tree.build<config::SystemParams>("system").fabric,
-                 tree.build<rack::RackConfig>("rack"),
-                 tree.build<rack::McmConfig>("mcm"),
-                 tree.build<phot::PhotonicPowerConfig>("phot")) {}
-
 double RackSystem::direct_pair_bandwidth_gbps() const {
   switch (design_.fabric) {
     case rack::FabricKind::kParallelAwgrs:

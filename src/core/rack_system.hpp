@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "config/bindings.hpp"
 #include "net/fabric.hpp"
 #include "phot/power.hpp"
 #include "rack/rack_builder.hpp"
@@ -19,11 +18,6 @@ class RackSystem {
   explicit RackSystem(rack::FabricKind fabric = rack::FabricKind::kParallelAwgrs,
                       const rack::RackConfig& rack = {}, const rack::McmConfig& mcm = {},
                       const phot::PhotonicPowerConfig& power_base = {});
-
-  /// Build from a resolved config tree: fabric from "system.fabric", the
-  /// rack/MCM geometry from "rack"/"mcm", power assumptions from "phot" —
-  /// so a CLI's ordered `--set path=value` list IS a rack design.
-  explicit RackSystem(const config::ConfigTree& tree);
 
   [[nodiscard]] const rack::RackDesign& design() const { return design_; }
 

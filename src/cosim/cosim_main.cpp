@@ -8,17 +8,19 @@
 // Runs one co-simulation and prints the coupled report: acceptance and
 // utilization from the allocator, satisfaction/indirection from the fabric,
 // stretch from the contention feedback, and the integrated energy trace.
-// --racks/--spill switch to the multi-rack cluster co-simulation (the same
-// report, aggregated across racks, plus spill/interconnect telemetry).
+// Any cluster.* knob (--racks, --spill, --set cluster.*) switches to the
+// multi-rack cluster co-simulation (the same report, aggregated across
+// racks, plus spill/interconnect telemetry).
 //
-// Configuration goes through the config registry: the named flags are sugar
-// for `--set` on the corresponding paths (--rate = cosim.arrivals_per_ms,
-// --mcms = net.mcms, ...), and `--set` reaches ANY registered cosim/net/rack
-// knob (`photorack_sweep --params` lists them); unknown paths and
+// Configuration goes through the config registry: the named flags in
+// kFlagTable are sugar for `--set` on registry paths (--rate =
+// cosim.arrivals_per_ms, --mcms = net.mcms, ...), and `--set` reaches ANY
+// registered knob (`photorack_sweep --params` lists them); unknown paths and
 // out-of-range values are rejected with suggestions before the run starts.
 // --manifest writes the resolved parameter tree as a reproducibility
 // sidecar.  For design-space sweeps over these knobs use the scenario
 // engine: `photorack_sweep --campaign cosim_acceptance|...`.
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <fstream>
@@ -27,7 +29,6 @@
 #include <string>
 
 #include "cluster/cluster_cosim.hpp"
-#include "collectives/collective.hpp"
 #include "config/bindings.hpp"
 #include "config/manifest.hpp"
 #include "cosim/rack_cosim.hpp"
@@ -81,7 +82,50 @@ void print_usage(std::ostream& os) {
         "  --profile-json <file>   write the self-profile in the\n"
         "                          BENCH_results.json schema\n"
         "  --quiet                 print only the one-line summary\n"
-        "  --help                  this message\n";
+        "  --help                  this message\n"
+        "\n"
+        "Any cluster knob (--racks, --spill or --set cluster.*) selects cluster\n"
+        "mode, with 4 racks unless cluster.racks is set.\n";
+}
+
+/// The flags that are sugar for registry paths: each row sets `path` to a
+/// fixed value, or to the flag's argument where the value is kArg.  A flag
+/// with several rows sets them in table order.
+constexpr const char* kArg = nullptr;
+
+struct FlagPath {
+  const char* flag;
+  const char* path;
+  const char* value;
+};
+
+constexpr FlagPath kFlagTable[] = {
+    {"--rate", "cosim.arrivals_per_ms", kArg},
+    {"--duration-ms", "cosim.duration_ms", kArg},
+    {"--horizon-ms", "cosim.horizon_ms", kArg},
+    {"--seed", "cosim.seed", kArg},
+    {"--mcms", "net.mcms", kArg},
+    {"--traffic-scale", "cosim.traffic_scale", kArg},
+    {"--open-loop", "cosim.contention_feedback", "open"},
+    {"--arrival", "cosim.arrival.process", kArg},
+    {"--racks", "cluster.racks", kArg},
+    {"--spill", "cluster.spill", kArg},
+    {"--faults", "fault.enabled", "true"},
+    {"--mtbf-ms", "fault.enabled", "true"},
+    {"--mtbf-ms", "fault.mcm_mtbf_ms", kArg},
+    {"--mtbf-ms", "fault.node_mtbf_ms", kArg},
+    {"--ml", "ml.enabled", "true"},
+    {"--collective", "ml.enabled", "true"},
+    {"--collective", "ml.pattern", kArg},
+    {"--resilience", "fault.policy", kArg},
+};
+
+/// kFlagTable's rows for `flag`, in table order; empty for any other flag.
+std::vector<FlagPath> table_rows(const std::string& flag) {
+  std::vector<FlagPath> rows;
+  for (const FlagPath& row : kFlagTable)
+    if (flag == row.flag) rows.push_back(row);
+  return rows;
 }
 
 struct CliOptions {
@@ -93,7 +137,6 @@ struct CliOptions {
   std::string profile_json_path;
   bool profile_table = false;
   bool quiet = false;
-  bool cluster = false;  // --racks/--spill given: run ClusterCosim
 };
 
 CliOptions parse_cli(int argc, char** argv) {
@@ -104,79 +147,26 @@ CliOptions parse_cli(int argc, char** argv) {
       if (i + 1 >= argc) throw std::invalid_argument(std::string(flag) + " needs a value");
       return argv[++i];
     };
-    if (arg == "--help" || arg == "-h") {
+    if (const std::vector<FlagPath> rows = table_rows(arg); !rows.empty()) {
+      const bool takes_arg = std::any_of(rows.begin(), rows.end(),
+                                         [](const FlagPath& r) { return r.value == kArg; });
+      const std::string v = takes_arg ? value(arg.c_str()) : "";
+      // Errors name the flag the user typed, then the path behind it.
+      try {
+        for (const FlagPath& r : rows) opt.tree.set(r.path, r.value == kArg ? v : r.value);
+      } catch (const std::exception& e) {
+        throw std::invalid_argument(arg + ": " + e.what());
+      }
+    } else if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
       std::exit(0);
     } else if (arg == "--policy") {
       opt.policy = disagg::allocation_policy_codec().parse(value("--policy"));
-    } else if (arg == "--rate") {
-      opt.tree.set("cosim.arrivals_per_ms", value("--rate"));
-    } else if (arg == "--duration-ms") {
-      opt.tree.set("cosim.duration_ms", value("--duration-ms"));
-    } else if (arg == "--horizon-ms") {
-      opt.tree.set("cosim.horizon_ms", value("--horizon-ms"));
-    } else if (arg == "--seed") {
-      opt.tree.set("cosim.seed", value("--seed"));
-    } else if (arg == "--mcms") {
-      opt.tree.set("net.mcms", value("--mcms"));
-    } else if (arg == "--traffic-scale") {
-      opt.tree.set("cosim.traffic_scale", value("--traffic-scale"));
-    } else if (arg == "--open-loop") {
-      opt.tree.set("cosim.contention_feedback", "open");
-    } else if (arg == "--arrival") {
-      opt.tree.set("cosim.arrival.process", value("--arrival"));
     } else if (arg == "--queue") {
       opt.tree.set("cosim.admission", "queue");
       // Optional cap: consume the next token only when it looks like one.
       if (i + 1 < argc && argv[i + 1][0] != '-')
         opt.tree.set("cosim.queue_cap", argv[++i]);
-    } else if (arg == "--racks") {
-      opt.cluster = true;
-      opt.tree.set("cluster.racks", value("--racks"));
-    } else if (arg == "--spill") {
-      // Validate eagerly so the error names the flag the user typed.
-      const std::string v = value("--spill");
-      try {
-        (void)cluster::spill_policy_codec().parse(v);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--spill: " + std::string(e.what()));
-      }
-      opt.cluster = true;
-      opt.tree.set("cluster.spill", v);
-    } else if (arg == "--faults") {
-      opt.tree.set("fault.enabled", "true");
-    } else if (arg == "--mtbf-ms") {
-      // Sugar for the common symmetric case; per-class rates stay reachable
-      // through --set fault.{mcm,node,link,laser}_mtbf_ms.  Errors name the
-      // flag the user actually typed, not the registry path behind it.
-      const std::string v = value("--mtbf-ms");
-      try {
-        opt.tree.set("fault.enabled", "true");
-        opt.tree.set("fault.mcm_mtbf_ms", v);
-        opt.tree.set("fault.node_mtbf_ms", v);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--mtbf-ms: " + std::string(e.what()));
-      }
-    } else if (arg == "--ml") {
-      opt.tree.set("ml.enabled", "true");
-    } else if (arg == "--collective") {
-      // Validate eagerly so the error names the flag the user typed.
-      const std::string v = value("--collective");
-      try {
-        (void)collectives::pattern_codec().parse(v);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--collective: " + std::string(e.what()));
-      }
-      opt.tree.set("ml.enabled", "true");
-      opt.tree.set("ml.pattern", v);
-    } else if (arg == "--resilience") {
-      const std::string v = value("--resilience");
-      try {
-        (void)fault::resilience_policy_codec().parse(v);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--resilience: " + std::string(e.what()));
-      }
-      opt.tree.set("fault.policy", v);
     } else if (arg == "--set") {
       const std::string kv = value("--set");
       const std::size_t eq = kv.find('=');
@@ -215,11 +205,14 @@ int main(int argc, char** argv) {
   }
 
   try {
-    cosim::CosimConfig cfg = opt.tree.build<cosim::CosimConfig>("cosim");
-    cfg.fabric = opt.tree.build<net::FabricSliceConfig>("net");
-    cfg.fault = opt.tree.build<fault::FaultConfig>("fault");
-    cfg.ml = opt.tree.build<collectives::MlConfig>("ml");
+    const cosim::CosimConfig cfg = config::cosim_config(opt.tree);
     const rack::RackConfig rack = opt.tree.build<rack::RackConfig>("rack");
+    // Any cluster.* override (--racks, --spill, --set cluster.*) selects the
+    // multi-rack cluster co-simulation.
+    const auto& overrides = opt.tree.overrides();
+    const bool cluster = std::any_of(overrides.begin(), overrides.end(), [](const auto& ov) {
+      return ov.first.rfind("cluster.", 0) == 0;
+    });
 
     if (!opt.manifest_path.empty()) {
       config::Manifest manifest;
@@ -255,7 +248,7 @@ int main(int argc, char** argv) {
     // below.  Observability attaches to rack 0 in cluster mode.
     cosim::CosimReport report;
     cluster::ClusterReport cluster_report;
-    if (opt.cluster) {
+    if (cluster) {
       const auto ccfg = opt.tree.build<cluster::ClusterConfig>("cluster");
       cluster_report = cluster::run_cluster_cosim(rack, opt.policy,
                                                   workloads::UsageModel::cori(),
@@ -311,7 +304,7 @@ int main(int argc, char** argv) {
                        : f.unit == "frac" ? sim::fmt_pct(v)
                                           : sim::fmt_fixed(v, 3)});
       }
-      if (opt.cluster) {
+      if (cluster) {
         table.add_row({"racks",
                        sim::fmt_int(static_cast<long long>(cluster_report.racks.size()))});
         std::string acceptance;
@@ -360,7 +353,7 @@ int main(int argc, char** argv) {
 
     std::cerr << "photorack_cosim: " << report.jobs.offered << " jobs offered, "
               << report.jobs.accepted << " accepted, ";
-    if (opt.cluster)
+    if (cluster)
       std::cerr << cluster_report.racks.size() << " racks, "
                 << cluster_report.spilled << " spilled, ";
     std::cerr << "mean stretch " << sim::fmt_fixed(report.mean_stretch, 3) << ", "

@@ -10,10 +10,15 @@
 
 namespace photorack::cosim {
 
-const config::EnumCodec<AdmissionPolicy>& admission_policy_codec() {
-  static const config::EnumCodec<AdmissionPolicy> codec(
+const sim::EnumCodec<AdmissionPolicy>& admission_policy_codec() {
+  static const sim::EnumCodec<AdmissionPolicy> codec(
       "admission policy", {{"drop", AdmissionPolicy::kDrop},
                            {"queue", AdmissionPolicy::kQueue}});
+  return codec;
+}
+
+const sim::EnumCodec<bool>& feedback_codec() {
+  static const sim::EnumCodec<bool> codec("feedback", {{"closed", true}, {"open", false}});
   return codec;
 }
 

@@ -9,7 +9,6 @@
 
 #include "collectives/collective.hpp"
 #include "collectives/runner.hpp"
-#include "config/enum_codec.hpp"
 #include "disagg/allocator.hpp"
 #include "disagg/job_scheduler.hpp"
 #include "fault/fault_model.hpp"
@@ -18,6 +17,7 @@
 #include "obs/obs.hpp"
 #include "phot/power.hpp"
 #include "rack/chips.hpp"
+#include "sim/enum_codec.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "traffic/arrival.hpp"
@@ -32,7 +32,12 @@ enum class AdmissionPolicy {
 };
 
 /// Canonical CLI/axis/registry spelling of AdmissionPolicy.
-const config::EnumCodec<AdmissionPolicy>& admission_policy_codec();
+const sim::EnumCodec<AdmissionPolicy>& admission_policy_codec();
+
+/// Canonical spelling of CosimConfig::contention_feedback: "closed" (stretch
+/// durations by measured contention) | "open" (flows occupy the fabric but
+/// never slow jobs).
+const sim::EnumCodec<bool>& feedback_codec();
 
 /// Closed-loop rack co-simulation (§II-A telemetry × §IV fabric × §VI-C
 /// power, evaluated *together* under one live job stream).

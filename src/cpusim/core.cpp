@@ -7,8 +7,8 @@
 
 namespace photorack::cpusim {
 
-const config::EnumCodec<CoreKind>& core_kind_codec() {
-  static const config::EnumCodec<CoreKind> codec(
+const sim::EnumCodec<CoreKind>& core_kind_codec() {
+  static const sim::EnumCodec<CoreKind> codec(
       "core kind", {{"inorder", CoreKind::kInOrder},
                     {"ooo", CoreKind::kOutOfOrder},
                     {"accel", CoreKind::kDecoupledAccelerator}});

@@ -3,11 +3,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "config/enum_codec.hpp"
 #include "cpusim/cache.hpp"
 #include "cpusim/dram.hpp"
 #include "cpusim/prefetch.hpp"
 #include "cpusim/trace.hpp"
+#include "sim/enum_codec.hpp"
 
 namespace photorack::cpusim {
 
@@ -25,7 +25,7 @@ enum class CoreKind : std::uint8_t {
 
 /// Canonical CLI/campaign-axis/registry spellings: "inorder" | "ooo" |
 /// "accel".  The one definition shared by campaigns and registry bindings.
-[[nodiscard]] const config::EnumCodec<CoreKind>& core_kind_codec();
+[[nodiscard]] const sim::EnumCodec<CoreKind>& core_kind_codec();
 [[nodiscard]] const char* to_string(CoreKind kind);
 
 /// Core timing parameters.  The in-order core issues one instruction per

@@ -21,8 +21,8 @@ std::uint64_t next_global_allocation_id() {
 
 }  // namespace
 
-const config::EnumCodec<AllocationPolicy>& allocation_policy_codec() {
-  static const config::EnumCodec<AllocationPolicy> codec(
+const sim::EnumCodec<AllocationPolicy>& allocation_policy_codec() {
+  static const sim::EnumCodec<AllocationPolicy> codec(
       "policy", {{"static", AllocationPolicy::kStaticNodes},
                  {"disagg", AllocationPolicy::kDisaggregated}});
   return codec;

@@ -5,8 +5,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "config/enum_codec.hpp"
 #include "rack/chips.hpp"
+#include "sim/enum_codec.hpp"
 
 namespace photorack::disagg {
 
@@ -78,7 +78,7 @@ enum class AllocationPolicy { kStaticNodes, kDisaggregated };
 /// Canonical CLI/campaign-axis/registry spellings: "static" | "disagg".
 /// The one definition shared by photorack_cosim, the scenario campaigns
 /// and the config-registry bindings.
-[[nodiscard]] const config::EnumCodec<AllocationPolicy>& allocation_policy_codec();
+[[nodiscard]] const sim::EnumCodec<AllocationPolicy>& allocation_policy_codec();
 
 /// Thin wrappers over allocation_policy_codec() for existing call sites.
 [[nodiscard]] AllocationPolicy parse_allocation_policy(const std::string& v);

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-#include "config/enum_codec.hpp"
+#include "sim/enum_codec.hpp"
 #include "sim/time.hpp"
 
 namespace photorack::fault {
@@ -18,7 +18,7 @@ enum class ComponentClass : int {
 };
 
 /// Canonical spelling ("mcm"|"node"|"link"|"laser") for traces and tests.
-[[nodiscard]] const config::EnumCodec<ComponentClass>& component_class_codec();
+[[nodiscard]] const sim::EnumCodec<ComponentClass>& component_class_codec();
 
 enum class FaultKind : int {
   kFail = 0,
@@ -34,7 +34,7 @@ enum class ResiliencePolicy {
 };
 
 /// Canonical CLI/axis/registry spelling: "kill" | "requeue" | "degrade".
-[[nodiscard]] const config::EnumCodec<ResiliencePolicy>& resilience_policy_codec();
+[[nodiscard]] const sim::EnumCodec<ResiliencePolicy>& resilience_policy_codec();
 
 /// The "fault" registry section.  All-zero MTBFs (the default) generate an
 /// empty timeline, and enabled=false skips the engine entirely — either way

@@ -67,8 +67,8 @@ void generate_component(std::vector<FaultEvent>& out, sim::Rng rng,
 
 }  // namespace
 
-const config::EnumCodec<ComponentClass>& component_class_codec() {
-  static const config::EnumCodec<ComponentClass> codec(
+const sim::EnumCodec<ComponentClass>& component_class_codec() {
+  static const sim::EnumCodec<ComponentClass> codec(
       "component class", {{"mcm", ComponentClass::kMcm},
                           {"node", ComponentClass::kNode},
                           {"link", ComponentClass::kLink},
@@ -76,8 +76,8 @@ const config::EnumCodec<ComponentClass>& component_class_codec() {
   return codec;
 }
 
-const config::EnumCodec<ResiliencePolicy>& resilience_policy_codec() {
-  static const config::EnumCodec<ResiliencePolicy> codec(
+const sim::EnumCodec<ResiliencePolicy>& resilience_policy_codec() {
+  static const sim::EnumCodec<ResiliencePolicy> codec(
       "resilience policy", {{"kill", ResiliencePolicy::kKill},
                             {"requeue", ResiliencePolicy::kRequeue},
                             {"degrade", ResiliencePolicy::kDegrade}});

@@ -1,20 +1,10 @@
 #include "obs/metrics.hpp"
 
-#include <charconv>
 #include <stdexcept>
 
+#include "sim/table.hpp"
+
 namespace photorack::obs {
-
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "0";
-  return std::string(buf, ptr);
-}
-
-}  // namespace
 
 MetricsRegistry::Id MetricsRegistry::add(Kind kind, const std::string& name,
                                          double relative_error) {
@@ -108,8 +98,8 @@ std::vector<std::vector<std::string>> MetricsRegistry::string_rows() const {
   for (const Row& row : rows_) {
     std::vector<std::string> cells;
     cells.reserve(row.values.size() + 1);
-    cells.push_back(fmt_double(row.t_ms));
-    for (const double v : row.values) cells.push_back(fmt_double(v));
+    cells.push_back(sim::fmt_double(row.t_ms));
+    for (const double v : row.values) cells.push_back(sim::fmt_double(v));
     out.push_back(std::move(cells));
   }
   return out;

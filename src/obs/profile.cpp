@@ -1,22 +1,12 @@
 #include "obs/profile.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "sim/table.hpp"
+
 namespace photorack::obs {
-
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "0";
-  return std::string(buf, ptr);
-}
-
-}  // namespace
 
 Profiler::ScopeId Profiler::scope(const std::string& name) {
   for (ScopeId i = 0; i < entries_.size(); ++i)
@@ -38,8 +28,9 @@ void Profiler::write_bench_json(std::ostream& os) const {
     if (e.count == 0) continue;
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << e.name << "\",\"items_per_sec\":" << fmt_double(e.items_per_sec())
-       << ",\"ns_per_op\":" << fmt_double(e.ns_per_op()) << "}";
+    os << "{\"name\":\"" << e.name
+       << "\",\"items_per_sec\":" << sim::fmt_double(e.items_per_sec())
+       << ",\"ns_per_op\":" << sim::fmt_double(e.ns_per_op()) << "}";
   }
   os << "]}\n";
 }

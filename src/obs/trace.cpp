@@ -1,49 +1,19 @@
 #include "obs/trace.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+
+#include "sim/table.hpp"
 
 namespace photorack::obs {
 
 namespace {
 
-/// Shortest round-trip decimal of a double (std::to_chars), locale-free and
-/// deterministic — trace bytes must not depend on the host's locale.
-std::string fmt_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "0";
-  return std::string(buf, ptr);
-}
-
 /// Sim picoseconds -> Trace-Event-Format microseconds.
 std::string fmt_ts(sim::TimePs ps) {
-  return fmt_double(static_cast<double>(ps) / static_cast<double>(sim::kPsPerUs));
-}
-
-/// JSON string literal; trace names are ASCII identifiers but escape anyway.
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-          out += esc;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
+  return sim::fmt_double(static_cast<double>(ps) /
+                         static_cast<double>(sim::kPsPerUs));
 }
 
 constexpr const char* kTrackNames[] = {"sim", "jobs", "flows", "power", "faults"};
@@ -82,12 +52,12 @@ void TraceRecorder::write_json(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
-       << ",\"args\":{\"name\":" << quoted(kTrackNames[tid]) << "}}";
+       << ",\"args\":{\"name\":" << sim::json_quote(kTrackNames[tid]) << "}}";
   }
   for (const Event& e : events_) {
-    os << ",\n{\"name\":" << quoted(e.name) << ",\"cat\":"
-       << quoted(kTrackNames[static_cast<int>(e.track)]) << ",\"ph\":\"" << e.ph
-       << "\",\"ts\":" << fmt_ts(e.ts);
+    os << ",\n{\"name\":" << sim::json_quote(e.name) << ",\"cat\":"
+       << sim::json_quote(kTrackNames[static_cast<int>(e.track)])
+       << ",\"ph\":\"" << e.ph << "\",\"ts\":" << fmt_ts(e.ts);
     if (e.ph == 'X') os << ",\"dur\":" << fmt_ts(e.dur);
     if (e.ph == 'i') os << ",\"s\":\"t\"";
     os << ",\"pid\":0,\"tid\":" << static_cast<int>(e.track);
@@ -95,7 +65,8 @@ void TraceRecorder::write_json(std::ostream& os) const {
       os << ",\"args\":{";
       for (std::size_t i = 0; i < e.args.size(); ++i) {
         if (i) os << ",";
-        os << quoted(e.args[i].first) << ":" << fmt_double(e.args[i].second);
+        os << sim::json_quote(e.args[i].first) << ":"
+           << sim::fmt_double(e.args[i].second);
       }
       os << "}";
     }

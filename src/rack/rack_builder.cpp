@@ -5,8 +5,8 @@
 
 namespace photorack::rack {
 
-const config::EnumCodec<FabricKind>& fabric_kind_codec() {
-  static const config::EnumCodec<FabricKind> codec(
+const sim::EnumCodec<FabricKind>& fabric_kind_codec() {
+  static const sim::EnumCodec<FabricKind> codec(
       "fabric", {{"awgr", FabricKind::kParallelAwgrs},
                  {"wss", FabricKind::kSpatialOrWss},
                  {"electronic", FabricKind::kElectronicSwitches}});

@@ -3,10 +3,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "config/enum_codec.hpp"
 #include "phot/links.hpp"
 #include "phot/switches.hpp"
 #include "rack/mcm.hpp"
+#include "sim/enum_codec.hpp"
 
 namespace photorack::rack {
 
@@ -15,7 +15,7 @@ enum class FabricKind { kParallelAwgrs, kSpatialOrWss, kElectronicSwitches };
 
 /// Canonical CLI/campaign-axis/registry spellings: "awgr" | "wss" |
 /// "electronic".  The one definition shared by campaigns and bindings.
-[[nodiscard]] const config::EnumCodec<FabricKind>& fabric_kind_codec();
+[[nodiscard]] const sim::EnumCodec<FabricKind>& fabric_kind_codec();
 [[nodiscard]] const char* to_string(FabricKind kind);
 
 /// Plan for case (A) of §V-B / Fig 5: parallel AWGRs.  Each MCM splits its

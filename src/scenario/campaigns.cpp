@@ -17,7 +17,6 @@
 #include "cosim/report_fields.hpp"
 #include "cpusim/miss_profile.hpp"
 #include "cpusim/runner.hpp"
-#include "fault/fault_model.hpp"
 #include "gpusim/gpu_runner.hpp"
 #include "obs/obs.hpp"
 #include "phot/links.hpp"
@@ -387,10 +386,7 @@ std::vector<Axis> sec6c_axes() { return {{"system.fabric", {"awgr"}}}; }
 /// default seed (one canonical trajectory per grid point); any other value
 /// re-seeds from the spec id for independent replications.
 cosim::CosimConfig cosim_config_from(const ScenarioSpec& spec) {
-  cosim::CosimConfig cfg = spec.resolve<cosim::CosimConfig>("cosim");
-  cfg.fabric = spec.resolve<net::FabricSliceConfig>("net");
-  cfg.fault = spec.resolve<fault::FaultConfig>("fault");
-  cfg.ml = spec.resolve<collectives::MlConfig>("ml");
+  cosim::CosimConfig cfg = config::cosim_config(spec.tree());
   if (spec.base_seed != 0) cfg.seed = spec.derived_seed();
   return cfg;
 }

@@ -1,7 +1,6 @@
 #include "scenario/result_sink.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <ostream>
 
 namespace photorack::scenario {
@@ -64,28 +63,6 @@ bool is_json_number(const std::string& cell) {
   return i == n;
 }
 
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 }  // namespace
 
 void CsvSink::manifest(const std::string& manifest_json) {
@@ -110,12 +87,11 @@ void JsonlSink::write(const ResultRow& row) {
   os_ << '{';
   for (std::size_t i = 0; i < row.cells.size() && i < columns_.size(); ++i) {
     if (i) os_ << ',';
-    write_json_string(os_, columns_[i]);
-    os_ << ':';
+    os_ << sim::json_quote(columns_[i]) << ':';
     if (is_json_number(row.cells[i])) {
       os_ << row.cells[i];
     } else {
-      write_json_string(os_, row.cells[i]);
+      os_ << sim::json_quote(row.cells[i]);
     }
   }
   os_ << "}\n";

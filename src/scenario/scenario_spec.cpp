@@ -21,6 +21,13 @@ std::string ScenarioSpec::id() const {
   return out;
 }
 
+config::ConfigTree ScenarioSpec::tree() const {
+  config::ConfigTree out(config::registry());
+  for (const auto& [name, value] : axes)
+    if (out.registry().has(name)) out.set(name, value);
+  return out;
+}
+
 std::uint64_t ScenarioSpec::derived_seed() const {
   // FNV-1a over the identity string, then splitmix64 to spread the bits.
   std::uint64_t h = 0xcbf29ce484222325ULL;

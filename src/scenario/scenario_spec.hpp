@@ -40,21 +40,18 @@ struct ScenarioSpec {
   [[nodiscard]] std::uint64_t uint(const std::string& axis) const;
   [[nodiscard]] int integer(const std::string& axis) const;
 
+  /// The spec as a config tree: every axis whose name is a registered path,
+  /// set in axis order.  Free axes stay out.
+  [[nodiscard]] config::ConfigTree tree() const;
+
   /// Build the registry section's config struct for this spec: struct
-  /// defaults, then every axis whose name is a registered path inside
-  /// `section`, applied in axis order.  This is how evaluators receive
-  /// typed configs instead of doing per-axis string surgery — and why a
-  /// `--set any.path=value` override reaches every campaign that resolves
-  /// the path's section.
+  /// defaults, then the tree's overrides inside `section`.  This is how
+  /// evaluators receive typed configs instead of doing per-axis string
+  /// surgery — and why a `--set any.path=value` override reaches every
+  /// campaign that resolves the path's section.
   template <typename T>
   [[nodiscard]] T resolve(const std::string& section) const {
-    const config::ParamRegistry& reg = config::registry();
-    std::vector<std::pair<std::string, std::string>> overrides;
-    const std::string prefix = section + ".";
-    for (const auto& [name, value] : axes)
-      if (name.compare(0, prefix.size(), prefix) == 0 && reg.has(name))
-        overrides.emplace_back(name, value);
-    return reg.build<T>(section, overrides);
+    return tree().build<T>(section);
   }
 };
 

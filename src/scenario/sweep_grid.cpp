@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "config/bindings.hpp"
-#include "config/value_codec.hpp"
+#include "sim/table.hpp"
 
 namespace photorack::scenario {
 
@@ -30,7 +30,7 @@ void validate_axis_values(const std::string& name,
 
 }  // namespace
 
-std::string num_to_string(double v) { return config::format_double(v); }
+std::string num_to_string(double v) { return sim::fmt_double(v); }
 
 SweepGrid& SweepGrid::axis(std::string name, std::vector<std::string> values) {
   if (values.empty())

@@ -57,7 +57,7 @@ class SweepGrid {
 };
 
 /// Canonical string form of a numeric axis value: shortest representation
-/// that round-trips the double exactly (config::format_double).  Used both
+/// that round-trips the double exactly (sim::fmt_double).  Used both
 /// by SweepGrid::axis(double) and by campaigns formatting result cells, so
 /// values compare bit-exactly across serialize/parse cycles.
 [[nodiscard]] std::string num_to_string(double v);

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-namespace photorack::config {
+namespace photorack::sim {
 
 /// Bidirectional name<->value map for an enum: the ONE definition of an
 /// enum's CLI/axis/registry spelling.  Layers define a canonical codec next
@@ -13,8 +13,8 @@ namespace photorack::config {
 /// evaluators and registry bindings all parse and format through it, so a
 /// spelling can never drift between surfaces.
 ///
-/// Header-only and dependency-free so the lowest layers can define codecs
-/// without linking against the config library.
+/// Header-only, in sim so that every model layer can define its codec
+/// without linking the config library that binds those layers.
 template <typename E>
 class EnumCodec {
  public:
@@ -66,4 +66,4 @@ class EnumCodec {
   std::vector<std::pair<std::string, E>> items_;
 };
 
-}  // namespace photorack::config
+}  // namespace photorack::sim

@@ -1,6 +1,7 @@
 #include "sim/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
@@ -78,6 +79,34 @@ std::string fmt_int(long long v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%lld", v);
   return buf;
+}
+
+std::string fmt_double(double v) {
+  char buf[32];  // the longest shortest-round-trip double takes 24 chars
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+std::string json_quote(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char esc[8];
+          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
+          out += esc;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
 }
 
 }  // namespace photorack::sim

@@ -37,4 +37,12 @@ class Table {
 [[nodiscard]] std::string fmt_sci(double v, int decimals = 2);
 [[nodiscard]] std::string fmt_int(long long v);
 
+/// Shortest decimal that round-trips the double exactly (std::to_chars):
+/// locale-free, so registry values, manifests, sweep cells, traces and
+/// metrics compare bit-exactly across serialize/parse cycles.
+[[nodiscard]] std::string fmt_double(double v);
+
+/// JSON string literal: quotes, backslashes and control characters escaped.
+[[nodiscard]] std::string json_quote(const std::string& s);
+
 }  // namespace photorack::sim

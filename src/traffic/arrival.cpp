@@ -9,8 +9,8 @@
 
 namespace photorack::traffic {
 
-const config::EnumCodec<ArrivalKind>& arrival_kind_codec() {
-  static const config::EnumCodec<ArrivalKind> codec(
+const sim::EnumCodec<ArrivalKind>& arrival_kind_codec() {
+  static const sim::EnumCodec<ArrivalKind> codec(
       "arrival process", {{"poisson", ArrivalKind::kPoisson},
                           {"mmpp", ArrivalKind::kMmpp},
                           {"diurnal", ArrivalKind::kDiurnal},

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "config/enum_codec.hpp"
+#include "sim/enum_codec.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -24,7 +24,7 @@ enum class ArrivalKind {
 };
 
 /// Canonical CLI/axis/registry spelling of ArrivalKind.
-const config::EnumCodec<ArrivalKind>& arrival_kind_codec();
+const sim::EnumCodec<ArrivalKind>& arrival_kind_codec();
 
 /// Shape knobs for the non-Poisson processes (the base rate arrives
 /// separately — cosim keeps it on its own `arrivals_per_ms` knob).

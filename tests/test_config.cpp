@@ -23,8 +23,10 @@
 #include "disagg/allocator.hpp"
 #include "gpusim/gpu_config.hpp"
 #include "net/fabric.hpp"
+#include "phot/power.hpp"
 #include "rack/rack_builder.hpp"
 #include "sim/rng.hpp"
+#include "sim/table.hpp"
 
 namespace photorack {
 namespace {
@@ -75,9 +77,9 @@ TEST(EnumCodecs, CanonicalCodecsRoundTrip) {
             cpusim::CoreKind::kDecoupledAccelerator);
   EXPECT_EQ(rack::fabric_kind_codec().parse("electronic"),
             rack::FabricKind::kElectronicSwitches);
-  EXPECT_TRUE(config::feedback_codec().parse("closed"));
-  EXPECT_FALSE(config::feedback_codec().parse("open"));
-  EXPECT_EQ(config::feedback_codec().name(true), "closed");
+  EXPECT_TRUE(cosim::feedback_codec().parse("closed"));
+  EXPECT_FALSE(cosim::feedback_codec().parse("open"));
+  EXPECT_EQ(cosim::feedback_codec().name(true), "closed");
 }
 
 TEST(EnumCodecs, ParseErrorListsChoices) {
@@ -202,24 +204,32 @@ TEST(Tree, JsonIsSortedAndOrderInsensitive) {
   EXPECT_LT(a.to_json().find("\"mcm.fibers\""), a.to_json().find("\"rack.nodes\""));
 }
 
+/// A rack system from a resolved tree: fabric from "system.fabric", the
+/// rack/MCM geometry from "rack"/"mcm", power assumptions from "phot".
+core::RackSystem rack_system(const config::ConfigTree& tree) {
+  return core::RackSystem(tree.build<config::SystemParams>("system").fabric,
+                          tree.build<rack::RackConfig>("rack"),
+                          tree.build<rack::McmConfig>("mcm"),
+                          tree.build<phot::PhotonicPowerConfig>("phot"));
+}
+
 TEST(Tree, BuildsARackSystemEndToEnd) {
-  // The ported core::RackSystem ctor: an ordered --set list IS a design.
+  // An ordered --set list IS a design.
   config::ConfigTree electronic_tree(config::registry());
   electronic_tree.set("system.fabric", "electronic");
-  EXPECT_DOUBLE_EQ(core::RackSystem(electronic_tree).added_memory_latency_ns(), 85.0);
+  EXPECT_DOUBLE_EQ(rack_system(electronic_tree).added_memory_latency_ns(), 85.0);
 
   config::ConfigTree small_tree(config::registry());
   small_tree.set("rack.nodes", "64");
-  const core::RackSystem small_rack(small_tree);
+  const core::RackSystem small_rack = rack_system(small_tree);
   EXPECT_DOUBLE_EQ(small_rack.added_memory_latency_ns(), 35.0);
   EXPECT_LT(small_rack.total_mcms(), 350);
 
-  // phot.* assumption knobs reach power_overhead() through the tree ctor.
+  // phot.* assumption knobs reach power_overhead() through the tree.
   config::ConfigTree cheap_tree(config::registry());
   cheap_tree.set("phot.transceiver_pair_energy", "0.275");
-  const double half =
-      core::RackSystem(cheap_tree).power_overhead().transceivers.value;
-  const double full = core::RackSystem(config::ConfigTree(config::registry()))
+  const double half = rack_system(cheap_tree).power_overhead().transceivers.value;
+  const double full = rack_system(config::ConfigTree(config::registry()))
                           .power_overhead()
                           .transceivers.value;
   EXPECT_NEAR(half * 2.0, full, 1e-6);
@@ -412,7 +422,7 @@ TEST(Manifest, JsonIsValidDeterministicAndComplete) {
   EXPECT_NE(a.find("\"cpusim.dram.extra_ns\":\"0\""), std::string::npos);
   // Every registered param appears.
   for (const config::ParamInfo* p : config::registry().params())
-    EXPECT_NE(a.find(config::json_quote(p->path)), std::string::npos) << p->path;
+    EXPECT_NE(a.find(sim::json_quote(p->path)), std::string::npos) << p->path;
 }
 
 TEST(Manifest, SnapshotIsCanonicalCacheKeyMaterial) {
