@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "sim/thread_pool.hpp"
+
 namespace photorack::cluster {
 
 const sim::EnumCodec<SpillPolicy>& spill_policy_codec() {
@@ -25,12 +27,6 @@ ClusterConfig validated(ClusterConfig cfg) {
   return cfg;
 }
 
-std::size_t pool_size(const ClusterConfig& cfg) {
-  if (cfg.workers > 0) return static_cast<std::size_t>(cfg.workers);
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::min(static_cast<std::size_t>(cfg.racks), hw);
-}
-
 }  // namespace
 
 ClusterCosim::ClusterCosim(const rack::RackConfig& rack,
@@ -40,11 +36,8 @@ ClusterCosim::ClusterCosim(const rack::RackConfig& rack,
                            obs::Obs obs)
     : cfg_(validated(cluster)),
       fabric_(cfg_.racks, cfg_.interconnect_gbps.value, cfg_.hop_ns,
-              cfg_.interconnect_pj_per_bit),
-      pool_(pool_size(cfg_)) {
+              cfg_.interconnect_pj_per_bit) {
   racks_.reserve(static_cast<std::size_t>(cfg_.racks));
-  spill_out_.resize(static_cast<std::size_t>(cfg_.racks));
-  close_out_.resize(static_cast<std::size_t>(cfg_.racks));
   // Rack seed streams: rack 0 runs the base seed VERBATIM — a one-rack
   // cluster reproduces a standalone RackCosim report field for field.  Racks
   // r > 0 derive their seed under child stream 5 of the base RNG, a stream
@@ -56,53 +49,34 @@ ClusterCosim::ClusterCosim(const rack::RackConfig& rack,
     cosim::CosimConfig rack_cfg = cfg;
     if (r > 0) rack_cfg.seed = rack_root.child(static_cast<std::uint64_t>(r))();
     // Observability attaches to rack 0 only: one trace/metrics sink cannot
-    // take concurrent writers, and rack 0 is the rack whose stream matches a
-    // standalone run of the same seed.
+    // take concurrent writers (the spill-off drain runs racks on several
+    // threads), and rack 0 is the rack whose stream matches a standalone run
+    // of the same seed.
     racks_.push_back(std::make_unique<cosim::RackCosim>(
         rack, policy, usage, rack_cfg, r == 0 ? obs : obs::Obs{}));
   }
   if (!coupled()) return;
-  // Handlers run on rack worker threads inside a window: they only append
-  // to that rack's own outbox.  The coordinator drains outboxes strictly
-  // after wait_idle(), which orders the accesses.
+  // Coupled windows run on the calling thread: a handler appends to the
+  // outboxes, and exchange() acts on them at the barrier.
   for (int r = 0; r < cfg_.racks; ++r) {
     cosim::RackCosim* rc = racks_[static_cast<std::size_t>(r)].get();
     rc->set_spill_handler(
         [this, r](const cosim::RackCosim::JobPlan& plan, sim::TimePs at) {
-          spill_out_[static_cast<std::size_t>(r)].push_back(
-              SpillMsg{at, r, plan, at});
+          spills_.push_back(SpillMsg{at, r, plan, at});
           return true;
         });
     rc->set_remote_close_handler(
         [this, r](int link, double gbps, sim::TimePs at, bool placed) {
-          close_out_[static_cast<std::size_t>(r)].push_back(
-              CloseMsg{at, r, link, gbps, placed});
+          closes_.push_back(CloseMsg{at, r, link, gbps, placed});
         });
   }
-}
-
-void ClusterCosim::advance_all(sim::TimePs barrier) {
-  // Only racks with events inside the window have anything to do; a lone
-  // active rack runs inline — same results (rack domains are independent
-  // within a window), no pool round-trip.
-  std::vector<cosim::RackCosim*> active;
-  for (auto& r : racks_)
-    if (r->next_event_time() < barrier) active.push_back(r.get());
-  if (active.size() == 1) {
-    active.front()->advance_to(barrier);
-    return;
-  }
-  for (cosim::RackCosim* r : active)
-    pool_.submit([r, barrier]() { r->advance_to(barrier); });
-  pool_.wait_idle();
 }
 
 int ClusterCosim::pick_target(int origin) const {
   const int n = static_cast<int>(racks_.size());
   if (cfg_.spill == SpillPolicy::kNext) return (origin + 1) % n;
-  // kLeast: the rack with the lowest combined CPU+memory occupancy right
-  // now (reads are quiescent between windows).  Ties break to the lowest
-  // rack id — deterministic.
+  // kLeast: the rack with the lowest combined CPU+memory occupancy at the
+  // barrier.  Ties break to the lowest rack id — deterministic.
   int best = -1;
   double best_load = 0.0;
   for (int r = 0; r < n; ++r) {
@@ -117,44 +91,27 @@ int ClusterCosim::pick_target(int origin) const {
   return best;
 }
 
-void ClusterCosim::exchange(sim::TimePs /*barrier*/) {
-  // Merge every outbox into one stream ordered by (time, origin rack, kind,
-  // record order) — a total order over cross-rack effects that does not
-  // depend on which thread ran which rack, hence bit-identical results at
-  // any worker count.  Closes sort before spills at the same instant so
+void ClusterCosim::exchange() {
+  // Merge the outboxes into one stream ordered by (time, origin rack, kind,
+  // record order): a total order over cross-rack effects fixed by the
+  // racks' clocks alone.  Closes sort before spills at the same instant so
   // returned capacity is visible to a simultaneous spill's reservation.
-  struct Ref {
-    sim::TimePs at;
-    int origin;
-    int kind;  // 0 = close, 1 = spill
-    std::size_t idx;
-  };
-  std::vector<Ref> order;
-  for (int r = 0; r < static_cast<int>(racks_.size()); ++r) {
-    const auto ur = static_cast<std::size_t>(r);
-    for (std::size_t i = 0; i < close_out_[ur].size(); ++i)
-      order.push_back(Ref{close_out_[ur][i].at, r, 0, i});
-    for (std::size_t i = 0; i < spill_out_[ur].size(); ++i)
-      order.push_back(Ref{spill_out_[ur][i].at, r, 1, i});
-  }
-  if (order.empty()) return;
-  std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.origin != b.origin) return a.origin < b.origin;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.idx < b.idx;
-  });
+  order_.clear();
+  for (std::size_t i = 0; i < closes_.size(); ++i)
+    order_.emplace_back(closes_[i].at, closes_[i].origin, 0, i);
+  for (std::size_t i = 0; i < spills_.size(); ++i)
+    order_.emplace_back(spills_[i].at, spills_[i].origin, 1, i);
+  std::sort(order_.begin(), order_.end());
   const sim::TimePs hop = fabric_.hop_latency_ps();
-  for (const Ref& ref : order) {
-    const auto ur = static_cast<std::size_t>(ref.origin);
-    if (ref.kind == 0) {
-      const CloseMsg& msg = close_out_[ur][ref.idx];
+  for (const auto& [at, origin, kind, idx] : order_) {
+    if (kind == 0) {
+      const CloseMsg& msg = closes_[idx];
       fabric_.release(msg.link, msg.gbps);
       if (!msg.placed) ++spill_failed_;
     } else {
-      SpillMsg& msg = spill_out_[ur][ref.idx];
-      const int target = pick_target(msg.origin);
-      const int link = fabric_.link(msg.origin, target);
+      SpillMsg& msg = spills_[idx];
+      const int target = pick_target(origin);
+      const int link = fabric_.link(origin, target);
       double requested = 0.0;
       for (const auto& flow : msg.plan.flows) requested += flow.gbps;
       const double granted = fabric_.reserve(link, requested);
@@ -165,41 +122,47 @@ void ClusterCosim::exchange(sim::TimePs /*barrier*/) {
       // rack's min_speed floor at placement).
       msg.plan.remote_speed_cap =
           requested > 0.0 ? std::clamp(granted / requested, 0.0, 1.0) : 1.0;
-      racks_[static_cast<std::size_t>(target)]->inject_remote_job(
-          std::move(msg.plan), msg.at + hop, msg.arrived);
+      cosim::RackCosim& rack = *racks_[static_cast<std::size_t>(target)];
+      rack.inject_remote_job(std::move(msg.plan), at + hop, msg.arrived);
+      next_[static_cast<std::size_t>(target)] = rack.next_event_time();
       ++spilled_;
     }
   }
-  for (auto& box : spill_out_) box.clear();
-  for (auto& box : close_out_) box.clear();
+  spills_.clear();
+  closes_.clear();
 }
 
 void ClusterCosim::run() {
   if (ran_) return;
   ran_ = true;
   if (!coupled()) {
-    // No cross-rack effects are possible: one window, full-parallel drain.
-    if (racks_.size() == 1) {
-      racks_.front()->finish();
-    } else {
-      for (auto& r : racks_) pool_.submit([rc = r.get()]() { rc->finish(); });
-      pool_.wait_idle();
-    }
+    // No cross-rack effects are possible: one window, every rack drains on
+    // its own.
+    sim::parallel_for(
+        racks_.size(), [this](std::size_t r) { racks_[r]->finish(); },
+        cfg_.workers > 0 ? static_cast<std::size_t>(cfg_.workers)
+                         : std::thread::hardware_concurrency());
     ++barriers_;
     return;
   }
+  // Only advancing a rack or injecting into it moves its next event, so
+  // next_ stays exact with one refresh at each of those two places.
   const sim::TimePs hop = fabric_.hop_latency_ps();
+  for (const auto& r : racks_) next_.push_back(r->next_event_time());
   for (;;) {
-    sim::TimePs t_min = INT64_MAX;
-    for (auto& r : racks_) t_min = std::min(t_min, r->next_event_time());
-    // Outboxes are always drained at the bottom of the previous window, so
-    // an empty cluster-wide event horizon means fully done.
+    const sim::TimePs t_min = *std::min_element(next_.begin(), next_.end());
+    // Outboxes are drained at the bottom of every window that fills them,
+    // so an empty cluster-wide event horizon means fully done.
     if (t_min == INT64_MAX) break;
     const sim::TimePs barrier =
         t_min > INT64_MAX - hop ? INT64_MAX : t_min + hop;
-    advance_all(barrier);
+    for (std::size_t r = 0; r < racks_.size(); ++r) {
+      if (next_[r] >= barrier) continue;
+      racks_[r]->advance_to(barrier);
+      next_[r] = racks_[r]->next_event_time();
+    }
     ++barriers_;
-    exchange(barrier);
+    if (!spills_.empty() || !closes_.empty()) exchange();
   }
 }
 

@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "cluster/interconnect.hpp"
 #include "cosim/rack_cosim.hpp"
 #include "sim/enum_codec.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace photorack::cluster {
 
@@ -34,9 +34,10 @@ struct ClusterConfig {
   /// Inter-rack transceiver energy (always-on uplinks while cluster-scale
   /// disaggregation is active).
   double interconnect_pj_per_bit = 30.0;
-  /// Worker threads for the rack event loops; 0 = one per rack, capped at
-  /// the hardware concurrency.  Changing this NEVER changes results — the
-  /// synchronization windows make cluster runs bit-identical at any count.
+  /// Threads for the spill-off drain, where every rack runs to completion
+  /// on its own; 0 = one per rack, capped at the hardware concurrency.
+  /// Coupled windows always run inline on the calling thread.  Changing
+  /// this NEVER changes results: cluster runs are bit-identical at any count.
   int workers = 0;
 };
 
@@ -63,22 +64,23 @@ struct ClusterReport {
 /// Each rack owns its event queue, wavelength fabric, allocator, fault
 /// timeline and RNG streams (rack 0 runs the base seed verbatim; rack r > 0
 /// derives its seed from child stream 5.r, untouched by any rack-local
-/// stream).  Racks advance in parallel on a thread pool, in windows bounded
-/// by
+/// stream).  With spill-over coupling the racks, they advance in windows
+/// bounded by
 ///
 ///   barrier = min over racks of next_event_time() + hop latency
 ///
 /// A cross-rack effect born at t >= t_min delivers at t + hop >= barrier, so
 /// running every rack to the barrier can never miss one: spill requests and
-/// inter-rack link releases are recorded in per-rack outboxes during the
-/// window and exchanged only at the barrier, in (time, origin rack, record
-/// order) — a total order independent of thread scheduling.  Cluster runs
-/// are therefore bit-identical at any worker count (pinned by test_cluster
-/// and the CI cluster smoke step).
+/// inter-rack link releases are recorded in outboxes during the window and
+/// exchanged only at the barrier, in (time, origin rack, kind, record
+/// order).  Coupled windows run inline on the calling thread, rack by rack
+/// in rack order: nearly every window holds one event of one rack, so a
+/// thread hand-off per window would cost more than the work it moves.
 ///
 /// With spill == kNone (or one rack) the domains cannot interact at all and
-/// the loop collapses to one window: every rack runs to completion fully
-/// parallel.
+/// the loop collapses to one window: every rack runs to completion, spread
+/// over up to `workers` threads.  Cluster runs are bit-identical at any
+/// worker count (pinned by test_cluster and the CI cluster smoke step).
 class ClusterCosim {
  public:
   ClusterCosim(const rack::RackConfig& rack, disagg::AllocationPolicy policy,
@@ -100,8 +102,8 @@ class ClusterCosim {
   [[nodiscard]] const InterRackFabric& interconnect() const { return fabric_; }
 
  private:
-  /// One spilled job, recorded by the origin rack's worker thread during a
-  /// window, acted on by the coordinator at the barrier.
+  /// One spilled job, recorded by the origin rack during a window, acted on
+  /// at the barrier.
   struct SpillMsg {
     sim::TimePs at = 0;
     int origin = 0;
@@ -121,12 +123,14 @@ class ClusterCosim {
   ClusterConfig cfg_;
   std::vector<std::unique_ptr<cosim::RackCosim>> racks_;
   InterRackFabric fabric_;
-  sim::ThreadPool pool_;
-  // Per-rack outboxes: each is written only by the thread advancing that
-  // rack during a window and drained only by the coordinator at the barrier
-  // (wait_idle orders the two), so no locking is needed.
-  std::vector<std::vector<SpillMsg>> spill_out_;
-  std::vector<std::vector<CloseMsg>> close_out_;
+  // Outboxes of the current window, appended to by every rack in dispatch
+  // order and drained by exchange() at the barrier.
+  std::vector<SpillMsg> spills_;
+  std::vector<CloseMsg> closes_;
+  // exchange()'s sort buffer, reused: (time, origin, kind, index), where
+  // kind 0 indexes closes_ and kind 1 spills_.
+  std::vector<std::tuple<sim::TimePs, int, int, std::size_t>> order_;
+  std::vector<sim::TimePs> next_;  // cached next_event_time() per rack
   std::uint64_t spilled_ = 0;
   std::uint64_t spill_failed_ = 0;
   std::uint64_t barriers_ = 0;
@@ -135,8 +139,7 @@ class ClusterCosim {
   [[nodiscard]] bool coupled() const {
     return cfg_.spill != SpillPolicy::kNone && racks_.size() > 1;
   }
-  void advance_all(sim::TimePs barrier);
-  void exchange(sim::TimePs barrier);
+  void exchange();
   [[nodiscard]] int pick_target(int origin) const;
   [[nodiscard]] sim::TimePs sim_end() const;
 };

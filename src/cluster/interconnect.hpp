@@ -17,8 +17,7 @@ namespace photorack::cluster {
 /// contention two hops away.
 ///
 /// Reservation state is plain Gb/s per directed link, mutated only by the
-/// cluster coordinator between synchronization windows (never from rack
-/// worker threads), so no locking is needed.
+/// cluster coordinator at synchronization barriers, so no locking is needed.
 class InterRackFabric {
  public:
   InterRackFabric(int racks, double gbps_per_link, double hop_ns,

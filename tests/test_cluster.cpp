@@ -1,21 +1,25 @@
-// Multi-rack cluster co-simulation: the pinned contracts from ISSUE 9 —
-// a one-rack cluster reproduces RackCosim field for field, coupled runs are
-// bit-identical at any worker count (the conservative-window determinism
-// contract), spill bookkeeping conserves jobs and bandwidth, and the
-// cluster_energy campaign serializes byte-identically at every --jobs level.
+// Multi-rack cluster co-simulation: a one-rack cluster reproduces RackCosim
+// field for field, the coupled loop equals a from-scratch transcription of
+// the conservative-window contract bit for bit, spill bookkeeping conserves
+// jobs and bandwidth, and runs are bit-identical at any worker count or
+// --jobs level.
 #include "cluster/cluster_cosim.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "cosim/rack_cosim.hpp"
 #include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
+#include "sim/rng.hpp"
 
 namespace photorack::cluster {
 namespace {
@@ -123,30 +127,202 @@ TEST(Cluster, UncoupledRunIsIndependentOfWorkerCount) {
   EXPECT_EQ(rb.barriers, 1u);
 }
 
-// The tentpole contract: with spill-over coupling the racks, the
-// conservative-window loop makes the run bit-identical at any worker count.
-TEST(Cluster, CoupledRunIsBitIdenticalAtAnyWorkerCount) {
-  auto cfg = quick_cosim(8.0);  // overload so spills actually happen
-  cfg.admission = cosim::AdmissionPolicy::kQueue;
+// ---------------------------------------------------------------------------
+// Differential test: ClusterCosim's coupled loop against a reference that
+// redoes each window's bookkeeping from scratch through RackCosim's public
+// hooks — min over next_event_time() plus the hop, advance every rack with
+// an event below the barrier, then exchange every message in (time, origin
+// rack, kind, record order).
+// ---------------------------------------------------------------------------
+
+struct Reference {
+  ClusterReport report;
+  std::uint64_t partial_grants = 0;  // spills granted less than they asked
+};
+
+Reference reference_cluster(const ClusterConfig& cluster, const cosim::CosimConfig& cfg) {
+  struct Msg {
+    sim::TimePs at = 0;
+    int origin = 0;
+    int kind = 0;  // 0 = close, 1 = spill
+    cosim::RackCosim::JobPlan plan;
+    int link = -1;
+    double gbps = 0.0;
+    bool placed = true;
+  };
+  const auto n = static_cast<std::size_t>(cluster.racks);
+  InterRackFabric fabric(cluster.racks, cluster.interconnect_gbps.value, cluster.hop_ns,
+                         cluster.interconnect_pj_per_bit);
+  std::vector<std::unique_ptr<cosim::RackCosim>> racks;
+  std::vector<Msg> outbox;
+  const sim::Rng rack_root = sim::Rng(cfg.seed).child(5);
+  for (std::size_t r = 0; r < n; ++r) {
+    cosim::CosimConfig rack_cfg = cfg;
+    if (r > 0) rack_cfg.seed = rack_root.child(r)();
+    racks.push_back(std::make_unique<cosim::RackCosim>(
+        rack::RackConfig{}, disagg::AllocationPolicy::kDisaggregated,
+        workloads::UsageModel::cori(), rack_cfg));
+    const int origin = static_cast<int>(r);
+    racks[r]->set_spill_handler(
+        [&outbox, origin](const cosim::RackCosim::JobPlan& plan, sim::TimePs at) {
+          outbox.push_back(Msg{at, origin, 1, plan});
+          return true;
+        });
+    racks[r]->set_remote_close_handler(
+        [&outbox, origin](int link, double gbps, sim::TimePs at, bool placed) {
+          outbox.push_back(Msg{at, origin, 0, {}, link, gbps, placed});
+        });
+  }
+  auto least_loaded = [&](int origin) {
+    int best = -1;
+    double best_load = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (static_cast<int>(r) == origin) continue;
+      const auto& pools = racks[r]->allocator().pools();
+      const double load = pools.cpu_utilization() + pools.memory_utilization();
+      if (best < 0 || load < best_load) {
+        best = static_cast<int>(r);
+        best_load = load;
+      }
+    }
+    return best;
+  };
+
+  Reference ref;
+  ClusterReport& out = ref.report;
+  const sim::TimePs hop = fabric.hop_latency_ps();
+  for (;;) {
+    sim::TimePs t_min = INT64_MAX;
+    for (const auto& rack : racks) t_min = std::min(t_min, rack->next_event_time());
+    if (t_min == INT64_MAX) break;
+    const sim::TimePs barrier = t_min > INT64_MAX - hop ? INT64_MAX : t_min + hop;
+    for (const auto& rack : racks)
+      if (rack->next_event_time() < barrier) rack->advance_to(barrier);
+    ++out.barriers;
+    // Racks append in rack order and each rack in record order, so a stable
+    // sort on (time, origin, kind) leaves record order as the last key.
+    std::stable_sort(outbox.begin(), outbox.end(), [](const Msg& a, const Msg& b) {
+      return std::tie(a.at, a.origin, a.kind) < std::tie(b.at, b.origin, b.kind);
+    });
+    for (Msg& msg : outbox) {
+      if (msg.kind == 0) {
+        fabric.release(msg.link, msg.gbps);
+        if (!msg.placed) ++out.spill_failed;
+        continue;
+      }
+      const int target = cluster.spill == SpillPolicy::kNext
+                             ? (msg.origin + 1) % cluster.racks
+                             : least_loaded(msg.origin);
+      const int link = fabric.link(msg.origin, target);
+      double requested = 0.0;
+      for (const auto& flow : msg.plan.flows) requested += flow.gbps;
+      const double granted = fabric.reserve(link, requested);
+      if (granted < requested) ++ref.partial_grants;
+      msg.plan.remote_link = link;
+      msg.plan.remote_gbps = granted;
+      msg.plan.remote_speed_cap =
+          requested > 0.0 ? std::clamp(granted / requested, 0.0, 1.0) : 1.0;
+      racks[static_cast<std::size_t>(target)]->inject_remote_job(std::move(msg.plan),
+                                                                  msg.at + hop, msg.at);
+      ++out.spilled;
+    }
+    outbox.clear();
+  }
+
+  sim::TimePs end = 0;
+  cosim::CosimTally total;
+  for (const auto& rack : racks) {
+    end = std::max(end, rack->now());
+    out.racks.push_back(rack->tally().report());
+    total.merge(rack->tally());
+  }
+  out.interconnect_power_w = fabric.power_w(true);
+  out.interconnect_energy_j = out.interconnect_power_w * sim::to_s(end);
+  out.interconnect_utilization = fabric.utilization();
+  out.total = total.report();
+  out.total.energy_joules += out.interconnect_energy_j;
+  out.total.mean_power_w += out.interconnect_power_w;
+  out.total.peak_power_w += out.interconnect_power_w;
+  out.total.photonic_power_w += out.interconnect_power_w;
+  return ref;
+}
+
+void expect_same_cluster(const ClusterReport& a, const ClusterReport& b) {
+  EXPECT_EQ(a.spilled, b.spilled);
+  EXPECT_EQ(a.spill_failed, b.spill_failed);
+  EXPECT_EQ(a.barriers, b.barriers);
+  EXPECT_EQ(a.interconnect_power_w, b.interconnect_power_w);
+  EXPECT_EQ(a.interconnect_energy_j, b.interconnect_energy_j);
+  EXPECT_EQ(a.interconnect_utilization, b.interconnect_utilization);
+  expect_same_report(a.total, b.total);
+  ASSERT_EQ(a.racks.size(), b.racks.size());
+  for (std::size_t r = 0; r < a.racks.size(); ++r) {
+    SCOPED_TRACE(testing::Message() << "rack " << r);
+    expect_same_report(a.racks[r], b.racks[r]);
+  }
+}
+
+/// Overloaded racks (spills happen) on a short horizon: a backlog of four
+/// under queueing; all four fault classes with requeue; or drop admission
+/// with half the arrivals training jobs.
+enum class Mix { kQueue, kQueueFaults, kDropMl };
+
+cosim::CosimConfig mix_cosim(Mix mix) {
+  cosim::CosimConfig cfg = quick_cosim(8.0);
+  cfg.sim_time = 40 * sim::kPsPerMs;
+  cfg.admission = mix == Mix::kDropMl ? cosim::AdmissionPolicy::kDrop
+                                      : cosim::AdmissionPolicy::kQueue;
   cfg.queue_cap = 4;
-  ClusterConfig serial;
-  serial.racks = 3;
-  serial.spill = SpillPolicy::kLeast;
-  ClusterConfig wide = serial;
-  serial.workers = 1;
-  wide.workers = 4;
-  const auto rs = run_cluster(serial, cfg);
-  const auto rw = run_cluster(wide, cfg);
-  EXPECT_GT(rs.spilled, 0u);  // the coupling is actually exercised
-  EXPECT_GT(rs.barriers, 1u);
-  EXPECT_EQ(rs.spilled, rw.spilled);
-  EXPECT_EQ(rs.spill_failed, rw.spill_failed);
-  EXPECT_EQ(rs.barriers, rw.barriers);
-  EXPECT_EQ(rs.interconnect_energy_j, rw.interconnect_energy_j);
-  expect_same_report(rs.total, rw.total);
-  ASSERT_EQ(rs.racks.size(), rw.racks.size());
-  for (std::size_t r = 0; r < rs.racks.size(); ++r)
-    expect_same_report(rs.racks[r], rw.racks[r]);
+  if (mix == Mix::kQueueFaults) {
+    cfg.fault.enabled = true;
+    cfg.fault.policy = fault::ResiliencePolicy::kRequeue;
+    cfg.fault.mcm_mtbf_ms = 60.0;
+    cfg.fault.node_mtbf_ms = 240.0;
+    cfg.fault.link_mtbf_ms = 60.0;
+    cfg.fault.laser_mtbf_ms = 60.0;
+  }
+  if (mix == Mix::kDropMl) {
+    cfg.ml.enabled = true;
+    cfg.ml.mix_fraction = 0.5;
+  }
+  return cfg;
+}
+
+TEST(Cluster, CoupledLoopMatchesReferenceLoop) {
+  for (const SpillPolicy spill : {SpillPolicy::kNext, SpillPolicy::kLeast})
+    for (const double hop_ns : {0.0, 200.0, 1e6})
+      for (const Mix mix : {Mix::kQueue, Mix::kQueueFaults, Mix::kDropMl})
+        for (const int racks : {2, 8}) {
+          SCOPED_TRACE(testing::Message()
+                       << spill_policy_codec().name(spill) << " hop_ns=" << hop_ns
+                       << " mix=" << static_cast<int>(mix) << " racks=" << racks);
+          ClusterConfig cluster;
+          cluster.racks = racks;
+          cluster.spill = spill;
+          cluster.hop_ns = hop_ns;
+          const auto cfg = mix_cosim(mix);
+          const Reference ref = reference_cluster(cluster, cfg);
+          // Every axis is exercised: spills cross racks, windows repeat,
+          // faults requeue and training jobs run.
+          EXPECT_GT(ref.report.spilled, 0u);
+          EXPECT_GT(ref.report.barriers, 1u);
+          if (mix == Mix::kQueueFaults) EXPECT_GT(ref.report.total.fault.requeued, 0u);
+          if (mix == Mix::kDropMl) EXPECT_GT(ref.report.total.ml.jobs_completed, 0u);
+          expect_same_cluster(run_cluster(cluster, cfg), ref.report);
+        }
+}
+
+// A starved interconnect grants spills only part of what they ask, so the
+// exchange order decides which spill gets how much.
+TEST(Cluster, CoupledLoopMatchesReferenceWithPartialGrants) {
+  ClusterConfig cluster;
+  cluster.racks = 4;
+  cluster.spill = SpillPolicy::kLeast;
+  cluster.interconnect_gbps = phot::Gbps{20.0};
+  const auto cfg = mix_cosim(Mix::kQueue);
+  const Reference ref = reference_cluster(cluster, cfg);
+  EXPECT_GT(ref.partial_grants, 0u);
+  expect_same_cluster(run_cluster(cluster, cfg), ref.report);
 }
 
 // Cluster flow fractions pool bandwidth, not per-rack ratios: satisfied is
