@@ -4,8 +4,10 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "rack/rack_builder.hpp"
+#include "sim/table.hpp"
 #include "workloads/ml_profiles.hpp"
 
 namespace photorack::cosim {
@@ -90,6 +92,47 @@ CosimConfig validated(CosimConfig cfg, const rack::RackConfig& rack) {
   return cfg;
 }
 
+/// What one training job asks for: a gang of `accelerators` GPUs plus the
+/// host-side footprint from the per-accelerator profile.
+disagg::JobRequest ml_request(const collectives::MlConfig& ml) {
+  const auto prof = workloads::MlAcceleratorProfile::a100_like();
+  disagg::JobRequest req;
+  req.cpus = static_cast<int>(std::ceil(prof.cpus_per_accel * ml.accelerators));
+  req.gpus = ml.accelerators;
+  req.memory_gb = prof.job_memory_gb(ml.accelerators, ml.gradient_mb);
+  req.nic_gbps = prof.nic_gbps_per_accel * ml.accelerators;
+  return req;
+}
+
+/// Refuse a job shape the empty rack cannot place: such a run offers every
+/// job of that shape, accepts none and still exits cleanly.  Every job needs
+/// a CPU, and the ml.* knobs fix a training gang, so one request stands for
+/// every training job.  The NIC pool needs no check: a rank asks for far
+/// less than a GPU's share of a node's NICs.
+void check_job_shapes(const CosimConfig& cfg, const rack::RackConfig& rack,
+                      const disagg::PoolState& pools) {
+  if (rack.node.cpus < 1)
+    throw std::invalid_argument("RackCosim: rack.node.cpus = " +
+                                std::to_string(rack.node.cpus) +
+                                ", but every job needs a CPU");
+  if (!cfg.ml.enabled || cfg.ml.mix_fraction <= 0.0) return;
+  const disagg::JobRequest req = ml_request(cfg.ml);
+  const std::string job = "RackCosim: ml.accelerators = " + std::to_string(cfg.ml.accelerators);
+  if (req.gpus > pools.gpus_total)
+    throw std::invalid_argument(job + " exceeds rack.nodes * rack.node.gpus = " +
+                                std::to_string(pools.gpus_total));
+  if (req.cpus > pools.cpus_total)
+    throw std::invalid_argument(job + " needs " + std::to_string(req.cpus) +
+                                " CPUs, more than rack.nodes * rack.node.cpus = " +
+                                std::to_string(pools.cpus_total));
+  if (req.memory_gb > pools.memory_gb_total)
+    throw std::invalid_argument(job + " with ml.gradient_mb = " +
+                                sim::fmt_double(cfg.ml.gradient_mb) + " needs " +
+                                sim::fmt_double(req.memory_gb) +
+                                " GB of memory, more than the rack's " +
+                                sim::fmt_double(pools.memory_gb_total) + " GB");
+}
+
 /// Whether a flow rides the component a fabric fault took down: an MCM crash
 /// severs every flow touching that endpoint, a link cut only the flows on
 /// its directed (src, dst) pair.
@@ -152,6 +195,7 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
       arrival_process_(
           traffic::make_arrival_process(cfg_.arrival, cfg_.arrivals_per_ms)),
       obs_(obs) {
+  check_job_shapes(cfg_, rack_, allocator_.pools());
   // A one-rack tally: the rack-mean fault fields start fully available.
   tally_.racks = 1;
   tally_.availability_sum = 1.0;
@@ -327,16 +371,9 @@ RackCosim::JobPlan RackCosim::make_ml_plan(sim::Rng& rng) const {
   plan.ml.bytes = ml.gradient_mb * 1e6;
   plan.ml.steps = ml.steps;
 
-  // Resource demand: a gang of `accelerators` GPUs plus the host-side
-  // footprint from the per-accelerator profile.
-  const auto prof = workloads::MlAcceleratorProfile::a100_like();
   const int per_node = std::max(1, rack_.node.gpus);
   plan.breadth = (ml.accelerators + per_node - 1) / per_node;
-  plan.request.cpus =
-      static_cast<int>(std::ceil(prof.cpus_per_accel * ml.accelerators));
-  plan.request.gpus = ml.accelerators;
-  plan.request.memory_gb = prof.job_memory_gb(ml.accelerators, ml.gradient_mb);
-  plan.request.nic_gbps = prof.nic_gbps_per_accel * ml.accelerators;
+  plan.request = ml_request(ml);
 
   // Rank endpoints: distinct MCMs while they last (partial Fisher-Yates over
   // the endpoint range), then uniform wrap when a job has more ranks than

@@ -171,6 +171,56 @@ TEST(Cosim, NonPositiveDurationsAreRejected) {
                std::invalid_argument);
 }
 
+/// What a RackCosim constructor's std::invalid_argument says ("" if none).
+std::string construction_error(const rack::RackConfig& rack, const CosimConfig& cfg) {
+  try {
+    RackCosim sim(rack, disagg::AllocationPolicy::kDisaggregated,
+                  workloads::UsageModel::cori(), cfg);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A job shape the empty rack cannot place fails at construction, naming the
+// knobs and the capacity, instead of offering every job and accepting none.
+TEST(Cosim, UnrunnableJobShapesAreRejected) {
+  CosimConfig ml = quick();
+  ml.ml.enabled = true;
+  ml.ml.accelerators = 4096;
+  EXPECT_EQ(construction_error({}, ml),
+            "RackCosim: ml.accelerators = 4096 exceeds rack.nodes * rack.node.gpus = 512");
+  rack::RackConfig gpuless;
+  gpuless.node.gpus = 0;
+  ml.ml.accelerators = 8;
+  EXPECT_EQ(construction_error(gpuless, ml),
+            "RackCosim: ml.accelerators = 8 exceeds rack.nodes * rack.node.gpus = 0");
+  rack::RackConfig cpuless;
+  cpuless.node.cpus = 0;
+  EXPECT_EQ(construction_error(cpuless, quick()),
+            "RackCosim: rack.node.cpus = 0, but every job needs a CPU");
+  // A gang's host CPUs and memory count too: 300 ranks need 150 of the 128
+  // CPUs, and 64 ranks on one 64-GPU node need more than its 256 GB.
+  ml.ml.accelerators = 300;
+  EXPECT_NE(construction_error({}, ml).find("needs 150 CPUs, more than rack.nodes * "
+                                            "rack.node.cpus = 128"),
+            std::string::npos);
+  rack::RackConfig one_node;
+  one_node.nodes = 1;
+  one_node.node.cpus = 64;
+  one_node.node.gpus = 64;
+  ml.ml.accelerators = 64;
+  EXPECT_NE(construction_error(one_node, ml).find("GB of memory, more than the rack's 256 GB"),
+            std::string::npos);
+  // Shapes that fit, and racks that never draw a training job, construct.
+  ml.ml.accelerators = 256;
+  EXPECT_EQ(construction_error({}, ml), "");
+  ml.ml.accelerators = 4096;
+  ml.ml.mix_fraction = 0.0;
+  EXPECT_EQ(construction_error({}, ml), "");
+  EXPECT_EQ(construction_error(gpuless, quick()), "");  // HPC mix, GPU jobs refused
+}
+
 TEST(Cosim, EmptyStreamReportsSentinelNotNan) {
   auto cfg = quick();
   cfg.sim_time = 0;  // no arrival fits the horizon
