@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cosim/rack_cosim.hpp"
+#include "cosim/report_fields.hpp"
 #include "net/fabric.hpp"
 #include "rack/rack_builder.hpp"
 #include "report_testing.hpp"
@@ -598,6 +599,76 @@ TEST(FaultCosim, EnergyMatchesAnEventByEventOracle) {
       EXPECT_GT(report.fault.requeued, 0u);
       EXPECT_NEAR(report.energy_joules, joules, 1e-9 * joules);
     }
+  }
+}
+
+// FNV-1a over the bit pattern of every report field, in table order.
+std::uint64_t report_digest(const cosim::CosimReport& report) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const cosim::ReportField& field : cosim::report_fields()) {
+    const auto bits = std::bit_cast<std::uint64_t>(field.get(report));
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// The fault and admission paths no golden campaign runs, pinned byte for
+// byte: link and laser faults beside MCM and node faults, static-policy node
+// victims, training-job victims, and arrivals a full backlog refuses while
+// an ML mix is drawn.  A change that moves any report bit on these paths
+// fails here; a deliberate one re-pins the constants.  Static jobs never run
+// degraded (fabric faults pass them by, a node crash requeues them), so both
+// static cases share one digest.
+TEST(FaultCosim, UngoldenedFaultAndAdmissionPathsKeepTheirDigests) {
+  using disagg::AllocationPolicy;
+  const struct {
+    const char* name;
+    AllocationPolicy policy;
+    ResiliencePolicy resilience;
+    double ml_mix;
+    int queue_cap;
+    std::uint64_t digest;
+  } cases[] = {
+      {"static/requeue", AllocationPolicy::kStaticNodes, ResiliencePolicy::kRequeue, 0.0,
+       64, 0x0c7ebd06b2495e4eULL},
+      {"static/degrade", AllocationPolicy::kStaticNodes, ResiliencePolicy::kDegrade, 0.0,
+       64, 0x0c7ebd06b2495e4eULL},
+      {"disagg/requeue", AllocationPolicy::kDisaggregated, ResiliencePolicy::kRequeue,
+       0.0, 64, 0x672abf5922a71aeeULL},
+      {"disagg/degrade", AllocationPolicy::kDisaggregated, ResiliencePolicy::kDegrade,
+       0.0, 64, 0x0aaa92c11aed8fa9ULL},
+      {"disagg/kill/ml", AllocationPolicy::kDisaggregated, ResiliencePolicy::kKill, 0.5,
+       4, 0x60046f725a244ae0ULL},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    cosim::CosimConfig cfg;
+    cfg.sim_time = 200 * sim::kPsPerMs;
+    cfg.admission = cosim::AdmissionPolicy::kQueue;
+    cfg.queue_cap = c.queue_cap;
+    cfg.fault.enabled = true;
+    cfg.fault.policy = c.resilience;
+    cfg.fault.mcm_mtbf_ms = 60.0;
+    cfg.fault.node_mtbf_ms = 60.0;
+    cfg.fault.link_mtbf_ms = 60.0;
+    cfg.fault.laser_mtbf_ms = 60.0;
+    cfg.ml.enabled = c.ml_mix > 0.0;
+    cfg.ml.mix_fraction = c.ml_mix;
+    const auto report = run_with(c.policy, cfg);
+    // Each case reaches the path it pins: victims, refused arrivals (under
+    // queueing only a full backlog leaves an offer unaccepted), degraded
+    // jobs, and killed training jobs.
+    EXPECT_GT(report.fault.interrupted, 0u);
+    EXPECT_GT(report.jobs.offered, report.jobs.accepted);
+    if (c.resilience == ResiliencePolicy::kDegrade &&
+        c.policy == AllocationPolicy::kDisaggregated)
+      EXPECT_GT(report.fault.degraded, 0u);
+    if (c.ml_mix > 0.0) EXPECT_LT(report.ml.jobs_completed, report.ml.jobs_accepted);
+    EXPECT_EQ(report_digest(report), c.digest)
+        << std::hex << "0x" << report_digest(report);
   }
 }
 
