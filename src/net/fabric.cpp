@@ -204,15 +204,15 @@ void WavelengthFabric::check_pair(int src, int dst, double value,
 }
 
 void WavelengthFabric::recompute_scale(int src, int dst) {
-  // Product over a value-sorted copy: the effective scale depends only on
-  // the SET of live factors, never on push order, so two fault histories
-  // that leave the same faults active read identical capacity bits.  No
-  // factors multiplies nothing into 1.0 — the exact healthy scale.
-  std::vector<double> live = factors_[idx(src, dst)];
-  std::sort(live.begin(), live.end());
+  // The live list is kept in ascending order, so this is the product over
+  // the factors smallest first: the effective scale depends only on the SET
+  // of live factors, never on push order, so two fault histories that leave
+  // the same faults active read identical capacity bits.  No factors
+  // multiplies nothing into 1.0 — the exact healthy scale.
+  const std::size_t pair = idx(src, dst);
   double scale = 1.0;
-  for (const double f : live) scale *= f;
-  scale_[idx(src, dst)] = scale;
+  for (const double f : factors_[pair]) scale *= f;
+  scale_[pair] = scale;
   refresh_free(src, dst);
   capacity_dirty_ = true;
 }
@@ -223,7 +223,8 @@ void WavelengthFabric::push_pair_factor(int src, int dst, double factor) {
     scale_.assign(static_cast<std::size_t>(mcms_) * mcms_, 1.0);
   if (factors_.empty())
     factors_.assign(static_cast<std::size_t>(mcms_) * mcms_, {});
-  factors_[idx(src, dst)].push_back(factor);
+  auto& live = factors_[idx(src, dst)];
+  live.insert(std::upper_bound(live.begin(), live.end(), factor), factor);
   recompute_scale(src, dst);
 }
 
@@ -232,8 +233,8 @@ void WavelengthFabric::pop_pair_factor(int src, int dst, double factor) {
   if (factors_.empty())
     throw std::logic_error("pop_pair_factor: no factors live on the fabric");
   auto& live = factors_[idx(src, dst)];
-  const auto it = std::find(live.begin(), live.end(), factor);
-  if (it == live.end())
+  const auto it = std::lower_bound(live.begin(), live.end(), factor);
+  if (it == live.end() || *it != factor)
     throw std::logic_error("pop_pair_factor: factor not live on this pair");
   live.erase(it);
   recompute_scale(src, dst);

@@ -118,9 +118,10 @@ class WavelengthFabric {
   // absolute setter cannot express that — repairing one fault would clobber
   // the scale another still-active fault imposed — so each fault pushes a
   // multiplicative factor and pops the same value on repair.  The effective
-  // scale is the product of the pair's live factors, recomputed in
-  // ascending-value order so it is independent of the push sequence, and an
-  // empty factor list restores exactly 1.0 (bit-exact healthy arithmetic).
+  // scale is the product of the pair's live factors, kept in ascending order
+  // and multiplied smallest first, so it is independent of the push
+  // sequence, and an empty factor list restores exactly 1.0 (bit-exact
+  // healthy arithmetic).
 
   /// Contribute one fault's capacity factor to the directed pair; throws
   /// std::invalid_argument outside [0,1] or for a bad pair.
@@ -147,7 +148,7 @@ class WavelengthFabric {
   std::vector<std::uint64_t> row_bits_;  // [src*words + mid/64]: src->mid free
   std::vector<std::uint64_t> col_bits_;  // [dst*words + mid/64]: mid->dst free
   std::vector<double> scale_;            // per-pair effective multiplier (lazy)
-  std::vector<std::vector<double>> factors_;  // per-pair live fault factors (lazy)
+  std::vector<std::vector<double>> factors_;  // per-pair live fault factors, ascending (lazy)
   mutable double capacity_ = 0.0;        // Σ scaled capacity of covered cells
   mutable bool capacity_dirty_ = true;   // a pair factor changed since the sum
   double used_ = 0.0;                    // running Σ of every cell's change

@@ -24,6 +24,7 @@
 #include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/rng.hpp"
 
 namespace photorack::fault {
 namespace {
@@ -293,6 +294,180 @@ TEST(FaultFabric, FactorProductIsPushOrderIndependent) {
   b.push_pair_factor(3, 9, 0.5);
   EXPECT_EQ(a.direct_capacity(3, 9), b.direct_capacity(3, 9));
   EXPECT_EQ(a.direct_capacity(3, 9), 0.125 * a.direct_capacity(9, 3));
+}
+
+/// The co-sim slice: `lambdas` fully populated AWGRs of radix `mcms`, one
+/// 25 Gb/s wavelength per pair on each (as RackCosim builds its fabric).
+rack::AwgrFabricPlan slice_plan(int mcms, int lambdas) {
+  rack::AwgrFabricPlan plan;
+  plan.parallel_awgrs = lambdas;
+  plan.awgr_radix = mcms;
+  plan.port_wavelength_cap = mcms;
+  plan.lambdas_per_port.assign(static_cast<std::size_t>(lambdas), mcms);
+  plan.full_coverage_awgrs = lambdas;
+  plan.min_direct_lambdas_per_pair = lambdas;
+  plan.direct_pair_bandwidth = phot::Gbps{25.0 * lambdas};
+  return plan;
+}
+
+/// What a fabric's factor stack must read, rebuilt from scratch: each pair
+/// keeps its live factors unsorted, in push order, and its scale is the
+/// product over a sorted copy.  Free capacity and utilization are
+/// recomputed from the fabric's cell table with the fabric's expressions,
+/// and the running used total follows the table's changes cell by cell.
+class FactorStackReference {
+ public:
+  explicit FactorStackReference(const net::WavelengthFabric& fabric)
+      : fabric_(fabric),
+        mcms_(static_cast<std::size_t>(fabric.mcms())),
+        cells_(fabric.allocation_snapshot()),
+        scale_(mcms_ * mcms_, 1.0),
+        live_(mcms_ * mcms_) {
+    covered_.reserve(cells_.size());
+    for (int a = 0; a < fabric.parallel_awgrs(); ++a)
+      for (int s = 0; s < fabric.mcms(); ++s)
+        for (int d = 0; d < fabric.mcms(); ++d) covered_.push_back(fabric.covers(a, s, d));
+  }
+
+  [[nodiscard]] const std::vector<double>& live(int src, int dst) const {
+    return live_[pair(src, dst)];
+  }
+  void push(int src, int dst, double factor) {
+    live_[pair(src, dst)].push_back(factor);
+    rescale(src, dst);
+  }
+  void pop(int src, int dst, std::size_t i) {
+    auto& live = live_[pair(src, dst)];
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    rescale(src, dst);
+  }
+
+  /// Carry the cells the last call changed into the used total, in table
+  /// order, snapping to 0.0 when no cell holds anything.
+  void sync_cells() {
+    const std::vector<double> now = fabric_.allocation_snapshot();
+    for (std::size_t c = 0; c < now.size(); ++c) {
+      if (now[c] == cells_[c]) continue;
+      used_ += now[c] - cells_[c];
+      if (cells_[c] == 0.0) ++nonzero_;
+      if (now[c] == 0.0) --nonzero_;
+      if (nonzero_ == 0) used_ = 0.0;
+    }
+    cells_ = now;
+  }
+
+  [[nodiscard]] double scale(int src, int dst) const { return scale_[pair(src, dst)]; }
+  [[nodiscard]] double capacity(int src, int dst) const {
+    return fabric_.direct_lambdas(src, dst) * fabric_.gbps_per_wavelength() * scale(src, dst);
+  }
+  [[nodiscard]] double free_direct(int src, int dst) const {
+    const double g = fabric_.gbps_per_wavelength();
+    const double sc = scale(src, dst);
+    double free = 0.0;
+    for (std::size_t c = pair(src, dst); c < cells_.size(); c += mcms_ * mcms_) {
+      if (!covered_[c]) continue;
+      free += sc == 1.0 ? g - cells_[c] : std::max(0.0, g * sc - cells_[c]);
+    }
+    return free;
+  }
+  [[nodiscard]] double utilization() const {
+    const double g = fabric_.gbps_per_wavelength();
+    double cap = 0.0;
+    for (std::size_t a = 0; a < cells_.size(); a += scale_.size())
+      for (std::size_t p = 0; p < scale_.size(); ++p)
+        if (covered_[a + p]) cap += scale_[p] == 1.0 ? g : g * scale_[p];
+    return cap > 0.0 ? used_ / cap : 0.0;
+  }
+
+ private:
+  [[nodiscard]] std::size_t pair(int src, int dst) const {
+    return static_cast<std::size_t>(src) * mcms_ + static_cast<std::size_t>(dst);
+  }
+  void rescale(int src, int dst) {
+    std::vector<double> sorted = live_[pair(src, dst)];
+    std::sort(sorted.begin(), sorted.end());
+    double product = 1.0;
+    for (const double f : sorted) product *= f;
+    scale_[pair(src, dst)] = product;
+  }
+
+  const net::WavelengthFabric& fabric_;
+  std::size_t mcms_;
+  std::vector<double> cells_;
+  std::vector<char> covered_;
+  std::vector<double> scale_;
+  std::vector<std::vector<double>> live_;
+  double used_ = 0.0;
+  std::size_t nonzero_ = 0;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Drive `steps` seeded random factor pushes and pops, interleaved with
+/// direct allocations and releases, on three pairs of `fabric`, and compare
+/// every derived number with the reference after each call.  Returns the
+/// deepest factor stack seen on one pair.
+std::size_t drive_factor_stack(net::WavelengthFabric& fabric, std::uint64_t seed,
+                               int steps) {
+  constexpr double kFactors[] = {0.0, 0.25, 0.3, 0.5, 0.7, 1.0};
+  const int last = fabric.mcms() - 1;
+  const std::pair<int, int> pairs[] = {{3, 9}, {9, 3}, {0, last}};
+  FactorStackReference ref(fabric);
+  sim::Rng rng(seed);
+  std::size_t deepest = 0;
+  for (int step = 0; step < steps; ++step) {
+    const auto [s, d] = pairs[rng.below(3)];
+    const std::vector<double>& live = ref.live(s, d);
+    switch (rng.below(4)) {
+      case 0:
+        if (live.size() < 4) {
+          const double f = kFactors[rng.below(6)];
+          fabric.push_pair_factor(s, d, f);
+          ref.push(s, d, f);
+          break;
+        }
+        [[fallthrough]];  // four live factors: pop one instead
+      case 1:
+        if (!live.empty()) {
+          const std::size_t i = rng.below(live.size());
+          fabric.pop_pair_factor(s, d, live[i]);
+          ref.pop(s, d, i);
+        }
+        break;
+      case 2:
+        fabric.allocate_direct(s, d, 40.0 * rng.uniform());
+        break;
+      default:
+        fabric.release_direct(s, d, fabric.allocated(s, d) * rng.uniform());
+        break;
+    }
+    ref.sync_cells();
+    deepest = std::max(deepest, live.size());
+    for (const auto& [ps, pd] : pairs) {
+      SCOPED_TRACE(testing::Message() << "step " << step << " pair " << ps << "->" << pd);
+      EXPECT_EQ(bits(fabric.pair_scale(ps, pd)), bits(ref.scale(ps, pd)));
+      EXPECT_EQ(bits(fabric.direct_capacity(ps, pd)), bits(ref.capacity(ps, pd)));
+      EXPECT_EQ(bits(fabric.free_direct(ps, pd)), bits(ref.free_direct(ps, pd)));
+    }
+    EXPECT_EQ(bits(fabric.utilization()), bits(ref.utilization())) << "step " << step;
+    if (testing::Test::HasFailure()) break;
+  }
+  return deepest;
+}
+
+// Non-power-of-two factors, and three or four of them live on one pair,
+// make the product's order visible in its last bits: the fabric's scale
+// must be the ascending product whatever order the faults arrived in.
+TEST(FaultFabric, FactorStackMatchesASortedCopyReference) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    net::WavelengthFabric slice(24, slice_plan(24, 2));
+    EXPECT_GE(drive_factor_stack(slice, seed, 4000), 3u);
+  }
+  // The paper plan's 6 x 350^2 cells make each reference pass costly.
+  net::WavelengthFabric paper(
+      350, rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr);
+  EXPECT_GE(drive_factor_stack(paper, 7, 200), 3u);
 }
 
 // ---------------------------------------------------------------------------
