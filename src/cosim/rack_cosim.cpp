@@ -225,7 +225,7 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
     faults_on_ = true;
     fault_sched_ = std::make_unique<fault::FaultScheduler>(
         cfg_.fault, cfg_.fabric.mcms, rack_.nodes, cfg_.seed, cfg_.sim_time);
-    node_owner_.assign(static_cast<std::size_t>(rack_.nodes), 0);
+    nodes_.resize(static_cast<std::size_t>(rack_.nodes));
     tally_.fault.enabled = true;
     tally_.availability_sum = fault_sched_->availability(cfg_.sim_time);
     tally_.mttr_sum = fault_sched_->mean_mttr_ms();
@@ -323,14 +323,17 @@ void RackCosim::schedule_next_sample() {
   });
 }
 
-RackCosim::JobPlan RackCosim::make_plan(sim::Rng& rng) const {
+bool RackCosim::draws_ml(sim::Rng& rng) const {
   // The ML branch is decided FIRST, before any HPC draw, and the predicate
   // short-circuits without touching `rng` when ml is off (or mix is 0) —
   // so a rack with `ml.*` at defaults draws the historical HPC stream byte
   // for byte.
-  if (cfg_.ml.enabled && cfg_.ml.mix_fraction > 0.0 &&
-      (cfg_.ml.mix_fraction >= 1.0 || rng.uniform() < cfg_.ml.mix_fraction))
-    return make_ml_plan(rng);
+  return cfg_.ml.enabled && cfg_.ml.mix_fraction > 0.0 &&
+         (cfg_.ml.mix_fraction >= 1.0 || rng.uniform() < cfg_.ml.mix_fraction);
+}
+
+RackCosim::JobPlan RackCosim::make_plan(sim::Rng& rng, bool ml) const {
+  if (ml) return make_ml_plan(rng);
   JobPlan plan;
   // The one definition of the §II-A demand shape: every policy and
   // feedback mode draws identical job mixes, so closed-vs-open and
@@ -355,6 +358,8 @@ RackCosim::JobPlan RackCosim::make_plan(sim::Rng& rng) const {
     spec.gbps = demand_.sample_gbps(rng) * scale;
     return spec;
   };
+  plan.flows.reserve(static_cast<std::size_t>(plan.breadth) *
+                     (plan.request.gpus > 0 ? 2 : 1));
   for (int i = 0; i < plan.breadth; ++i)
     plan.flows.push_back(draw_flow(cfg_.traffic_scale));
   if (plan.request.gpus > 0)
@@ -446,13 +451,13 @@ void RackCosim::schedule_next_arrival() {
   queue_.schedule_after(gap, [this]() { on_arrival(); });
 }
 
-bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries) {
-  std::shared_ptr<disagg::Allocation> alloc;
+bool RackCosim::try_start(JobPlan& offered, sim::TimePs arrived, int retries) {
+  disagg::Allocation alloc;
   {
     obs::ScopedTimer timer(obs_.profiler, sc_allocate_);
-    alloc = std::make_shared<disagg::Allocation>(allocator_.allocate(plan.request));
+    alloc = allocator_.allocate(offered.request);
   }
-  if (!alloc->placed) return false;
+  if (!alloc.placed) return false;
   // A fault-requeued job's acceptance, wait and contention tails were
   // recorded at FIRST placement and must not be double-counted.
   // Fault-free runs always record, so this path is the historical one byte
@@ -462,7 +467,8 @@ bool RackCosim::try_start(const JobPlan& plan, sim::TimePs arrived, int retries)
   ++live_jobs_;
   const std::uint64_t job_id = next_live_id_++;
   LiveJob& job = live_map_[job_id];
-  job.plan = plan;
+  job.plan = std::move(offered);
+  const JobPlan& plan = job.plan;
   job.alloc = alloc;
   job.arrived = arrived;
   job.retries = retries;
@@ -632,13 +638,13 @@ RackCosim::LiveJob RackCosim::teardown(std::uint64_t job_id, bool revoke) {
   for (std::size_t i = 0; i < job.flow_ids.size(); ++i)
     if (job.flow_open[i]) engine_.close(job.flow_ids[i], now);
   if (revoke) {
-    allocator_.revoke(*job.alloc);
+    allocator_.revoke(job.alloc);
   } else {
     obs::ScopedTimer timer(obs_.profiler, sc_release_);
-    allocator_.release(*job.alloc);
+    allocator_.release(job.alloc);
   }
   --live_jobs_;
-  unbind_nodes(job);
+  unbind_nodes(job_id, job);
   // A spill hands back its inter-rack reservation whichever way it ends and
   // drops the tag: a retry re-enters THIS rack's admission path as an
   // untagged local job, so the grant can never be released twice.
@@ -728,15 +734,16 @@ void RackCosim::bind_nodes(std::uint64_t job_id) {
     // Pin the grant to concrete free nodes, first-fit, so a node fault has
     // exact victims instead of probabilistic ones.  The allocator already
     // guaranteed enough free nodes; disagreement here is a sequencing bug.
-    job.bound_nodes.reserve(static_cast<std::size_t>(job.alloc->nodes));
+    job.bound_nodes.reserve(static_cast<std::size_t>(job.alloc.nodes));
     for (int n = 0; n < rack_.nodes &&
-                    static_cast<int>(job.bound_nodes.size()) < job.alloc->nodes;
+                    static_cast<int>(job.bound_nodes.size()) < job.alloc.nodes;
          ++n) {
-      if (node_owner_[static_cast<std::size_t>(n)] != 0) continue;
-      node_owner_[static_cast<std::size_t>(n)] = job_id;
+      NodeDeps& node = nodes_[static_cast<std::size_t>(n)];
+      if (node.down || !node.jobs.empty()) continue;
+      node.jobs.push_back(job_id);
       job.bound_nodes.push_back(n);
     }
-    if (static_cast<int>(job.bound_nodes.size()) != job.alloc->nodes)
+    if (static_cast<int>(job.bound_nodes.size()) != job.alloc.nodes)
       throw std::logic_error("bind_nodes: allocator and node map disagree");
   } else {
     // Round-robin home node: the place whose pooled CPUs host this job's
@@ -745,55 +752,60 @@ void RackCosim::bind_nodes(std::uint64_t job_id) {
     for (int tries = 0; tries < rack_.nodes; ++tries) {
       const int cand =
           static_cast<int>(next_home_++ % static_cast<std::size_t>(rack_.nodes));
-      if (node_owner_[static_cast<std::size_t>(cand)] != kNodeOffline) {
+      if (!nodes_[static_cast<std::size_t>(cand)].down) {
         job.home_node = cand;
+        nodes_[static_cast<std::size_t>(cand)].jobs.push_back(job_id);
         break;
       }
     }
   }
 }
 
-void RackCosim::unbind_nodes(const LiveJob& job) {
-  for (const int n : job.bound_nodes)
-    node_owner_[static_cast<std::size_t>(n)] = 0;
+void RackCosim::unbind_nodes(std::uint64_t job_id, const LiveJob& job) {
+  // Ids only grow, so every list stays in id order as jobs leave it.
+  auto leave = [&](int n) {
+    auto& jobs = nodes_[static_cast<std::size_t>(n)].jobs;
+    jobs.erase(std::find(jobs.begin(), jobs.end(), job_id));
+  };
+  for (const int n : job.bound_nodes) leave(n);
+  if (job.home_node >= 0) leave(job.home_node);
 }
 
 std::vector<std::uint64_t> RackCosim::victims_of(const fault::FaultEvent& ev) const {
+  // Victims are visited in id order, so the timeline's effects are
+  // bit-reproducible.
+  switch (ev.cls) {
+    case fault::ComponentClass::kNode:
+      return nodes_[static_cast<std::size_t>(ev.a)].jobs;
+    case fault::ComponentClass::kLaser:
+      return {};  // capacity-only: degrades future placements, strands no one
+    case fault::ComponentClass::kMcm:
+    case fault::ComponentClass::kLink:
+      break;
+  }
+  // Blast-radius asymmetry: only disaggregated jobs depend on the fabric to
+  // reach their memory.  A static job's flows model traffic that is
+  // node-local in that regime, so fabric faults pass it by.
+  if (allocator_.policy() != disagg::AllocationPolicy::kDisaggregated) return {};
+  // A fabric fault strikes whichever flows ride its component, and placements
+  // outnumber such faults about nine to one, so the live jobs are scanned here
+  // rather than indexed by pair at every placement.
   std::vector<std::uint64_t> out;
-  const bool disagg =
-      allocator_.policy() == disagg::AllocationPolicy::kDisaggregated;
   for (const auto& [id, job] : live_map_) {
     bool hit = false;
-    switch (ev.cls) {
-      case fault::ComponentClass::kMcm:
-      case fault::ComponentClass::kLink:
-        // Blast-radius asymmetry: only disaggregated jobs depend on the
-        // fabric to reach their memory.  A static job's flows model traffic
-        // that is node-local in that regime, so fabric faults pass it by.
-        if (!disagg) break;
-        if (job.plan.ml.is_ml) {
-          // A training job touches the fabric only during collective phases;
-          // mid-compute it has no open flows and a fabric fault passes it by.
-          if (job.runner)
-            for (const net::FlowSpec& spec : job.runner->open_specs())
-              if ((hit = flow_touches(spec, ev))) break;
-          break;
-        }
-        for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i)
-          hit = job.flow_open[i] && flow_touches(job.plan.flows[i], ev);
-        break;
-      case fault::ComponentClass::kNode:
-        hit = disagg ? job.home_node == ev.a
-                     : std::find(job.bound_nodes.begin(), job.bound_nodes.end(),
-                                 ev.a) != job.bound_nodes.end();
-        break;
-      case fault::ComponentClass::kLaser:
-        break;  // capacity-only: degrades future placements, strands no one
+    if (job.plan.ml.is_ml) {
+      // A training job touches the fabric only during collective phases;
+      // mid-compute it has no open flows and a fabric fault passes it by.
+      if (job.runner)
+        for (const net::FlowSpec& spec : job.runner->open_specs())
+          if ((hit = flow_touches(spec, ev))) break;
+    } else {
+      for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i)
+        hit = job.flow_open[i] && flow_touches(job.plan.flows[i], ev);
     }
     if (hit) out.push_back(id);
   }
-  // live_map_ iteration order is unspecified; victims must be visited in a
-  // stable order for the timeline's effects to be bit-reproducible.
+  // live_map_ iteration order is unspecified.
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -898,7 +910,7 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
   scale_fabric(ev, fail);
   if (!fail && ev.cls == fault::ComponentClass::kNode) {
     allocator_.bring_nodes_online(1);
-    node_owner_[static_cast<std::size_t>(ev.a)] = 0;
+    nodes_[static_cast<std::size_t>(ev.a)].down = false;
   }
   engine_.refresh_view(now);
   if (fail) {
@@ -917,7 +929,7 @@ void RackCosim::on_fault(const fault::FaultEvent& ev) {
     }
     if (ev.cls == fault::ComponentClass::kNode) {
       allocator_.take_nodes_offline(1);
-      node_owner_[static_cast<std::size_t>(ev.a)] = kNodeOffline;
+      nodes_[static_cast<std::size_t>(ev.a)].down = true;
     }
   } else {
     drain_backlog();  // restored capacity may admit backlogged work
@@ -935,7 +947,7 @@ void RackCosim::admit(JobPlan plan, sim::TimePs arrived, int retries) {
   // drop-mode rack's backlog stays identically empty even under fault churn.
   bool admitted;
   if (queued) {
-    admitted = backlog_.size() < static_cast<std::size_t>(cfg_.queue_cap);
+    admitted = !backlog_full();
     if (admitted) {
       if (obs_.trace && !retry && !spilled)  // fresh arrivals only
         obs_.trace->instant(obs::Track::kJobs, "enqueue", now);
@@ -964,8 +976,9 @@ void RackCosim::admit(JobPlan plan, sim::TimePs arrived, int retries) {
       // dropped; it stays in `offered` here and is accepted (or lost)
       // wherever it lands, so cluster-wide acceptance stays conservative.
       if (obs_.trace) obs_.trace->instant(obs::Track::kJobs, "spill", now);
-    } else if (obs_.trace) {
-      obs_.trace->instant(obs::Track::kJobs, queued ? "queue_drop" : "reject", now);
+    } else {
+      drop_arrival();
+      return;
     }
   }
   // Step the trace on EVERY admission, refused ones included: the level
@@ -973,6 +986,14 @@ void RackCosim::admit(JobPlan plan, sim::TimePs arrived, int retries) {
   // must advance to the last event or the tail of the horizon silently
   // drops out of the total (an all-rejected stream still burns idle +
   // lasers-on photonic power).
+  step_energy();
+}
+
+void RackCosim::drop_arrival() {
+  if (obs_.trace)
+    obs_.trace->instant(obs::Track::kJobs,
+                        cfg_.admission == AdmissionPolicy::kQueue ? "queue_drop" : "reject",
+                        queue_.now());
   step_energy();
 }
 
@@ -985,9 +1006,15 @@ void RackCosim::on_arrival() {
   // and flow layout are a pure function of (seed, index), independent of
   // every placement decision before it.
   sim::Rng job_rng = base_rng_.child(16 + next_job_index_++);
-  JobPlan plan = make_plan(job_rng);
-  if (plan.ml.is_ml) tally_.ml.offer();
-  admit(std::move(plan), queue_.now(), 0);
+  const bool ml = draws_ml(job_rng);
+  if (ml) tally_.ml.offer();
+  // A full backlog with nowhere to spill refuses the job unread, so it
+  // draws only its kind: the rest of its own stream is never read, and no
+  // other job's draws move.
+  if (cfg_.admission == AdmissionPolicy::kQueue && backlog_full() && !spill_)
+    drop_arrival();
+  else
+    admit(make_plan(job_rng, ml), queue_.now(), 0);
   tally_.jobs.sample(allocator_);
   schedule_next_arrival();
 }

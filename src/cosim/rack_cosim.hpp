@@ -320,7 +320,7 @@ class RackCosim {
   /// cosim-local id so the completion event is cancellable on revocation.
   struct LiveJob {
     JobPlan plan;
-    std::shared_ptr<disagg::Allocation> alloc;
+    disagg::Allocation alloc;
     std::vector<std::uint64_t> flow_ids;
     std::vector<char> flow_open;      // parallel to flow_ids; 0 once closed
     sim::TimePs arrived = 0;          // original arrival (survives requeues)
@@ -375,11 +375,15 @@ class RackCosim {
   // --- fault engine (all empty / untouched when cfg_.fault.enabled=false) ---
   bool faults_on_ = false;
   std::unique_ptr<fault::FaultScheduler> fault_sched_;
-  /// Per rack node: 0 = free, kNodeOffline = crashed, else the static job
-  /// id exclusively holding it.  Disagg jobs never own entries here; their
-  /// node dependency is the round-robin `home_node` on the LiveJob.
-  static constexpr std::uint64_t kNodeOffline = ~std::uint64_t{0};
-  std::vector<std::uint64_t> node_owner_;
+  /// One rack node as a node fault sees it: whether it is down, and the live
+  /// jobs its crash revokes, in placement (= id) order.  A static job is
+  /// listed on every node it owns (exclusively, so a static node is free
+  /// while its list is empty); a disaggregated job on its home node only.
+  struct NodeDeps {
+    bool down = false;
+    std::vector<std::uint64_t> jobs;
+  };
+  std::vector<NodeDeps> nodes_;
   std::size_t next_home_ = 0;
 
   // --- cluster hooks (null for a standalone rack — zero behavior change) ---
@@ -404,17 +408,29 @@ class RackCosim {
   };
   MetricIds m_{};
 
-  [[nodiscard]] JobPlan make_plan(sim::Rng& rng) const;
+  /// A job's first draw: whether it is a training job.  No draw at all
+  /// when `ml.*` is off or its mix is 0 or 1.
+  [[nodiscard]] bool draws_ml(sim::Rng& rng) const;
+  /// The rest of the job's plan, drawn from the same stream after its kind.
+  [[nodiscard]] JobPlan make_plan(sim::Rng& rng, bool ml) const;
   [[nodiscard]] JobPlan make_ml_plan(sim::Rng& rng) const;
   [[nodiscard]] double compute_power_w() const;
   void step_energy();
   void schedule_next_arrival();
   void on_arrival();
+  [[nodiscard]] bool backlog_full() const {
+    return backlog_.size() >= static_cast<std::size_t>(cfg_.queue_cap);
+  }
   /// The one admission decision.  Local arrivals, spilled deliveries
   /// (plan.remote_link >= 0) and fault retries (retries > 0) differ only in
   /// what happens when the rack refuses them.
   void admit(JobPlan plan, sim::TimePs arrived, int retries);
-  bool try_start(const JobPlan& plan, sim::TimePs arrived, int retries);
+  /// A local arrival nobody takes: traced, and the power trace steps as on
+  /// every admission.
+  void drop_arrival();
+  /// Place `offered` now if the allocator can; on success it moves into the
+  /// live job, on refusal it is left as it was.
+  bool try_start(JobPlan& offered, sim::TimePs arrived, int retries);
   void complete_job(std::uint64_t job_id);
   /// The one teardown, shared by completion and revocation.
   LiveJob teardown(std::uint64_t job_id, bool revoke);
@@ -436,7 +452,7 @@ class RackCosim {
   void resume_degraded(std::uint64_t job_id, const fault::FaultEvent& ev);
   void schedule_retry(JobPlan plan, sim::TimePs arrived, int retries);
   void bind_nodes(std::uint64_t job_id);
-  void unbind_nodes(const LiveJob& job);
+  void unbind_nodes(std::uint64_t job_id, const LiveJob& job);
   // Fault capacity effects ride the fabric's composable factor stack
   // (push_pair_factor / pop_pair_factor), so overlapping faults on the same
   // pair — an MCM crash atop a degraded laser — compose multiplicatively
