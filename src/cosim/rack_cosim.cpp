@@ -133,6 +133,18 @@ void check_job_shapes(const CosimConfig& cfg, const rack::RackConfig& rack,
                                 sim::fmt_double(pools.memory_gb_total) + " GB");
 }
 
+/// A job's speed fraction: the satisfied share of the bandwidth its open
+/// flows ask for (`no_flows` when none is open), times a spilled job's
+/// inter-rack grant cap, clamped to [floor, 1].  A local job's cap is 1.0:
+/// `x * 1.0` and re-clamping an in-range value are both exact, so a local
+/// job's speed is its flows' share bit for bit.
+double job_speed(double requested, double satisfied, double no_flows, double cap,
+                 double floor) {
+  const double local =
+      requested > 0.0 ? std::clamp(satisfied / requested, floor, 1.0) : no_flows;
+  return std::clamp(local * cap, floor, 1.0);
+}
+
 /// Whether a flow rides the component a fabric fault took down: an MCM crash
 /// severs every flow touching that endpoint, a link cut only the flows on
 /// its directed (src, dst) pair.
@@ -509,16 +521,10 @@ bool RackCosim::try_start(JobPlan& offered, sim::TimePs arrived, int retries) {
     satisfied += route.satisfied();
   }
   job.flow_open.assign(job.flow_ids.size(), 1);
-  const double local_speed =
-      requested > 0.0
-          ? std::clamp(satisfied / requested, cfg_.min_speed_fraction, 1.0)
-          : 1.0;
   // Spilled jobs run behind a finite inter-rack pipe: the grant fraction
-  // caps speed multiplicatively.  Local jobs carry cap 1.0 — `x * 1.0` and
-  // re-clamping an already-in-range value are both exact, so standalone
-  // racks compute the historical speed bit for bit.
-  const double speed = std::clamp(local_speed * plan.remote_speed_cap,
-                                  cfg_.min_speed_fraction, 1.0);
+  // caps speed multiplicatively.
+  const double speed = job_speed(requested, satisfied, 1.0, plan.remote_speed_cap,
+                                 cfg_.min_speed_fraction);
   const double stretch = cfg_.contention_feedback ? 1.0 / speed : 1.0;
   if (record) {
     tally_.speed.add(speed);
@@ -852,11 +858,10 @@ void RackCosim::resume_degraded(std::uint64_t job_id, const fault::FaultEvent& e
     satisfied += route.satisfied();
   }
   // A job whose every flow died crawls at the floor speed — an empty sum
-  // must not read as full speed.
-  const double speed =
-      requested > 0.0
-          ? std::clamp(satisfied / requested, cfg_.min_speed_fraction, 1.0)
-          : cfg_.min_speed_fraction;
+  // must not read as full speed.  A spilled job keeps its inter-rack cap:
+  // losing local flows never widens the pipe between racks.
+  const double speed = job_speed(requested, satisfied, cfg_.min_speed_fraction,
+                                 job.plan.remote_speed_cap, cfg_.min_speed_fraction);
   const double stretch = cfg_.contention_feedback ? 1.0 / speed : 1.0;
   queue_.cancel(job.completion);
   const auto hold =

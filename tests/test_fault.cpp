@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -20,6 +21,7 @@
 #include "cosim/rack_cosim.hpp"
 #include "cosim/report_fields.hpp"
 #include "net/fabric.hpp"
+#include "obs/trace.hpp"
 #include "rack/rack_builder.hpp"
 #include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
@@ -774,6 +776,63 @@ TEST(FaultCosim, EnergyMatchesAnEventByEventOracle) {
       EXPECT_GT(report.fault.requeued, 0u);
       EXPECT_NEAR(report.energy_joules, joules, 1e-9 * joules);
     }
+  }
+}
+
+/// The "speed" argument of every trace instant named `name`, in trace order.
+std::vector<double> traced_speeds(const obs::TraceRecorder& trace, const std::string& name) {
+  std::ostringstream os;
+  trace.write_json(os);
+  std::istringstream lines(os.str());
+  const std::string tag = "{\"name\":\"" + name + "\"";
+  std::vector<double> out;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(tag, 0) != 0) continue;
+    const auto at = line.find("\"speed\":");
+    if (at != std::string::npos) out.push_back(std::stod(line.substr(at + 8)));
+  }
+  return out;
+}
+
+// A spilled job runs behind the inter-rack grant it was delivered with.  A
+// fabric fault that degrades it drops some of its local flows, which never
+// widens the pipe between racks: the re-stretched speed keeps the cap.
+TEST(FaultCosim, DegradedSpilledJobKeepsItsInterRackCap) {
+  cosim::CosimConfig cfg;
+  cfg.arrivals_per_ms = 1e-6;  // no local arrival inside the horizon
+  cfg.sim_time = 200 * sim::kPsPerMs;
+  cfg.fault.enabled = true;
+  cfg.fault.policy = ResiliencePolicy::kDegrade;
+  cfg.fault.mcm_mtbf_ms = 20.0;
+  cfg.fault.link_mtbf_ms = 20.0;
+  obs::TraceRecorder trace;
+  cosim::RackCosim sim({}, disagg::AllocationPolicy::kDisaggregated,
+                       workloads::UsageModel::cori(), cfg, obs::Obs{.trace = &trace});
+  constexpr double kCap = 0.25;
+  sim::Rng rng(7);
+  for (int k = 0; k < 200; ++k) {
+    cosim::RackCosim::JobPlan plan;
+    plan.request.cpus = 1;
+    plan.request.memory_gb = 1.0;
+    plan.base_hold = 40 * sim::kPsPerMs;
+    for (int f = 0; f < 4; ++f) {
+      const int src = static_cast<int>(rng.below(24));
+      const int dst = static_cast<int>((src + 1 + rng.below(23)) % 24);
+      plan.flows.push_back(net::FlowSpec{src, dst, 10.0 * rng.uniform(), 0});
+    }
+    plan.remote_speed_cap = kCap;
+    plan.remote_link = 0;
+    plan.remote_gbps = 1.0;
+    const sim::TimePs at = k * sim::kPsPerMs;
+    sim.inject_remote_job(std::move(plan), at, at);
+  }
+  sim.finish();
+  ASSERT_GT(sim.report().fault.degraded, 0u);
+  const double most = std::max(kCap, cfg.min_speed_fraction);
+  for (const char* event : {"placed", "degrade"}) {
+    const std::vector<double> speeds = traced_speeds(trace, event);
+    ASSERT_FALSE(speeds.empty()) << event;
+    for (const double speed : speeds) EXPECT_LE(speed, most) << event;
   }
 }
 
