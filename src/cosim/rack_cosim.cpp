@@ -208,9 +208,6 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
           traffic::make_arrival_process(cfg_.arrival, cfg_.arrivals_per_ms)),
       obs_(obs) {
   check_job_shapes(cfg_, rack_, allocator_.pools());
-  // A one-rack tally: the rack-mean fault fields start fully available.
-  tally_.racks = 1;
-  tally_.availability_sum = 1.0;
   tally_.ml_enabled = cfg_.ml.enabled;
   // Register scopes/metrics and hook the energy trace before the first
   // step_to below, so the t=0 power level lands on the counter track too.
@@ -239,8 +236,7 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
         cfg_.fault, cfg_.fabric.mcms, rack_.nodes, cfg_.seed, cfg_.sim_time);
     nodes_.resize(static_cast<std::size_t>(rack_.nodes));
     tally_.fault.enabled = true;
-    tally_.availability_sum = fault_sched_->availability(cfg_.sim_time);
-    tally_.mttr_sum = fault_sched_->mean_mttr_ms();
+    tally_.timeline = fault_sched_->sums(cfg_.sim_time);
     fault_sched_->arm(queue_, [this](const fault::FaultEvent& ev) { on_fault(ev); });
   }
   schedule_next_arrival();
@@ -1097,9 +1093,7 @@ void CosimTally::merge(const CosimTally& other) {
   fault.killed += other.fault.killed;
   fault.goodput_jobs += other.fault.goodput_jobs;
   fault.work_lost_ms += other.fault.work_lost_ms;
-  availability_sum += other.availability_sum;
-  mttr_sum += other.mttr_sum;
-  racks += other.racks;
+  timeline.merge(other.timeline);
   ml_enabled = ml_enabled || other.ml_enabled;
   ml.merge(other.ml);
 }
@@ -1120,10 +1114,8 @@ CosimReport CosimTally::report() const {
   report.photonic_power_w = photonic_power_w;
   report.completed_at = completed_at;
   report.fault = fault;
-  if (racks > 0) {
-    report.fault.availability = availability_sum / static_cast<double>(racks);
-    report.fault.mean_mttr_ms = mttr_sum / static_cast<double>(racks);
-  }
+  report.fault.availability = timeline.availability();
+  report.fault.mean_mttr_ms = timeline.mean_mttr_ms();
   report.ml = ml.report();
   report.ml.enabled = ml_enabled;
   return report;

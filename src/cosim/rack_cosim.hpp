@@ -175,8 +175,9 @@ struct CosimReport {
 ///   - ratios pool their raw numerators and denominators (net::FlowTally);
 ///   - sketches and RunningStats merge;
 ///   - completed_at and the event-queue pending_peak take the max;
-///   - availability and MTTR sum here and report() divides by `racks`:
-///     the unweighted mean over racks, summed in fold order.
+///   - availability and MTTR pool their timelines' raw sums (downtime over
+///     component-time, repair time over repairs), so each rack weighs in
+///     by its components and its repairs.
 /// Merging into an empty tally is exact (a RunningStats copy, integer
 /// sketch buckets, 0.0 + x), so a one-rack fold reports that rack bit for
 /// bit.
@@ -190,9 +191,8 @@ struct CosimTally {
   double energy_joules = 0.0, mean_power_w = 0.0, peak_power_w = 0.0;
   double photonic_power_w = 0.0;
   sim::TimePs completed_at = 0;
-  fault::FaultStats fault;                 // availability/MTTR come from the sums
-  double availability_sum = 0.0, mttr_sum = 0.0;
-  std::uint64_t racks = 0;                 // rack tallies folded in
+  fault::FaultStats fault;                 // availability/MTTR come from `timeline`
+  fault::TimelineSums timeline;            // all zero when faults are off
   bool ml_enabled = false;
   MlStreamStats ml;
 

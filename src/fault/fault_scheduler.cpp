@@ -167,43 +167,45 @@ std::size_t FaultScheduler::component(const FaultEvent& ev) const {
   return 2 * mcms + static_cast<std::size_t>(nodes_) + a;
 }
 
-double FaultScheduler::availability(sim::TimePs horizon) const {
-  if (horizon <= 0) return 1.0;
-  // Pair each fail with its repair (per component; the timeline alternates
-  // within a component) and integrate crash-stop downtime over the window.
-  std::vector<sim::TimePs> down_since(component_count());
-  double downtime_ps = 0.0;
-  for (const FaultEvent& ev : timeline_) {
-    if (ev.cls != ComponentClass::kMcm && ev.cls != ComponentClass::kNode) continue;
-    sim::TimePs& since = down_since[component(ev)];
-    if (ev.kind == FaultKind::kFail) {
-      since = ev.at;
-    } else {
-      const sim::TimePs from = std::min(since, horizon);
-      const sim::TimePs to = std::min(ev.at, horizon);
-      downtime_ps += static_cast<double>(to - from);
-    }
-  }
-  const double components = static_cast<double>(mcms_ + nodes_);
-  const double window = static_cast<double>(horizon) * components;
-  return std::clamp(1.0 - downtime_ps / window, 0.0, 1.0);
+void TimelineSums::merge(const TimelineSums& other) {
+  downtime_ps += other.downtime_ps;
+  component_ps += other.component_ps;
+  repair_ms += other.repair_ms;
+  repairs += other.repairs;
 }
 
-double FaultScheduler::mean_mttr_ms() const {
+double TimelineSums::availability() const {
+  return component_ps > 0.0 ? std::clamp(1.0 - downtime_ps / component_ps, 0.0, 1.0)
+                            : 1.0;
+}
+
+double TimelineSums::mean_mttr_ms() const {
+  return repairs ? repair_ms / static_cast<double>(repairs) : 0.0;
+}
+
+TimelineSums FaultScheduler::sums(sim::TimePs horizon) const {
+  // Pair each fail with its repair (per component; the timeline alternates
+  // within a component), sum every repair time, and integrate crash-stop
+  // downtime over the window.
+  TimelineSums out;
   std::vector<sim::TimePs> fail_at(component_count());
-  double total_ms = 0.0;
-  std::uint64_t repairs = 0;
   for (const FaultEvent& ev : timeline_) {
     sim::TimePs& failed = fail_at[component(ev)];
     if (ev.kind == FaultKind::kFail) {
       failed = ev.at;
-    } else {
-      total_ms += static_cast<double>(ev.at - failed) /
-                  static_cast<double>(sim::kPsPerMs);
-      ++repairs;
+      continue;
     }
+    out.repair_ms += static_cast<double>(ev.at - failed) /
+                     static_cast<double>(sim::kPsPerMs);
+    ++out.repairs;
+    if (horizon > 0 &&
+        (ev.cls == ComponentClass::kMcm || ev.cls == ComponentClass::kNode))
+      out.downtime_ps += static_cast<double>(std::min(ev.at, horizon) -
+                                             std::min(failed, horizon));
   }
-  return repairs ? total_ms / static_cast<double>(repairs) : 0.0;
+  if (horizon > 0)
+    out.component_ps = static_cast<double>(horizon) * static_cast<double>(mcms_ + nodes_);
+  return out;
 }
 
 }  // namespace photorack::fault

@@ -35,6 +35,25 @@ namespace photorack::fault {
                                                       std::uint64_t seed,
                                                       sim::TimePs horizon);
 
+/// The raw timeline sums that availability and MTTR divide.  They pool by
+/// adding, so the availability and MTTR of several timelines (a cluster's
+/// racks) are those of one timeline holding all their components: each
+/// rack weighs in by its component-time and by its repair count.
+struct TimelineSums {
+  double downtime_ps = 0.0;   // crash-stop (MCM, node) downtime inside [0, horizon)
+  double component_ps = 0.0;  // crash-stop components x horizon
+  double repair_ms = 0.0;     // repair time over every fail/repair pair
+  std::uint64_t repairs = 0;  // fail/repair pairs
+
+  void merge(const TimelineSums& other);
+  /// 1 - downtime / component-time, in [0, 1]; 1.0 without component-time
+  /// (faults off, or an empty horizon).
+  [[nodiscard]] double availability() const;
+  /// Mean repair time in ms; 0.0 without repairs, so a fault-free rack and
+  /// a rack whose components never failed both read 0.0, not "instant".
+  [[nodiscard]] double mean_mttr_ms() const;
+};
+
 /// Owns one run's fault timeline and injects it as first-class events on
 /// the caller's sim::EventQueue.  Availability and measured MTTR are
 /// analytic functions of the timeline, so they never depend on job load.
@@ -51,14 +70,11 @@ class FaultScheduler {
   /// starts running; the scheduler must outlive the run's dispatch.
   void arm(sim::EventQueue& queue, std::function<void(const FaultEvent&)> handler) const;
 
-  /// 1 - mean downtime fraction of the crash-stop components (MCMs and
-  /// nodes) over [0, horizon); always in [0, 1].  Link/laser faults degrade
-  /// goodput, not component availability.
-  [[nodiscard]] double availability(sim::TimePs horizon) const;
-
-  /// Mean repair time over every fail/repair pair of the timeline, in ms
-  /// (0 when the timeline is empty).
-  [[nodiscard]] double mean_mttr_ms() const;
+  /// Downtime and component-time of the crash-stop components (MCMs and
+  /// nodes) over [0, horizon), and repair time and count over every
+  /// fail/repair pair of the timeline.  Link/laser faults degrade goodput,
+  /// not component availability, but their repairs count towards MTTR.
+  [[nodiscard]] TimelineSums sums(sim::TimePs horizon) const;
 
  private:
   /// Flat index of the renewal process that drew `ev`: MCMs, then nodes,

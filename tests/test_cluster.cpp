@@ -346,6 +346,41 @@ TEST(Cluster, FlowFractionsPoolBandwidthAcrossRacks) {
   EXPECT_EQ(report.total.jobs.events.pending_peak, deepest);
 }
 
+// Cluster MTTR is one mean over every rack's repairs, not a mean of rack
+// means: a rack with few repairs weighs in by its count, and a rack with
+// none (which reports 0.0) adds nothing.  Availability pools downtime over
+// component-time; the racks here share components and horizon, so it equals
+// the plain rack mean.
+TEST(Cluster, FaultTotalsPoolRepairsAndDowntimeAcrossRacks) {
+  cosim::CosimConfig cfg;
+  cfg.sim_time = 40 * sim::kPsPerMs;
+  cfg.fault.enabled = true;
+  cfg.fault.mcm_mtbf_ms = 8000.0;
+  cfg.fault.node_mtbf_ms = 8000.0;
+  cfg.fault.link_mtbf_ms = 8000.0;
+  cfg.fault.laser_mtbf_ms = 8000.0;
+  ClusterConfig cluster;
+  cluster.racks = 8;
+  const auto report = run_cluster(cluster, cfg);
+  ASSERT_EQ(report.racks.size(), 8u);
+  double repair_ms = 0.0, availability = 0.0;
+  std::uint64_t repairs = 0, idle_racks = 0;
+  for (const auto& rack : report.racks) {
+    repair_ms += static_cast<double>(rack.fault.repairs) * rack.fault.mean_mttr_ms;
+    repairs += rack.fault.repairs;
+    availability += rack.fault.availability;
+    idle_racks += rack.fault.repairs == 0;
+    if (rack.fault.repairs == 0) EXPECT_EQ(rack.fault.mean_mttr_ms, 0.0);
+  }
+  ASSERT_GT(repairs, 0u);
+  ASSERT_GT(idle_racks, 0u);  // the case a rack mean gets wrong
+  EXPECT_EQ(report.total.fault.repairs, repairs);
+  const double pooled = repair_ms / static_cast<double>(repairs);
+  EXPECT_NEAR(report.total.fault.mean_mttr_ms, pooled, 1e-12 * pooled);
+  availability /= 8.0;
+  EXPECT_NEAR(report.total.fault.availability, availability, 1e-12);
+}
+
 // Fault inputs reach the one path where a revoked spilled job returns its
 // grant and retries as a local job: every accepted job still ends exactly
 // once (completed or killed), and every grant still comes back.
