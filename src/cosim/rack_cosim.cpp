@@ -764,7 +764,7 @@ void RackCosim::bind_nodes(std::uint64_t job_id) {
 }
 
 void RackCosim::unbind_nodes(std::uint64_t job_id, const LiveJob& job) {
-  // Ids only grow, so every list stays in id order as jobs leave it.
+  // Jobs join their lists in id order (ids only grow) and erase keeps it.
   auto leave = [&](int n) {
     auto& jobs = nodes_[static_cast<std::size_t>(n)].jobs;
     jobs.erase(std::find(jobs.begin(), jobs.end(), job_id));

@@ -234,7 +234,9 @@ class RackCosim {
   // stream at arrival — *before* placement.  Acceptance therefore never
   // perturbs later jobs' draws: the offered stream is identical across
   // policies and feedback modes, which is what makes closed-vs-open and
-  // static-vs-disaggregated controlled comparisons.  Public so a cluster
+  // static-vs-disaggregated controlled comparisons.  (An arrival that a
+  // full backlog refuses unread draws only its kind; the rest of its stream
+  // is its own, so that moves no other job.)  Public so a cluster
   // coordinator (cluster::ClusterCosim) can carry a plan from the rack that
   // drew it to the rack that runs it; the remote_* tags are inert for
   // rack-local jobs (cap 1.0 multiplies speed by exactly 1.0, link -1 never
