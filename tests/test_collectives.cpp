@@ -21,6 +21,7 @@
 
 #include "collectives/runner.hpp"
 #include "cosim/rack_cosim.hpp"
+#include "fabric_testing.hpp"
 #include "net/fabric.hpp"
 #include "net/flow_sim.hpp"
 #include "report_testing.hpp"
@@ -30,19 +31,7 @@
 namespace photorack::collectives {
 namespace {
 
-// The same fully-populated single-AWGR slice the rack co-simulation builds
-// from FabricSliceConfig: every (src,dst) pair owns one 25 Gb/s wavelength.
-rack::AwgrFabricPlan slice_plan(int mcms) {
-  rack::AwgrFabricPlan plan;
-  plan.parallel_awgrs = 1;
-  plan.awgr_radix = mcms;
-  plan.port_wavelength_cap = mcms;
-  plan.lambdas_per_port.assign(1, mcms);
-  plan.full_coverage_awgrs = 1;
-  plan.min_direct_lambdas_per_pair = 1;
-  plan.direct_pair_bandwidth = phot::Gbps{25.0};
-  return plan;
-}
+using testutil::slice_plan;
 
 constexpr double kBytes = 64e6;  // one 64 MB gradient
 constexpr double kGbps = 25.0;

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "fabric_testing.hpp"
 #include "net/piggyback.hpp"
 #include "rack/rack_builder.hpp"
 #include "sim/rng.hpp"
@@ -22,19 +23,7 @@ rack::AwgrFabricPlan paper_plan() {
   return rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr;
 }
 
-/// The co-sim slice: `lambdas` fully populated AWGRs of radix `mcms`, one
-/// 25 Gb/s wavelength per pair on each.
-rack::AwgrFabricPlan slice_plan(int mcms, int lambdas) {
-  rack::AwgrFabricPlan plan;
-  plan.parallel_awgrs = lambdas;
-  plan.awgr_radix = mcms;
-  plan.port_wavelength_cap = mcms;
-  plan.lambdas_per_port.assign(static_cast<std::size_t>(lambdas), mcms);
-  plan.full_coverage_awgrs = lambdas;
-  plan.min_direct_lambdas_per_pair = lambdas;
-  plan.direct_pair_bandwidth = phot::Gbps{25.0 * lambdas};
-  return plan;
-}
+using testutil::slice_plan;
 
 TEST(Fabric, ConstructionFromPaperPlan) {
   WavelengthFabric fabric(350, paper_plan());

@@ -20,6 +20,7 @@
 
 #include "cosim/rack_cosim.hpp"
 #include "cosim/report_fields.hpp"
+#include "fabric_testing.hpp"
 #include "net/fabric.hpp"
 #include "obs/trace.hpp"
 #include "rack/rack_builder.hpp"
@@ -300,19 +301,7 @@ TEST(FaultFabric, FactorProductIsPushOrderIndependent) {
   EXPECT_EQ(a.direct_capacity(3, 9), 0.125 * a.direct_capacity(9, 3));
 }
 
-/// The co-sim slice: `lambdas` fully populated AWGRs of radix `mcms`, one
-/// 25 Gb/s wavelength per pair on each (as RackCosim builds its fabric).
-rack::AwgrFabricPlan slice_plan(int mcms, int lambdas) {
-  rack::AwgrFabricPlan plan;
-  plan.parallel_awgrs = lambdas;
-  plan.awgr_radix = mcms;
-  plan.port_wavelength_cap = mcms;
-  plan.lambdas_per_port.assign(static_cast<std::size_t>(lambdas), mcms);
-  plan.full_coverage_awgrs = lambdas;
-  plan.min_direct_lambdas_per_pair = lambdas;
-  plan.direct_pair_bandwidth = phot::Gbps{25.0 * lambdas};
-  return plan;
-}
+using testutil::slice_plan;
 
 /// What a fabric's factor stack must read, rebuilt from scratch: each pair
 /// keeps its live factors unsorted, in push order, and its scale is the

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "fabric_testing.hpp"
 #include "rack/rack_builder.hpp"
 
 namespace photorack::net {
@@ -309,19 +310,7 @@ void expect_same_route(const RouteResult& got, const RouteResult& want, int op) 
   }
 }
 
-/// The co-sim slice: `lambdas` fully populated AWGRs of radix `mcms`, one
-/// 25 Gb/s wavelength per pair on each.
-rack::AwgrFabricPlan slice_plan(int mcms, int lambdas) {
-  rack::AwgrFabricPlan plan;
-  plan.parallel_awgrs = lambdas;
-  plan.awgr_radix = mcms;
-  plan.port_wavelength_cap = mcms;
-  plan.lambdas_per_port.assign(static_cast<std::size_t>(lambdas), mcms);
-  plan.full_coverage_awgrs = lambdas;
-  plan.min_direct_lambdas_per_pair = lambdas;
-  plan.direct_pair_bandwidth = phot::Gbps{25.0 * lambdas};
-  return plan;
-}
+using testutil::slice_plan;
 
 struct RouterCounts {
   std::uint64_t mispicks = 0, second_hops = 0, blocked = 0;
