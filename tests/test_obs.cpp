@@ -9,13 +9,17 @@
 //  - THE contract: attaching any of it to a co-simulation changes nothing —
 //    every report field and every campaign row stays byte-identical, for
 //    any --jobs level.
+//  - What a co-simulation records in its trace and metrics is pinned byte
+//    for byte on the fault, training-job and spill paths.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_cosim.hpp"
 #include "cosim/rack_cosim.hpp"
 #include "obs/obs.hpp"
 #include "report_testing.hpp"
@@ -415,6 +419,117 @@ TEST(ObsContract, MetricsTimeSeriesIsMonotoneAndFullWidth) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].values.size() + 1, width);  // +1 = time_ms
     if (i) EXPECT_GT(rows[i].t_ms, rows[i - 1].t_ms);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Trace and metrics content, pinned byte for byte
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the bytes of `text`.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The metrics table as CSV text: the columns, then one line per row.
+std::string metrics_csv(const obs::MetricsRegistry& metrics) {
+  std::string out;
+  const auto line = [&out](const std::vector<std::string>& cells) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (i) out += ',';
+      out += cells[i];
+    }
+    out += '\n';
+  };
+  line(metrics.columns());
+  for (const auto& cells : metrics.string_rows()) line(cells);
+  return out;
+}
+
+// The report pins (the goldens, FaultCosim's digests) cannot see a trace
+// instant emitted in another order or with another value, nor a metrics
+// gauge written by another path; these digests can.  Each case runs 40 ms
+// with trace and metrics on and reaches the paths it pins: fault victims
+// revoked, requeued and degraded, training steps, refused arrivals, and
+// spilled deliveries on a cluster's rack 0.  A deliberate change re-pins
+// the constants.
+TEST(ObsContract, TraceAndMetricsBytesKeepTheirDigests) {
+  using disagg::AllocationPolicy;
+  using fault::ResiliencePolicy;
+  const auto config = [](cosim::AdmissionPolicy admission, ResiliencePolicy resilience,
+                         double fabric_mtbf_ms, double crash_mtbf_ms, double ml_mix) {
+    cosim::CosimConfig cfg;
+    cfg.arrivals_per_ms = 8.0;
+    cfg.sim_time = 40 * sim::kPsPerMs;
+    cfg.admission = admission;
+    cfg.fault.enabled = true;
+    cfg.fault.policy = resilience;
+    cfg.fault.link_mtbf_ms = fabric_mtbf_ms;
+    cfg.fault.mcm_mtbf_ms = crash_mtbf_ms;
+    cfg.fault.node_mtbf_ms = crash_mtbf_ms;
+    cfg.fault.laser_mtbf_ms = crash_mtbf_ms;
+    cfg.ml.enabled = ml_mix > 0.0;
+    cfg.ml.mix_fraction = ml_mix;
+    return cfg;
+  };
+  const auto queue = cosim::AdmissionPolicy::kQueue;
+  const auto drop = cosim::AdmissionPolicy::kDrop;
+  const struct {
+    const char* name;
+    AllocationPolicy policy;
+    cosim::CosimConfig cfg;
+    int racks;  // 1 = a standalone rack; more = a least-loaded spill cluster
+    std::vector<const char*> reaches;  // trace events the case must emit
+    std::uint64_t trace, metrics;
+  } cases[] = {
+      {"disagg/queue/requeue/ml", AllocationPolicy::kDisaggregated,
+       config(queue, ResiliencePolicy::kRequeue, 20.0, 20.0, 0.3), 1,
+       {"revoke", "ml_placed", "ml_step", "queue_drop"},
+       0x750379bff8aca896ULL, 0xc3458d0864295f0dULL},
+      {"static/queue/degrade", AllocationPolicy::kStaticNodes,
+       config(queue, ResiliencePolicy::kDegrade, 20.0, 20.0, 0.0), 1,
+       {"revoke", "placed"},
+       0x9e746e729c54cfadULL, 0xe1f3c0d8007fbba1ULL},
+      {"disagg/drop/degrade/ml", AllocationPolicy::kDisaggregated,
+       config(drop, ResiliencePolicy::kDegrade, 20.0, 0.0, 0.5), 1,
+       {"degrade", "ml_step", "reject"},
+       0x4187e326ac386abdULL, 0x7e0f5117012b8e6dULL},
+      {"cluster2/least/degrade", AllocationPolicy::kDisaggregated,
+       config(queue, ResiliencePolicy::kDegrade, 20.0, 0.0, 0.0), 2,
+       {"degrade", "remote_arrival", "spill"},
+       0x99ede947d7233bceULL, 0x36bd414a1f60b914ULL},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    obs::ObsConfig obs_cfg;
+    obs_cfg.trace_enabled = true;
+    obs_cfg.metrics_enabled = true;
+    obs::ObsBundle bundle(obs_cfg);
+    if (c.racks == 1) {
+      (void)cosim::run_rack_cosim(rack::RackConfig{}, c.policy, workloads::UsageModel::cori(),
+                                  c.cfg, bundle.handles());
+    } else {
+      cluster::ClusterConfig cluster;
+      cluster.racks = c.racks;
+      cluster.spill = cluster::SpillPolicy::kLeast;
+      cluster.interconnect_gbps = phot::Gbps{20.0};
+      (void)cluster::run_cluster_cosim(rack::RackConfig{}, c.policy,
+                                       workloads::UsageModel::cori(), cluster, c.cfg,
+                                       bundle.handles());
+    }
+    const std::string json = trace_json(*bundle.trace());
+    for (const char* event : c.reaches)
+      EXPECT_NE(json.find("\"name\":\"" + std::string(event) + "\""), std::string::npos)
+          << event;
+    const std::uint64_t trace = fnv1a(json);
+    const std::uint64_t metrics = fnv1a(metrics_csv(*bundle.metrics()));
+    EXPECT_EQ(trace, c.trace) << std::hex << "trace 0x" << trace;
+    EXPECT_EQ(metrics, c.metrics) << std::hex << "metrics 0x" << metrics;
   }
 }
 
