@@ -115,13 +115,13 @@ void ClusterCosim::exchange() {
       double requested = 0.0;
       for (const auto& flow : msg.plan.flows) requested += flow.gbps;
       const double granted = fabric_.reserve(link, requested);
-      msg.plan.remote_link = link;
-      msg.plan.remote_gbps = granted;
       // The grant fraction becomes the job's speed ceiling at the target: a
       // half-granted uplink runs the job at half speed (clamped to the
       // rack's min_speed floor at placement).
-      msg.plan.remote_speed_cap =
-          requested > 0.0 ? std::clamp(granted / requested, 0.0, 1.0) : 1.0;
+      msg.plan.remote = {
+          .speed_cap = requested > 0.0 ? std::clamp(granted / requested, 0.0, 1.0) : 1.0,
+          .link = link,
+          .gbps = granted};
       cosim::RackCosim& rack = *racks_[static_cast<std::size_t>(target)];
       rack.inject_remote_job(std::move(msg.plan), at + hop, msg.arrived);
       next_[static_cast<std::size_t>(target)] = rack.next_event_time();

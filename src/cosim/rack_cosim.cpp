@@ -133,18 +133,6 @@ void check_job_shapes(const CosimConfig& cfg, const rack::RackConfig& rack,
                                 sim::fmt_double(pools.memory_gb_total) + " GB");
 }
 
-/// A job's speed fraction: the satisfied share of the bandwidth its open
-/// flows ask for (`no_flows` when none is open), times a spilled job's
-/// inter-rack grant cap, clamped to [floor, 1].  A local job's cap is 1.0:
-/// `x * 1.0` and re-clamping an in-range value are both exact, so a local
-/// job's speed is its flows' share bit for bit.
-double job_speed(double requested, double satisfied, double no_flows, double cap,
-                 double floor) {
-  const double local =
-      requested > 0.0 ? std::clamp(satisfied / requested, floor, 1.0) : no_flows;
-  return std::clamp(local * cap, floor, 1.0);
-}
-
 /// Whether a flow rides the component a fabric fault took down: an MCM crash
 /// severs every flow touching that endpoint, a link cut only the flows on
 /// its directed (src, dst) pair.
@@ -231,7 +219,6 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
     // seed): derived here, armed as plain queue events.  Disabled runs skip
     // this block entirely — no events, no RNG draws, no state vectors — so
     // their event sequence numbers and output bytes are unchanged.
-    faults_on_ = true;
     fault_sched_ = std::make_unique<fault::FaultScheduler>(
         cfg_.fault, cfg_.fabric.mcms, rack_.nodes, cfg_.seed, cfg_.sim_time);
     nodes_.resize(static_cast<std::size_t>(rack_.nodes));
@@ -275,12 +262,10 @@ void RackCosim::setup_obs() {
     }
   }
   // The energy observer feeds the power counter track at every integration
-  // step (ids registered above, so the metrics gauge is safe to set here).
-  if (obs_.trace || obs_.metrics) {
+  // step; the metrics gauge is set where it is sampled (take_sample).
+  if (obs_.trace) {
     energy_.set_observer([this](double /*seconds*/, double watts) {
-      if (obs_.trace)
-        obs_.trace->counter(obs::Track::kPower, "rack_power_w", queue_.now(), watts);
-      if (obs_.metrics) obs_.metrics->set(m_.power_w, watts);
+      obs_.trace->counter(obs::Track::kPower, "rack_power_w", queue_.now(), watts);
     });
   }
 }
@@ -288,7 +273,7 @@ void RackCosim::setup_obs() {
 void RackCosim::take_sample() {
   auto& m = *obs_.metrics;
   m.set(m_.backlog_depth, static_cast<double>(backlog_.size()));
-  m.set(m_.live_jobs, static_cast<double>(live_jobs_));
+  m.set(m_.live_jobs, static_cast<double>(live_map_.size()));
   m.set(m_.fabric_util, engine_.fabric_utilization());
   // Per-MCM-pair direct-wavelength utilization: the congestion picture the
   // aggregate number hides (one hot pair can block while the mean is low).
@@ -310,7 +295,7 @@ void RackCosim::take_sample() {
   m.set(m_.energy_j, energy_.joules());
   m.set(m_.offered, static_cast<double>(tally_.jobs.offered()));
   m.set(m_.accepted, static_cast<double>(tally_.jobs.accepted()));
-  if (faults_on_) {
+  if (cfg_.fault.enabled) {
     m.set(m_.faults, static_cast<double>(tally_.fault.faults));
     m.set(m_.repairs, static_cast<double>(tally_.fault.repairs));
     m.set(m_.interrupted, static_cast<double>(tally_.fault.interrupted));
@@ -380,8 +365,9 @@ RackCosim::JobPlan RackCosim::make_ml_plan(sim::Rng& rng) const {
   const collectives::MlConfig& ml = cfg_.ml;
   JobPlan plan;
   plan.ml.is_ml = true;
-  plan.ml.pattern = ml.pattern;
-  plan.ml.bytes = ml.gradient_mb * 1e6;
+  collectives::CollectiveSpec& collective = plan.ml.collective;
+  collective.pattern = ml.pattern;
+  collective.bytes = ml.gradient_mb * 1e6;
   plan.ml.steps = ml.steps;
 
   const int per_node = std::max(1, rack_.node.gpus);
@@ -395,15 +381,15 @@ RackCosim::JobPlan RackCosim::make_ml_plan(sim::Rng& rng) const {
   const int mcms = cfg_.fabric.mcms;
   std::vector<int> pool(static_cast<std::size_t>(mcms));
   std::iota(pool.begin(), pool.end(), 0);
-  plan.ml.endpoints.reserve(static_cast<std::size_t>(ml.accelerators));
+  collective.endpoints.reserve(static_cast<std::size_t>(ml.accelerators));
   for (int i = 0; i < ml.accelerators; ++i) {
     if (i < mcms) {
       const std::size_t j = static_cast<std::size_t>(i) +
                             rng.below(static_cast<std::uint64_t>(mcms - i));
       std::swap(pool[static_cast<std::size_t>(i)], pool[j]);
-      plan.ml.endpoints.push_back(pool[static_cast<std::size_t>(i)]);
+      collective.endpoints.push_back(pool[static_cast<std::size_t>(i)]);
     } else {
-      plan.ml.endpoints.push_back(
+      collective.endpoints.push_back(
           static_cast<int>(rng.below(static_cast<std::uint64_t>(mcms))));
     }
   }
@@ -422,7 +408,7 @@ RackCosim::JobPlan RackCosim::make_ml_plan(sim::Rng& rng) const {
   // base_hold anchors at the uncontended closed-form job time, so ML
   // slowdown keeps the HPC meaning: time in system over ideal service time.
   const double ideal_coll_s = collectives::lower_bound_seconds(
-      ml.pattern, ml.accelerators, plan.ml.bytes, ml.demand_gbps);
+      ml.pattern, ml.accelerators, collective.bytes, ml.demand_gbps);
   const double ideal_ps =
       ml.steps * (static_cast<double>(plan.ml.compute) + ideal_coll_s * 1e12);
   plan.base_hold = std::max<sim::TimePs>(1, static_cast<sim::TimePs>(ideal_ps));
@@ -472,7 +458,6 @@ bool RackCosim::try_start(JobPlan& offered, sim::TimePs arrived, int retries) {
   // for byte.
   const bool record = retries == 0;
   if (record) tally_.jobs.accept();
-  ++live_jobs_;
   const std::uint64_t job_id = next_live_id_++;
   LiveJob& job = live_map_[job_id];
   job.plan = std::move(offered);
@@ -480,14 +465,16 @@ bool RackCosim::try_start(JobPlan& offered, sim::TimePs arrived, int retries) {
   job.alloc = alloc;
   job.arrived = arrived;
   job.retries = retries;
+  job.placed_at = queue_.now();
+  const sim::TimePs wait = queue_.now() - arrived;
+  if (cfg_.fault.enabled) bind_nodes(job_id);
   if (plan.ml.is_ml) {
     // Training jobs skip the HPC hold/stretch machinery entirely: their
     // lifetime is the event-driven step loop (compute segment, then a
     // collective on the live fabric), so contention acts through achieved
     // collective rates instead of a one-shot admission-time stretch.
-    if (record) tally_.ml.accept();
-    const sim::TimePs wait = queue_.now() - arrived;
     if (record) {
+      tally_.ml.accept();
       {
         obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
         tally_.jobs.record_wait(to_ms(wait));
@@ -498,42 +485,41 @@ bool RackCosim::try_start(JobPlan& offered, sim::TimePs arrived, int retries) {
       obs_.trace->instant(
           obs::Track::kJobs, "ml_placed", queue_.now(),
           {{"wait_ms", to_ms(wait)},
-           {"ranks", static_cast<double>(plan.ml.endpoints.size())}});
-    job.placed_at = queue_.now();
-    job.segment_start = queue_.now();
-    job.speed = 1.0;
-    job.remaining_base = static_cast<double>(plan.base_hold);
-    if (faults_on_) bind_nodes(job_id);
+           {"ranks", static_cast<double>(plan.ml.collective.endpoints.size())}});
+    collectives::CollectiveSpec& spec = job.plan.ml.collective;
+    spec.demand_gbps = cfg_.ml.demand_gbps;
+    // The electronic-baseline derate and a spilled job's inter-rack grant cap
+    // compose multiplicatively on the achieved rate (local photonic jobs
+    // carry exactly 1.0 for both).
+    spec.rate_scale =
+        std::clamp((cfg_.ml.electronic ? cfg_.ml.electronic_derate : 1.0) *
+                       plan.remote.speed_cap,
+                   cfg_.min_speed_fraction, 1.0);
+    spec.min_rate_fraction = cfg_.min_speed_fraction;
+    // Every training job of a rack runs the same collective, so it is
+    // compiled once, at the first placement (a rack that places no training
+    // job never compiles), and shared by every runner.
+    const int ranks = static_cast<int>(spec.endpoints.size());
+    if (!collective_ || !collective_->compiled_for(spec.pattern, ranks, spec.bytes))
+      collective_ = std::make_shared<const collectives::CompiledCollective>(
+          spec.pattern, ranks, spec.bytes);
+    job.runner =
+        std::make_unique<collectives::CollectiveRunner>(engine_, queue_, spec, collective_);
     start_ml_step(job_id);
     return true;
   }
-  double requested = 0.0, satisfied = 0.0;
   job.flow_ids.reserve(plan.flows.size());
-  for (const auto& spec : plan.flows) {
-    const std::uint64_t id = engine_.open(spec, queue_.now());
-    job.flow_ids.push_back(id);
-    const net::RouteResult& route = engine_.result(id);
-    requested += route.requested;
-    satisfied += route.satisfied();
-  }
-  job.flow_open.assign(job.flow_ids.size(), 1);
-  // Spilled jobs run behind a finite inter-rack pipe: the grant fraction
-  // caps speed multiplicatively.
-  const double speed = job_speed(requested, satisfied, 1.0, plan.remote_speed_cap,
-                                 cfg_.min_speed_fraction);
-  const double stretch = cfg_.contention_feedback ? 1.0 / speed : 1.0;
-  if (record) {
-    tally_.speed.add(speed);
-    tally_.stretch.add(stretch);
-  }
-  const auto hold = std::max<sim::TimePs>(
-      1, static_cast<sim::TimePs>(static_cast<double>(plan.base_hold) * stretch));
+  for (const auto& spec : plan.flows) job.flow_ids.push_back(engine_.open(spec, queue_.now()));
+  const double speed = flow_speed(job, 1.0);
+  job.remaining_base = static_cast<double>(plan.base_hold);
+  const sim::TimePs hold = schedule_completion(job_id, job, speed);
   // Tails are recorded at placement, when wait and hold are both known —
   // NOT at completion, so mid-run reports carry no survivorship bias from
   // long jobs still running.  Slowdown folds queueing and contention into
   // one number: time-in-system over uncontended service time.
-  const sim::TimePs wait = queue_.now() - arrived;
   if (record) {
+    tally_.speed.add(speed);
+    tally_.stretch.add(stretch(speed));
     {
       obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
       tally_.jobs.record_wait(to_ms(wait));
@@ -543,18 +529,39 @@ bool RackCosim::try_start(JobPlan& offered, sim::TimePs arrived, int retries) {
     }
     if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
   }
-  const sim::TimePs placed_at = queue_.now();
   if (obs_.trace)
-    obs_.trace->instant(obs::Track::kJobs, "placed", placed_at,
+    obs_.trace->instant(obs::Track::kJobs, "placed", queue_.now(),
                         {{"wait_ms", to_ms(wait)}, {"speed", speed}});
-  job.placed_at = placed_at;
-  job.segment_start = placed_at;
+  return true;
+}
+
+double RackCosim::flow_speed(const LiveJob& job, double no_flows) const {
+  double requested = 0.0, satisfied = 0.0;
+  for (const std::uint64_t id : job.flow_ids) {
+    if (id == 0) continue;
+    const net::RouteResult& route = engine_.result(id);
+    requested += route.requested;
+    satisfied += route.satisfied();
+  }
+  const double floor = cfg_.min_speed_fraction;
+  const double local =
+      requested > 0.0 ? std::clamp(satisfied / requested, floor, 1.0) : no_flows;
+  // Spilled jobs run behind a finite inter-rack pipe: the grant fraction
+  // caps speed multiplicatively.  A local job's cap is 1.0: `x * 1.0` and
+  // re-clamping an in-range value are both exact, so a local job's speed is
+  // its flows' share bit for bit.
+  return std::clamp(local * job.plan.remote.speed_cap, floor, 1.0);
+}
+
+sim::TimePs RackCosim::schedule_completion(std::uint64_t job_id, LiveJob& job,
+                                           double speed) {
+  const auto hold = std::max<sim::TimePs>(
+      1, static_cast<sim::TimePs>(job.remaining_base * stretch(speed)));
   job.speed = speed;
-  job.remaining_base = static_cast<double>(plan.base_hold);
+  job.segment_start = queue_.now();
   job.completion =
       queue_.schedule_after(hold, [this, job_id]() { complete_job(job_id); });
-  if (faults_on_) bind_nodes(job_id);
-  return true;
+  return hold;
 }
 
 void RackCosim::start_ml_step(std::uint64_t job_id) {
@@ -565,46 +572,19 @@ void RackCosim::start_ml_step(std::uint64_t job_id) {
   // collective this id is stale-but-fired and cancel is a safe no-op (the
   // runner's abort covers the live phase event).
   const auto compute = std::max<sim::TimePs>(1, job.plan.ml.compute);
-  job.completion = queue_.schedule_after(
-      compute, [this, job_id]() { on_ml_compute_done(job_id); });
-}
-
-void RackCosim::on_ml_compute_done(std::uint64_t job_id) {
-  LiveJob& job = live_map_.at(job_id);
-  collectives::CollectiveSpec spec;
-  spec.pattern = job.plan.ml.pattern;
-  spec.endpoints = job.plan.ml.endpoints;
-  spec.bytes = job.plan.ml.bytes;
-  spec.demand_gbps = cfg_.ml.demand_gbps;
-  // The electronic-baseline derate and a spilled job's inter-rack grant cap
-  // compose multiplicatively on the achieved rate (local photonic jobs carry
-  // exactly 1.0 for both).
-  spec.rate_scale =
-      std::clamp((cfg_.ml.electronic ? cfg_.ml.electronic_derate : 1.0) *
-                     job.plan.remote_speed_cap,
-                 cfg_.min_speed_fraction, 1.0);
-  spec.min_rate_fraction = cfg_.min_speed_fraction;
-  // Every training job of a rack runs the same collective, so it is
-  // compiled once, at the first collective (a rack that runs no training
-  // job never compiles), and shared by every runner.
-  const int ranks = static_cast<int>(spec.endpoints.size());
-  if (!collective_ || !collective_->compiled_for(spec.pattern, ranks, spec.bytes))
-    collective_ = std::make_shared<const collectives::CompiledCollective>(
-        spec.pattern, ranks, spec.bytes);
-  job.collective_started = queue_.now();
-  job.runner = std::make_unique<collectives::CollectiveRunner>(
-      engine_, queue_, std::move(spec), collective_);
-  job.runner->start([this, job_id](const collectives::CollectiveResult& result) {
-    on_ml_collective_done(job_id, result);
+  job.completion = queue_.schedule_after(compute, [this, job_id]() {
+    live_map_.at(job_id).runner->start(
+        [this, job_id](const collectives::CollectiveResult& result) {
+          on_ml_collective_done(job_id, result);
+        });
   });
 }
 
 void RackCosim::on_ml_collective_done(std::uint64_t job_id,
                                       const collectives::CollectiveResult& result) {
   LiveJob& job = live_map_.at(job_id);
-  job.runner.reset();
   const double step_ms = to_ms(queue_.now() - job.step_started);
-  const double coll_ms = to_ms(queue_.now() - job.collective_started);
+  const double coll_ms = to_ms(result.elapsed);
   {
     obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
     tally_.ml.record_step(step_ms, step_ms > 0.0 ? coll_ms / step_ms : 0.0,
@@ -637,29 +617,26 @@ RackCosim::LiveJob RackCosim::teardown(std::uint64_t job_id, bool revoke) {
   // A mid-collective victim also holds phase flows and a pending phase
   // event inside its runner; abort tears both down before the release.
   if (job.runner) job.runner->abort();
-  for (std::size_t i = 0; i < job.flow_ids.size(); ++i)
-    if (job.flow_open[i]) engine_.close(job.flow_ids[i], now);
+  for (const std::uint64_t id : job.flow_ids)
+    if (id != 0) engine_.close(id, now);
   if (revoke) {
     allocator_.revoke(job.alloc);
   } else {
     obs::ScopedTimer timer(obs_.profiler, sc_release_);
     allocator_.release(job.alloc);
   }
-  --live_jobs_;
   unbind_nodes(job_id, job);
   // A spill hands back its inter-rack reservation whichever way it ends and
   // drops the tag: a retry re-enters THIS rack's admission path as an
   // untagged local job, so the grant can never be released twice.
   close_remote(job.plan, /*placed=*/true);
-  job.plan.remote_speed_cap = 1.0;
-  job.plan.remote_link = -1;
-  job.plan.remote_gbps = 0.0;
+  job.plan.remote = {};
   return job;
 }
 
 void RackCosim::complete_job(std::uint64_t job_id) {
   const LiveJob job = teardown(job_id, /*revoke=*/false);
-  if (faults_on_) ++tally_.fault.goodput_jobs;
+  if (cfg_.fault.enabled) ++tally_.fault.goodput_jobs;
   if (job.plan.ml.is_ml) {
     // ML slowdown is known only at completion (steps ran at live collective
     // speeds, not an admission-time stretch); revoked jobs never reach here,
@@ -678,8 +655,8 @@ void RackCosim::complete_job(std::uint64_t job_id) {
 }
 
 void RackCosim::close_remote(const JobPlan& plan, bool placed) {
-  if (plan.remote_link >= 0 && remote_close_)
-    remote_close_(plan.remote_link, plan.remote_gbps, queue_.now(), placed);
+  if (plan.remote.link >= 0 && remote_close_)
+    remote_close_(plan.remote.link, plan.remote.gbps, queue_.now(), placed);
 }
 
 void RackCosim::drain_backlog() {
@@ -792,19 +769,16 @@ std::vector<std::uint64_t> RackCosim::victims_of(const fault::FaultEvent& ev) co
   // A fabric fault strikes whichever flows ride its component, and placements
   // outnumber such faults about nine to one, so the live jobs are scanned here
   // rather than indexed by pair at every placement.
+  const auto touches = [&ev](const net::FlowSpec& spec) { return flow_touches(spec, ev); };
   std::vector<std::uint64_t> out;
   for (const auto& [id, job] : live_map_) {
     bool hit = false;
-    if (job.plan.ml.is_ml) {
-      // A training job touches the fabric only during collective phases;
-      // mid-compute it has no open flows and a fabric fault passes it by.
-      if (job.runner)
-        for (const net::FlowSpec& spec : job.runner->open_specs())
-          if ((hit = flow_touches(spec, ev))) break;
-    } else {
-      for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i)
-        hit = job.flow_open[i] && flow_touches(job.plan.flows[i], ev);
-    }
+    for (std::size_t i = 0; i < job.flow_ids.size() && !hit; ++i)
+      hit = job.flow_ids[i] != 0 && touches(job.plan.flows[i]);
+    // A training job touches the fabric only during collective phases;
+    // mid-compute its runner has no open flows and a fabric fault passes it
+    // by.
+    if (!hit && job.runner) hit = std::ranges::any_of(job.runner->open_specs(), touches);
     if (hit) out.push_back(id);
   }
   // live_map_ iteration order is unspecified.
@@ -835,37 +809,22 @@ void RackCosim::resume_degraded(std::uint64_t job_id, const fault::FaultEvent& e
   LiveJob& job = live_map_.at(job_id);
   const sim::TimePs now = queue_.now();
   // Bank the progress made at the old speed before re-stretching the rest.
-  const double old_stretch = cfg_.contention_feedback ? 1.0 / job.speed : 1.0;
   const double done_base =
-      static_cast<double>(now - job.segment_start) / old_stretch;
+      static_cast<double>(now - job.segment_start) / stretch(job.speed);
   job.remaining_base = std::max(0.0, job.remaining_base - done_base);
   // Drop the flows stranded on the dead component; survivors keep their
   // admission-time reservations.
   for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
-    if (!job.flow_open[i] || !flow_touches(job.plan.flows[i], ev)) continue;
+    if (job.flow_ids[i] == 0 || !flow_touches(job.plan.flows[i], ev)) continue;
     engine_.close(job.flow_ids[i], now);
-    job.flow_open[i] = 0;
-  }
-  double requested = 0.0, satisfied = 0.0;
-  for (std::size_t i = 0; i < job.flow_ids.size(); ++i) {
-    if (!job.flow_open[i]) continue;
-    const net::RouteResult& route = engine_.result(job.flow_ids[i]);
-    requested += route.requested;
-    satisfied += route.satisfied();
+    job.flow_ids[i] = 0;
   }
   // A job whose every flow died crawls at the floor speed — an empty sum
   // must not read as full speed.  A spilled job keeps its inter-rack cap:
   // losing local flows never widens the pipe between racks.
-  const double speed = job_speed(requested, satisfied, cfg_.min_speed_fraction,
-                                 job.plan.remote_speed_cap, cfg_.min_speed_fraction);
-  const double stretch = cfg_.contention_feedback ? 1.0 / speed : 1.0;
+  const double speed = flow_speed(job, cfg_.min_speed_fraction);
   queue_.cancel(job.completion);
-  const auto hold =
-      std::max<sim::TimePs>(1, static_cast<sim::TimePs>(job.remaining_base * stretch));
-  job.completion =
-      queue_.schedule_after(hold, [this, job_id]() { complete_job(job_id); });
-  job.speed = speed;
-  job.segment_start = now;
+  schedule_completion(job_id, job, speed);
   ++tally_.fault.degraded;
   if (obs_.trace)
     obs_.trace->instant(obs::Track::kFaults, "degrade", now,
@@ -886,12 +845,7 @@ void RackCosim::schedule_retry(JobPlan plan, sim::TimePs arrived, int retries) {
   const auto delay = std::max<sim::TimePs>(
       1, static_cast<sim::TimePs>(backoff_ms * static_cast<double>(sim::kPsPerMs)));
   ++tally_.fault.requeued;
-  // The event fires once, so the closure hands its plan on instead of
-  // copying it.
-  queue_.schedule_after(delay, [this, plan = std::move(plan), arrived, retries]() mutable {
-    engine_.refresh_view(queue_.now());
-    admit(std::move(plan), arrived, retries);
-  });
+  admit_at(queue_.now() + delay, std::move(plan), arrived, retries);
 }
 
 void RackCosim::on_fault(const fault::FaultEvent& ev) {
@@ -942,7 +896,7 @@ void RackCosim::admit(JobPlan plan, sim::TimePs arrived, int retries) {
   const sim::TimePs now = queue_.now();
   const bool queued = cfg_.admission == AdmissionPolicy::kQueue;
   const bool retry = retries > 0;
-  const bool spilled = plan.remote_link >= 0;
+  const bool spilled = plan.remote.link >= 0;
   // kQueue holds every origin in one bounded FIFO on the same queue_cap (no
   // reserved headroom for retries or spills); kDrop places directly, and a
   // drop-mode rack's backlog stays identically empty even under fault churn.
@@ -1022,14 +976,21 @@ void RackCosim::on_arrival() {
 
 void RackCosim::inject_remote_job(JobPlan plan, sim::TimePs deliver_at,
                                   sim::TimePs arrived) {
-  queue_.schedule_at(deliver_at, [this, plan = std::move(plan), arrived]() mutable {
+  // Admitted like a local arrival (its acceptance, wait and tails are
+  // accounted where it runs) but NOT offered here — the origin rack already
+  // counted the offer, so cluster totals add up.
+  admit_at(deliver_at, std::move(plan), arrived, 0);
+}
+
+void RackCosim::admit_at(sim::TimePs at, JobPlan plan, sim::TimePs arrived, int retries) {
+  // The event fires once, so the closure hands its plan on instead of
+  // copying it.
+  queue_.schedule_at(at, [this, plan = std::move(plan), arrived, retries]() mutable {
     engine_.refresh_view(queue_.now());
-    if (obs_.trace)
+    // Only a delivered spill carries the tag: teardown resets a retry's.
+    if (obs_.trace && plan.remote.link >= 0)
       obs_.trace->instant(obs::Track::kJobs, "remote_arrival", queue_.now());
-    // Admitted like a local arrival (its acceptance, wait and tails are
-    // accounted where it runs) but NOT offered here — the origin rack
-    // already counted the offer, so cluster totals add up.
-    admit(std::move(plan), arrived, 0);
+    admit(std::move(plan), arrived, retries);
   });
 }
 
@@ -1053,7 +1014,7 @@ CosimTally RackCosim::tally() const {
     ++t.censored_waiting;
     t.jobs.record_wait(to_ms(queue_.now() - pending.arrived));
   }
-  t.censored_running = live_jobs_;
+  t.censored_running = live_map_.size();
   t.events = queue_.stats();
   t.flows = engine_.tally();
   t.energy_joules = energy_.joules();

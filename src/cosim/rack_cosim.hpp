@@ -227,7 +227,7 @@ class RackCosim {
   [[nodiscard]] CosimReport report() const;
   [[nodiscard]] const disagg::RackAllocator& allocator() const { return allocator_; }
   [[nodiscard]] double fabric_utilization() const { return engine_.fabric_utilization(); }
-  [[nodiscard]] std::uint64_t live_jobs() const { return live_jobs_; }
+  [[nodiscard]] std::uint64_t live_jobs() const { return live_map_.size(); }
   [[nodiscard]] std::size_t queued_jobs() const { return backlog_.size(); }
 
   // Everything one job will do, drawn up front from the job's own RNG child
@@ -238,19 +238,23 @@ class RackCosim {
   // full backlog refuses unread draws only its kind; the rest of its stream
   // is its own, so that moves no other job.)  Public so a cluster
   // coordinator (cluster::ClusterCosim) can carry a plan from the rack that
-  // drew it to the rack that runs it; the remote_* tags are inert for
-  // rack-local jobs (cap 1.0 multiplies speed by exactly 1.0, link -1 never
-  // fires the close handler), so a standalone rack is bit-identical to one
-  // built before spill-over existed.
+  // drew it to the rack that runs it.
   struct JobPlan {
     disagg::JobRequest request;
     int breadth = 1;
     sim::TimePs base_hold = 1;
     std::vector<net::FlowSpec> flows;
-    // --- cluster spill-over tags ---
-    double remote_speed_cap = 1.0;  // inter-rack grant / requested Gb/s
-    int remote_link = -1;           // InterRackFabric link id; -1 = local
-    double remote_gbps = 0.0;       // reserved inter-rack bandwidth
+
+    /// The cluster spill-over tag.  The defaults mean a rack-local job and
+    /// are inert (cap 1.0 multiplies speed by exactly 1.0, link -1 never
+    /// fires the close handler), so a standalone rack is bit-identical to
+    /// one built before spill-over existed.
+    struct Remote {
+      double speed_cap = 1.0;  // inter-rack grant / requested Gb/s
+      int link = -1;           // InterRackFabric link id; -1 = local
+      double gbps = 0.0;       // reserved inter-rack bandwidth
+    };
+    Remote remote;
 
     /// Training-job plan (src/collectives): inert for HPC jobs (is_ml =
     /// false, all other fields never read), so a rack without `ml.*` runs
@@ -259,9 +263,9 @@ class RackCosim {
     /// carries its collective schedule with it.
     struct MlPlan {
       bool is_ml = false;
-      collectives::Pattern pattern = collectives::Pattern::kRingAllReduce;
-      std::vector<int> endpoints;  // fabric MCM per rank
-      double bytes = 0.0;          // gradient payload per collective
+      /// Pattern, fabric MCM per rank and gradient bytes per step; the rack
+      /// that places the job sets the rates.
+      collectives::CollectiveSpec collective;
       int steps = 0;
       sim::TimePs compute = 0;     // per-step compute segment (jitter folded in)
     };
@@ -292,7 +296,7 @@ class RackCosim {
   /// (its origin already counted it) and keeps its original `arrived` time
   /// so wait statistics include the transfer.  If this rack cannot admit it
   /// either, the remote-close handler fires with placed = false.
-  /// Precondition: `plan` carries the inter-rack tag (remote_link >= 0) —
+  /// Precondition: `plan` carries the inter-rack tag (remote.link >= 0) —
   /// admission tells a spilled job from a local arrival by that tag alone.
   void inject_remote_job(JobPlan plan, sim::TimePs deliver_at,
                          sim::TimePs arrived);
@@ -323,8 +327,7 @@ class RackCosim {
   struct LiveJob {
     JobPlan plan;
     disagg::Allocation alloc;
-    std::vector<std::uint64_t> flow_ids;
-    std::vector<char> flow_open;      // parallel to flow_ids; 0 once closed
+    std::vector<std::uint64_t> flow_ids;  // parallel to plan.flows; 0 once closed
     sim::TimePs arrived = 0;          // original arrival (survives requeues)
     sim::TimePs placed_at = 0;        // this segment's placement time
     sim::TimePs segment_start = 0;    // last (re)stretch point
@@ -336,12 +339,12 @@ class RackCosim {
     std::vector<int> bound_nodes;     // static: exclusively owned nodes
 
     // --- training-job state (null/zero for HPC jobs) ---
-    /// Live collective execution; behind a unique_ptr so the runner's queued
-    /// phase event survives LiveJob moves (unordered_map rehash).
+    /// The job's collective, restarted at every step; behind a unique_ptr so
+    /// the runner's queued phase event survives LiveJob moves (unordered_map
+    /// rehash).
     std::unique_ptr<collectives::CollectiveRunner> runner;
     int ml_step = 0;                  // steps finished so far
     sim::TimePs step_started = 0;     // current step's compute-segment start
-    sim::TimePs collective_started = 0;
   };
 
   rack::RackConfig rack_;
@@ -357,7 +360,6 @@ class RackCosim {
   std::unique_ptr<traffic::ArrivalProcess> arrival_process_;
   std::uint64_t next_job_index_ = 0;
 
-  std::uint64_t live_jobs_ = 0;
   std::deque<PendingJob> backlog_;
   /// The live report state: job and ML streams, speed/stretch moments and
   /// fault counters accumulate here in place; tally() adds the snapshots.
@@ -366,7 +368,7 @@ class RackCosim {
   double photonic_w_ = 0.0;
 
   /// The training jobs' compiled collective, shared by their runners; null
-  /// until the first collective.
+  /// until the first training job is placed.
   std::shared_ptr<const collectives::CompiledCollective> collective_;
 
   /// Every placed job, keyed by a cosim-local id: each placement fills it,
@@ -375,7 +377,6 @@ class RackCosim {
   std::uint64_t next_live_id_ = 1;
 
   // --- fault engine (all empty / untouched when cfg_.fault.enabled=false) ---
-  bool faults_on_ = false;
   std::unique_ptr<fault::FaultScheduler> fault_sched_;
   /// One rack node as a node fault sees it: whether it is down, and the live
   /// jobs its crash revokes, in placement (= id) order.  A static job is
@@ -424,15 +425,29 @@ class RackCosim {
     return backlog_.size() >= static_cast<std::size_t>(cfg_.queue_cap);
   }
   /// The one admission decision.  Local arrivals, spilled deliveries
-  /// (plan.remote_link >= 0) and fault retries (retries > 0) differ only in
+  /// (plan.remote.link >= 0) and fault retries (retries > 0) differ only in
   /// what happens when the rack refuses them.
   void admit(JobPlan plan, sim::TimePs arrived, int retries);
+  /// admit() at time `at`, against a view refreshed then: how fault retries
+  /// and spilled deliveries re-enter admission.
+  void admit_at(sim::TimePs at, JobPlan plan, sim::TimePs arrived, int retries);
   /// A local arrival nobody takes: traced, and the power trace steps as on
   /// every admission.
   void drop_arrival();
   /// Place `offered` now if the allocator can; on success it moves into the
   /// live job, on refusal it is left as it was.
   bool try_start(JobPlan& offered, sim::TimePs arrived, int retries);
+  /// Duration multiplier at `speed`: 1/speed closed loop, 1 open loop.
+  [[nodiscard]] double stretch(double speed) const {
+    return cfg_.contention_feedback ? 1.0 / speed : 1.0;
+  }
+  /// An HPC job's speed: the satisfied share of what its open flows ask for
+  /// (`no_flows` when none is open), times its inter-rack grant cap,
+  /// clamped to [min_speed_fraction, 1].
+  [[nodiscard]] double flow_speed(const LiveJob& job, double no_flows) const;
+  /// Run the job's remaining base work at `speed` from now: schedules its
+  /// completion and returns the stretched hold.
+  sim::TimePs schedule_completion(std::uint64_t job_id, LiveJob& job, double speed);
   void complete_job(std::uint64_t job_id);
   /// The one teardown, shared by completion and revocation.
   LiveJob teardown(std::uint64_t job_id, bool revoke);
@@ -440,7 +455,6 @@ class RackCosim {
 
   // --- training-job step loop (reachable only for is_ml plans) ---
   void start_ml_step(std::uint64_t job_id);
-  void on_ml_compute_done(std::uint64_t job_id);
   void on_ml_collective_done(std::uint64_t job_id,
                              const collectives::CollectiveResult& result);
   void setup_obs();

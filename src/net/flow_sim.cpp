@@ -70,7 +70,7 @@ void FlowEngine::close(std::uint64_t flow_id, sim::TimePs now) {
   Slot& slot = slots_[index];
   router_.release(slot.result);
   slot.live = false;
-  ++slot.generation;
+  if (++slot.generation == 0) slot.generation = 1;  // 0 is never a live handle
   free_slots_.push_back(index);
   if (obs_.trace) {
     const double gbps = slot.result.requested;

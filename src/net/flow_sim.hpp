@@ -75,7 +75,8 @@ struct FlowTally {
 /// reused slot keeps its route's segment capacity, so steady-state open and
 /// close allocate nothing.  A flow handle carries the slot index and the
 /// slot's generation, which every close advances: a closed handle never
-/// matches again, even after its slot is reused.
+/// matches again, even after its slot is reused.  Generations start at 1
+/// and skip 0 when they wrap, so no live flow's handle is 0.
 class FlowEngine {
  public:
   FlowEngine(WavelengthFabric& fabric, sim::TimePs piggyback_interval,
@@ -116,7 +117,7 @@ class FlowEngine {
   /// One flow, live or awaiting reuse on the free list.
   struct Slot {
     RouteResult result;
-    std::uint32_t generation = 1;  // advanced by every close
+    std::uint32_t generation = 1;  // advanced by every close, never 0
     bool live = false;
     // The opening, for the trace span a close emits.
     sim::TimePs opened_at = 0;

@@ -218,10 +218,10 @@ Reference reference_cluster(const ClusterConfig& cluster, const cosim::CosimConf
       for (const auto& flow : msg.plan.flows) requested += flow.gbps;
       const double granted = fabric.reserve(link, requested);
       if (granted < requested) ++ref.partial_grants;
-      msg.plan.remote_link = link;
-      msg.plan.remote_gbps = granted;
-      msg.plan.remote_speed_cap =
-          requested > 0.0 ? std::clamp(granted / requested, 0.0, 1.0) : 1.0;
+      msg.plan.remote = {
+          .speed_cap = requested > 0.0 ? std::clamp(granted / requested, 0.0, 1.0) : 1.0,
+          .link = link,
+          .gbps = granted};
       racks[static_cast<std::size_t>(target)]->inject_remote_job(std::move(msg.plan),
                                                                   msg.at + hop, msg.at);
       ++out.spilled;

@@ -811,9 +811,7 @@ TEST(FaultCosim, DegradedSpilledJobKeepsItsInterRackCap) {
       const int dst = static_cast<int>((src + 1 + rng.below(23)) % 24);
       plan.flows.push_back(net::FlowSpec{src, dst, 10.0 * rng.uniform(), 0});
     }
-    plan.remote_speed_cap = kCap;
-    plan.remote_link = 0;
-    plan.remote_gbps = 1.0;
+    plan.remote = {.speed_cap = kCap, .link = 0, .gbps = 1.0};
     const sim::TimePs at = k * sim::kPsPerMs;
     sim.inject_remote_job(std::move(plan), at, at);
   }
