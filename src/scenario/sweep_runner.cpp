@@ -1,6 +1,5 @@
 #include "scenario/sweep_runner.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -109,19 +108,12 @@ SweepResult SweepRunner::run(const Campaign& campaign, const SweepGrid& grid,
   const std::string manifest_json = manifest.to_json(config::registry());
 
   // Evaluate into per-spec slots so rows serialize in grid order no matter
-  // how the pool schedules the work.
+  // how the workers take the work.  parallel_for rethrows the first
+  // scenario failure.
   std::vector<std::vector<ResultRow>> per_spec(specs.size());
-  auto evaluate = [&](std::size_t i) { per_spec[i] = campaign.evaluate(specs[i]); };
-
-  std::size_t jobs = opt_.jobs ? opt_.jobs : std::thread::hardware_concurrency();
-  jobs = std::max<std::size_t>(1, std::min(jobs, specs.size()));
-  if (jobs == 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i) evaluate(i);
-  } else {
-    sim::ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < specs.size(); ++i) pool.submit([&evaluate, i] { evaluate(i); });
-    pool.wait_idle();  // rethrows the first scenario failure
-  }
+  sim::parallel_for(
+      specs.size(), [&](std::size_t i) { per_spec[i] = campaign.evaluate(specs[i]); },
+      opt_.jobs ? opt_.jobs : std::thread::hardware_concurrency());
 
   SweepResult result;
   result.columns = campaign.columns;

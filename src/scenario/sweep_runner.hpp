@@ -49,12 +49,12 @@ struct SweepResult {
   [[nodiscard]] double max(const std::string& name, const Filter& filter = {}) const;
 };
 
-/// Executes a campaign's specs on sim::ThreadPool, then serializes all rows
-/// in grid order to every sink once the sweep completes.  Scenario
+/// Executes a campaign's specs on sim::parallel_for, then serializes all
+/// rows in grid order to every sink once the sweep completes.  Scenario
 /// evaluators seed from their spec, so the output is bit-identical for any
-/// jobs count.  A failed scenario's exception is rethrown here (see
-/// ThreadPool::wait_idle) after the pool drains — sinks see nothing in that
-/// case, so --out files are empty rather than partially written.
+/// jobs count.  A failed scenario's exception is rethrown here after every
+/// worker has stopped — sinks see nothing in that case, so --out files are
+/// empty rather than partially written.
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions opt = {}) : opt_(opt) {}

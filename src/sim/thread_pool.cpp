@@ -1,68 +1,12 @@
 #include "sim/thread_pool.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <vector>
 
 namespace photorack::sim {
-
-ThreadPool::ThreadPool(std::size_t workers) {
-  workers = std::max<std::size_t>(1, workers);
-  threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) threads_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mu_);
-    stopping_ = true;
-  }
-  cv_task_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      cv_task_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (stopping_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mu_);
-      if (error && !first_error_) first_error_ = error;
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t workers) {

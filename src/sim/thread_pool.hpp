@@ -1,55 +1,17 @@
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <queue>
 #include <thread>
-#include <vector>
 
 namespace photorack::sim {
 
-/// Small fixed-size worker pool for running independent, seeded simulations
-/// in parallel (benchmark sweeps run one simulation per benchmark×config).
-/// Determinism note: tasks must not share mutable state; each simulation owns
-/// its Rng, so results are identical whether run serially or in parallel.
-class ThreadPool {
- public:
-  explicit ThreadPool(std::size_t workers = std::thread::hardware_concurrency());
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has completed.  If any task threw, the
-  /// first captured exception is rethrown here (instead of the worker thread
-  /// calling std::terminate); the pool stays usable afterwards.
-  void wait_idle();
-
-  [[nodiscard]] std::size_t workers() const { return threads_.size(); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> threads_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
-  bool stopping_ = false;
-  std::exception_ptr first_error_;  // guarded by mu_
-};
-
-/// Run fn(i) for i in [0, n) on a transient pool; blocks until done.
-/// Index-stable: fn receives the logical index, so per-index seeding keeps
-/// parallel runs bit-identical to serial runs.  If fn throws, the first
-/// captured exception is rethrown after all workers have stopped.
+/// Run fn(i) for i in [0, n) on up to `workers` transient threads; blocks
+/// until done.  One worker (or n == 1) runs the indices in order on the
+/// calling thread.  Index-stable: fn receives the logical index, so
+/// per-index seeding keeps parallel runs bit-identical to serial runs.  If
+/// fn throws, the first captured exception is rethrown after all workers
+/// have stopped.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t workers = std::thread::hardware_concurrency());
 

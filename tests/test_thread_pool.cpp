@@ -12,66 +12,6 @@
 namespace photorack::sim {
 namespace {
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, ReusableAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, TaskExceptionRethrownFromWaitIdle) {
-  // Regression: a throwing task used to escape the worker thread and
-  // std::terminate the process; wait_idle() must surface it instead.
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
-
-TEST(ThreadPool, PoolStaysUsableAfterRethrow) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  std::atomic<int> count{0};
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();  // the captured error was consumed; must not rethrow
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, OtherTasksStillRunWhenOneThrows) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) pool.submit([&] { count.fetch_add(1); });
-  pool.submit([] { throw std::logic_error("one bad task"); });
-  for (int i = 0; i < 50; ++i) pool.submit([&] { count.fetch_add(1); });
-  EXPECT_THROW(pool.wait_idle(), std::logic_error);
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, UnretrievedExceptionDoesNotTerminateOnDestruction) {
-  {
-    ThreadPool pool(1);
-    pool.submit([] { throw std::runtime_error("dropped"); });
-  }  // destructor joins without wait_idle(); the error is discarded
-  SUCCEED();
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
   parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
