@@ -171,23 +171,11 @@ BENCHMARK(BM_LatencySweepRecordReplay);
 // One full collective step (all phases, open/advance/close on the live
 // fabric) per iteration — the inner loop of every ML training job in the
 // co-simulation, isolated so the pattern/scale cost is visible.
-rack::AwgrFabricPlan collective_slice_plan(int mcms) {
-  rack::AwgrFabricPlan plan;
-  plan.parallel_awgrs = 1;
-  plan.awgr_radix = mcms;
-  plan.port_wavelength_cap = mcms;
-  plan.lambdas_per_port.assign(1, mcms);
-  plan.full_coverage_awgrs = 1;
-  plan.min_direct_lambdas_per_pair = 1;
-  plan.direct_pair_bandwidth = phot::Gbps{25.0};
-  return plan;
-}
-
 void BM_CollectiveStep(benchmark::State& state, collectives::Pattern pattern,
                        int endpoints) {
   std::uint64_t flows = 0;
   for (auto _ : state) {
-    net::WavelengthFabric fabric(24, collective_slice_plan(24));
+    net::WavelengthFabric fabric(24, net::slice_awgr_plan({.mcms = 24}));
     net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 42);
     sim::EventQueue queue;
     collectives::CollectiveSpec spec;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "rack/rack_builder.hpp"
 #include "sim/table.hpp"
 #include "workloads/ml_profiles.hpp"
 
@@ -28,24 +27,6 @@ namespace {
 
 double to_ms(sim::TimePs t) {
   return static_cast<double>(t) / static_cast<double>(sim::kPsPerMs);
-}
-
-/// All-pairs AWGR plan at co-sim scale: `lambdas_per_pair` parallel AWGRs of
-/// radix `mcms`, every port fully populated, so each (src,dst) pair owns
-/// exactly `lambdas_per_pair` direct wavelengths — the §V-B case (A)
-/// topology shrunk to the slice of the rack one job mix actually stresses.
-rack::AwgrFabricPlan small_awgr_plan(const CosimConfig& cfg) {
-  rack::AwgrFabricPlan plan;
-  plan.parallel_awgrs = cfg.fabric.lambdas_per_pair;
-  plan.awgr_radix = cfg.fabric.mcms;
-  plan.port_wavelength_cap = cfg.fabric.mcms;
-  plan.lambdas_per_port.assign(static_cast<std::size_t>(cfg.fabric.lambdas_per_pair),
-                               cfg.fabric.mcms);
-  plan.full_coverage_awgrs = cfg.fabric.lambdas_per_pair;
-  plan.min_direct_lambdas_per_pair = cfg.fabric.lambdas_per_pair;
-  plan.direct_pair_bandwidth =
-      cfg.fabric.gbps_per_wavelength * cfg.fabric.lambdas_per_pair;
-  return plan;
 }
 
 CosimConfig validated(CosimConfig cfg, const rack::RackConfig& rack) {
@@ -184,7 +165,8 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
       usage_(usage),
       demand_(workloads::FlowDemandModel::cpu_memory()),
       allocator_(rack, policy),
-      fabric_(std::make_unique<net::WavelengthFabric>(cfg_.fabric.mcms, small_awgr_plan(cfg_))),
+      fabric_(std::make_unique<net::WavelengthFabric>(cfg_.fabric.mcms,
+                                                      net::slice_awgr_plan(cfg_.fabric))),
       // Same child-stream layout as FlowSimulator: router seed is the
       // first draw of child(1), arrivals come from child(2).
       engine_(*fabric_, cfg_.fabric.piggyback_interval, sim::Rng(cfg_.seed).child(1)()),

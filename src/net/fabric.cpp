@@ -24,6 +24,18 @@ void set_run(std::uint64_t* bits, int lo, int hi) {
 
 }  // namespace
 
+rack::AwgrFabricPlan slice_awgr_plan(const FabricSliceConfig& slice) {
+  rack::AwgrFabricPlan plan;
+  plan.parallel_awgrs = slice.lambdas_per_pair;
+  plan.awgr_radix = slice.mcms;
+  plan.port_wavelength_cap = slice.mcms;
+  plan.lambdas_per_port.assign(static_cast<std::size_t>(slice.lambdas_per_pair), slice.mcms);
+  plan.full_coverage_awgrs = slice.lambdas_per_pair;
+  plan.min_direct_lambdas_per_pair = slice.lambdas_per_pair;
+  plan.direct_pair_bandwidth = slice.gbps_per_wavelength * slice.lambdas_per_pair;
+  return plan;
+}
+
 WavelengthFabric::WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan)
     : mcms_(mcms),
       radix_(plan.awgr_radix),

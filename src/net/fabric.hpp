@@ -29,6 +29,12 @@ struct FabricSliceConfig {
   sim::TimePs piggyback_interval = 10 * sim::kPsPerUs;
 };
 
+/// The slice's AWGR plan: `lambdas_per_pair` parallel AWGRs of radix `mcms`,
+/// every port fully populated, so each (src,dst) pair owns exactly
+/// `lambdas_per_pair` direct wavelengths — the §V-B case (A) topology shrunk
+/// to the slice of the rack one job mix actually stresses.
+[[nodiscard]] rack::AwgrFabricPlan slice_awgr_plan(const FabricSliceConfig& slice);
+
 /// Wavelength-level state of the parallel-AWGR fabric (case (A) of §V-B).
 ///
 /// Each of the `parallel_awgrs` AWGRs dedicates exactly one wavelength to

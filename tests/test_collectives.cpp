@@ -21,7 +21,6 @@
 
 #include "collectives/runner.hpp"
 #include "cosim/rack_cosim.hpp"
-#include "fabric_testing.hpp"
 #include "net/fabric.hpp"
 #include "net/flow_sim.hpp"
 #include "report_testing.hpp"
@@ -30,8 +29,6 @@
 
 namespace photorack::collectives {
 namespace {
-
-using testutil::slice_plan;
 
 constexpr double kBytes = 64e6;  // one 64 MB gradient
 constexpr double kGbps = 25.0;
@@ -223,7 +220,7 @@ TEST(PatternCodec, UnknownNameNamesTheAlternatives) {
 // ---------------------------------------------------------------------------
 
 TEST(Runner, UncontendedRingMatchesLowerBound) {
-  net::WavelengthFabric fabric(24, slice_plan(24));
+  net::WavelengthFabric fabric(24, net::slice_awgr_plan({.mcms = 24}));
   net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 0x1234);
   sim::EventQueue queue;
 
@@ -270,7 +267,7 @@ TEST(Runner, SharedProgramRunsLikeOwnCompilation) {
       spec.pattern, static_cast<int>(spec.endpoints.size()), spec.bytes);
 
   const auto run_twice = [&](std::shared_ptr<const CompiledCollective> program) {
-    net::WavelengthFabric fabric(24, slice_plan(24));
+    net::WavelengthFabric fabric(24, net::slice_awgr_plan({.mcms = 24}));
     net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 0x77);
     sim::EventQueue queue;
     std::vector<CollectiveResult> results(2);
@@ -295,7 +292,7 @@ TEST(Runner, SharedProgramRunsLikeOwnCompilation) {
 }
 
 TEST(Runner, RejectsAProgramCompiledForAnotherCollective) {
-  net::WavelengthFabric fabric(24, slice_plan(24));
+  net::WavelengthFabric fabric(24, net::slice_awgr_plan({.mcms = 24}));
   net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 0x1234);
   sim::EventQueue queue;
   CollectiveSpec spec;
@@ -315,7 +312,7 @@ TEST(Runner, RejectsAProgramCompiledForAnotherCollective) {
 }
 
 TEST(Runner, CompletedCollectiveRestoresFabricBitExactly) {
-  net::WavelengthFabric fabric(24, slice_plan(24));
+  net::WavelengthFabric fabric(24, net::slice_awgr_plan({.mcms = 24}));
   const auto clean = fabric.allocation_snapshot();
   net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 0x1234);
   sim::EventQueue queue;
@@ -335,7 +332,7 @@ TEST(Runner, CompletedCollectiveRestoresFabricBitExactly) {
 }
 
 TEST(Runner, AbortMidPhaseRestoresFabricBitExactly) {
-  net::WavelengthFabric fabric(24, slice_plan(24));
+  net::WavelengthFabric fabric(24, net::slice_awgr_plan({.mcms = 24}));
   const auto clean = fabric.allocation_snapshot();
   net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 0x1234);
   sim::EventQueue queue;
@@ -367,7 +364,7 @@ TEST(Runner, AbortMidPhaseRestoresFabricBitExactly) {
 
 TEST(Conservation, DenseAllToAllNeverOverAllocatesAPair) {
   const int n = 24;
-  net::WavelengthFabric fabric(n, slice_plan(n));
+  net::WavelengthFabric fabric(n, net::slice_awgr_plan({.mcms = n}));
   const auto clean = fabric.allocation_snapshot();
   net::FlowEngine engine(fabric, 10 * sim::kPsPerUs, 0x5678);
 

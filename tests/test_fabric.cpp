@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "fabric_testing.hpp"
 #include "net/piggyback.hpp"
 #include "rack/rack_builder.hpp"
 #include "sim/rng.hpp"
@@ -22,8 +21,6 @@ namespace {
 rack::AwgrFabricPlan paper_plan() {
   return rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr;
 }
-
-using testutil::slice_plan;
 
 TEST(Fabric, ConstructionFromPaperPlan) {
   WavelengthFabric fabric(350, paper_plan());
@@ -283,13 +280,13 @@ TEST(FabricOracle, CosimSliceOneAndTwoLambdas) {
   for (int i = 0; i < 24; ++i) all[static_cast<std::size_t>(i)] = i;
   for (const int lambdas : {1, 2}) {
     SCOPED_TRACE(lambdas);
-    WavelengthFabric fabric(24, slice_plan(24, lambdas));
+    WavelengthFabric fabric(24, slice_awgr_plan({.mcms = 24, .lambdas_per_pair = lambdas}));
     churn_against_full_scan(fabric, all, 3000, 23 + static_cast<std::uint64_t>(lambdas));
   }
 }
 
 TEST(FabricOracle, ResidueAtOrBelowThresholdIsNotFree) {
-  WavelengthFabric fabric(24, slice_plan(24, 1));
+  WavelengthFabric fabric(24, slice_awgr_plan({.mcms = 24}));
   fabric.allocate_direct(2, 5, 25.0 - 5e-10);
   ASSERT_GT(fabric.free_direct(2, 5), 0.0);
   ASSERT_LE(fabric.free_direct(2, 5), 1e-9);
@@ -350,7 +347,7 @@ void touch_pairs(WavelengthFabric& fabric) {
 }
 
 TEST(Piggyback, RefreshShowsTheFabricsCurrentFreeCapacity) {
-  WavelengthFabric fabric(24, slice_plan(24, 1));
+  WavelengthFabric fabric(24, slice_awgr_plan({.mcms = 24}));
   PiggybackView view(fabric, kRefresh);
   touch_pairs(fabric);
   view.force_refresh(3 * sim::kPsPerUs);
@@ -369,7 +366,7 @@ TEST(Piggyback, RefreshShowsTheFabricsCurrentFreeCapacity) {
 }
 
 TEST(Piggyback, ViewHoldsStillBetweenRefreshes) {
-  WavelengthFabric fabric(24, slice_plan(24, 1));
+  WavelengthFabric fabric(24, slice_awgr_plan({.mcms = 24}));
   PiggybackView view(fabric, kRefresh);
   const std::vector<bool> idle = stale_table(view, fabric.mcms());
   touch_pairs(fabric);
@@ -389,7 +386,7 @@ TEST(Piggyback, ViewHoldsStillBetweenRefreshes) {
 }
 
 TEST(Piggyback, MaybeRefreshFiresOncePerElapsedInterval) {
-  WavelengthFabric fabric(24, slice_plan(24, 1));
+  WavelengthFabric fabric(24, slice_awgr_plan({.mcms = 24}));
   PiggybackView view(fabric, kRefresh);
   EXPECT_EQ(view.last_refresh(), 0);
   EXPECT_EQ(view.broadcast_rounds(), 0u);

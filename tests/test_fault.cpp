@@ -20,7 +20,6 @@
 
 #include "cosim/rack_cosim.hpp"
 #include "cosim/report_fields.hpp"
-#include "fabric_testing.hpp"
 #include "net/fabric.hpp"
 #include "obs/trace.hpp"
 #include "rack/rack_builder.hpp"
@@ -301,8 +300,6 @@ TEST(FaultFabric, FactorProductIsPushOrderIndependent) {
   EXPECT_EQ(a.direct_capacity(3, 9), 0.125 * a.direct_capacity(9, 3));
 }
 
-using testutil::slice_plan;
-
 /// What a fabric's factor stack must read, rebuilt from scratch: each pair
 /// keeps its live factors unsorted, in push order, and its scale is the
 /// product over a sorted copy.  Free capacity and utilization are
@@ -454,7 +451,7 @@ std::size_t drive_factor_stack(net::WavelengthFabric& fabric, std::uint64_t seed
 TEST(FaultFabric, FactorStackMatchesASortedCopyReference) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    net::WavelengthFabric slice(24, slice_plan(24, 2));
+    net::WavelengthFabric slice(24, net::slice_awgr_plan({.mcms = 24, .lambdas_per_pair = 2}));
     EXPECT_GE(drive_factor_stack(slice, seed, 4000), 3u);
   }
   // The paper plan's 6 x 350^2 cells make each reference pass costly.

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "fabric_testing.hpp"
 #include "rack/rack_builder.hpp"
 
 namespace photorack::net {
@@ -310,8 +309,6 @@ void expect_same_route(const RouteResult& got, const RouteResult& want, int op) 
   }
 }
 
-using testutil::slice_plan;
-
 struct RouterCounts {
   std::uint64_t mispicks = 0, second_hops = 0, blocked = 0;
 };
@@ -402,7 +399,7 @@ RouterCounts run_differential(int mcms, const rack::AwgrFabricPlan& plan, int op
 }
 
 TEST(RoutingDifferential, CosimSliceOneLambda) {
-  const RouterCounts c = run_differential(24, slice_plan(24, 1), 3000, 101);
+  const RouterCounts c = run_differential(24, slice_awgr_plan({.mcms = 24}), 3000, 101);
   EXPECT_GT(c.mispicks, 0u);
   EXPECT_GT(c.second_hops, 0u);
   EXPECT_GT(c.blocked, 0u);
@@ -414,7 +411,8 @@ TEST(RoutingDifferential, MultiWordSlicesTwoLambdas) {
   for (const int mcms : {64, 65, 130}) {
     SCOPED_TRACE(mcms);
     const RouterCounts c =
-        run_differential(mcms, slice_plan(mcms, 2), 1500, 200 + static_cast<std::uint64_t>(mcms));
+        run_differential(mcms, slice_awgr_plan({.mcms = mcms, .lambdas_per_pair = 2}), 1500,
+                         200 + static_cast<std::uint64_t>(mcms));
     if (HasFatalFailure()) return;
     EXPECT_GT(c.mispicks, 0u);
     EXPECT_GT(c.second_hops, 0u);
