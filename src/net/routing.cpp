@@ -6,8 +6,8 @@
 namespace photorack::net {
 
 IndirectRouter::IndirectRouter(WavelengthFabric& fabric, PiggybackView& view,
-                               std::uint64_t seed, Config cfg)
-    : fabric_(&fabric), view_(&view), rng_(seed), cfg_(cfg) {}
+                               std::uint64_t seed)
+    : fabric_(&fabric), view_(&view), rng_(seed) {}
 
 void IndirectRouter::route(int src, int dst, double gbps, RouteResult& out) {
   out.requested = gbps;
@@ -26,8 +26,7 @@ void IndirectRouter::route(int src, int dst, double gbps, RouteResult& out) {
 
   // 2. Spill the remainder over Valiant intermediates.
   double remaining = gbps - direct;
-  while (remaining > kGbpsEpsilon &&
-         out.intermediates_used < cfg_.max_intermediates_per_flow) {
+  while (remaining > kGbpsEpsilon && out.intermediates_used < kMaxIntermediatesPerFlow) {
     const double placed = try_indirect(src, dst, remaining, out);
     if (placed <= kGbpsEpsilon) break;
     remaining -= placed;
@@ -78,26 +77,24 @@ double IndirectRouter::try_indirect(int src, int dst, double gbps, RouteResult& 
   if (stranded > kGbpsEpsilon) {
     ++mispicks_;
     ++out.stale_mispicks;
-    if (cfg_.allow_second_hop) {
-      // The intermediate repairs the shortfall through a second intermediate
-      // chosen with its own current view (§IV-A's two-stage fallback).
-      for (int mid2 = 0; mid2 < fabric_->mcms() && stranded > kGbpsEpsilon; ++mid2) {
-        if (mid2 == mid || mid2 == dst || mid2 == src) continue;
-        if (fabric_->free_direct(mid, mid2) <= kGbpsEpsilon) continue;
-        if (fabric_->free_direct(mid2, dst) <= kGbpsEpsilon) continue;
-        const double want = std::min({stranded, fabric_->free_direct(mid, mid2),
-                                      fabric_->free_direct(mid2, dst)});
-        const double a = fabric_->allocate_direct(mid, mid2, want);
-        const double b = fabric_->allocate_direct(mid2, dst, a);
-        if (a - b > kGbpsEpsilon) fabric_->release_direct(mid, mid2, a - b);
-        if (b > 0.0) {
-          out.segments.push_back({mid, mid2, b});
-          out.segments.push_back({mid2, dst, b});
-          ++second_hops_;
-          ++out.second_hops;
-          placed += b;
-          stranded -= b;
-        }
+    // The intermediate repairs the shortfall through a second intermediate
+    // chosen with its own current view (§IV-A's two-stage fallback).
+    for (int mid2 = 0; mid2 < fabric_->mcms() && stranded > kGbpsEpsilon; ++mid2) {
+      if (mid2 == mid || mid2 == dst || mid2 == src) continue;
+      if (fabric_->free_direct(mid, mid2) <= kGbpsEpsilon) continue;
+      if (fabric_->free_direct(mid2, dst) <= kGbpsEpsilon) continue;
+      const double want = std::min({stranded, fabric_->free_direct(mid, mid2),
+                                    fabric_->free_direct(mid2, dst)});
+      const double a = fabric_->allocate_direct(mid, mid2, want);
+      const double b = fabric_->allocate_direct(mid2, dst, a);
+      if (a - b > kGbpsEpsilon) fabric_->release_direct(mid, mid2, a - b);
+      if (b > 0.0) {
+        out.segments.push_back({mid, mid2, b});
+        out.segments.push_back({mid2, dst, b});
+        ++second_hops_;
+        ++out.second_hops;
+        placed += b;
+        stranded -= b;
       }
     }
     // Whatever could not be repaired is returned to the first leg.

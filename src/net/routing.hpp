@@ -16,6 +16,10 @@ struct PathSegment {
   double gbps = 0.0;
 };
 
+/// Valiant intermediates one flow may spread over; what is left after them
+/// is blocked.
+inline constexpr int kMaxIntermediatesPerFlow = 64;
+
 /// Outcome of routing one flow demand.
 struct RouteResult {
   double requested = 0.0;
@@ -42,17 +46,10 @@ struct RouteResult {
 /// fabric's src row AND the view's dst column.  A stale mis-pick is repaired by
 /// the intermediate routing through a second intermediate using its own
 /// current view; flows are pinned to their segments to preserve ordering.
-struct RouterConfig {
-  int max_intermediates_per_flow = 64;
-  bool allow_second_hop = true;
-};
-
+/// A flow spreads over at most kMaxIntermediatesPerFlow intermediates.
 class IndirectRouter {
  public:
-  using Config = RouterConfig;
-
-  IndirectRouter(WavelengthFabric& fabric, PiggybackView& view, std::uint64_t seed,
-                 Config cfg = {});
+  IndirectRouter(WavelengthFabric& fabric, PiggybackView& view, std::uint64_t seed);
 
   /// Reserve capacity for a flow of `gbps` from src to dst into `out`, which
   /// is overwritten; its segment vector keeps its capacity, so a caller that
@@ -71,7 +68,6 @@ class IndirectRouter {
   WavelengthFabric* fabric_;
   PiggybackView* view_;
   sim::Rng rng_;
-  Config cfg_;
   std::uint64_t flows_ = 0;
   std::uint64_t mispicks_ = 0;
   std::uint64_t second_hops_ = 0;

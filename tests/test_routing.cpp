@@ -208,7 +208,7 @@ class ReferenceRouter {
       out.segments.push_back({src, dst, direct});
     }
     double remaining = gbps - direct;
-    while (remaining > 1e-9 && out.intermediates_used < cfg_.max_intermediates_per_flow) {
+    while (remaining > 1e-9 && out.intermediates_used < kMaxIntermediatesPerFlow) {
       const double placed = try_indirect(src, dst, remaining, out);
       if (placed <= 1e-9) break;
       remaining -= placed;
@@ -229,7 +229,6 @@ class ReferenceRouter {
  private:
   WavelengthFabric* fabric_;
   sim::Rng rng_;
-  RouterConfig cfg_;
   std::vector<double> stale_;
   std::uint64_t flows_ = 0, mispicks_ = 0, second_hops_ = 0;
 
@@ -259,24 +258,22 @@ class ReferenceRouter {
     if (stranded > 1e-9) {
       ++mispicks_;
       ++out.stale_mispicks;
-      if (cfg_.allow_second_hop) {
-        for (int mid2 = 0; mid2 < fabric_->mcms() && stranded > 1e-9; ++mid2) {
-          if (mid2 == mid || mid2 == dst || mid2 == src) continue;
-          if (fabric_->free_direct(mid, mid2) <= 1e-9) continue;
-          if (fabric_->free_direct(mid2, dst) <= 1e-9) continue;
-          const double want = std::min({stranded, fabric_->free_direct(mid, mid2),
-                                        fabric_->free_direct(mid2, dst)});
-          const double a = fabric_->allocate_direct(mid, mid2, want);
-          const double b = fabric_->allocate_direct(mid2, dst, a);
-          if (a - b > 1e-9) fabric_->release_direct(mid, mid2, a - b);
-          if (b > 0.0) {
-            out.segments.push_back({mid, mid2, b});
-            out.segments.push_back({mid2, dst, b});
-            ++second_hops_;
-            ++out.second_hops;
-            placed += b;
-            stranded -= b;
-          }
+      for (int mid2 = 0; mid2 < fabric_->mcms() && stranded > 1e-9; ++mid2) {
+        if (mid2 == mid || mid2 == dst || mid2 == src) continue;
+        if (fabric_->free_direct(mid, mid2) <= 1e-9) continue;
+        if (fabric_->free_direct(mid2, dst) <= 1e-9) continue;
+        const double want = std::min({stranded, fabric_->free_direct(mid, mid2),
+                                      fabric_->free_direct(mid2, dst)});
+        const double a = fabric_->allocate_direct(mid, mid2, want);
+        const double b = fabric_->allocate_direct(mid2, dst, a);
+        if (a - b > 1e-9) fabric_->release_direct(mid, mid2, a - b);
+        if (b > 0.0) {
+          out.segments.push_back({mid, mid2, b});
+          out.segments.push_back({mid2, dst, b});
+          ++second_hops_;
+          ++out.second_hops;
+          placed += b;
+          stranded -= b;
         }
       }
       if (stranded > 1e-9) fabric_->release_direct(src, mid, stranded);
