@@ -46,7 +46,6 @@ struct RouteResult {
 /// fabric's src row AND the view's dst column.  A stale mis-pick is repaired by
 /// the intermediate routing through a second intermediate using its own
 /// current view; flows are pinned to their segments to preserve ordering.
-/// A flow spreads over at most kMaxIntermediatesPerFlow intermediates.
 class IndirectRouter {
  public:
   IndirectRouter(WavelengthFabric& fabric, PiggybackView& view, std::uint64_t seed);
