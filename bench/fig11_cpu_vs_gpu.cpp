@@ -1,12 +1,14 @@
 // Reproduces Fig 11: latency tolerance of in-order CPUs, OOO CPUs and GPUs
 // on the Rodinia benchmarks that run on both (GPUs tolerate +35 ns best,
-// max ~12%).
+// max ~12%).  Reads the "fig6" campaign and the "fig9" campaign at +35 ns.
 #include <iostream>
 
-#include "core/experiments.hpp"
 #include "core/report.hpp"
+#include "scenario/campaigns.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "sim/stats.hpp"
 #include "sim/table.hpp"
+#include "workloads/cpu_profiles.hpp"
 
 int main() {
   using namespace photorack;
@@ -14,17 +16,26 @@ int main() {
   core::print_banner(std::cout, "Fig 11: CPU vs GPU latency tolerance (Rodinia)",
                      "Fig 11 (Section VI-B4)");
 
-  core::CpuSweepOptions opt;
-  opt.extra_latencies_ns = {0.0, 35.0};
-  const auto cpu = core::run_cpu_sweep(opt);
-  const auto gpu = core::run_gpu_sweep({0.0, 35.0});
+  const auto names = workloads::rodinia_cpu_gpu_intersection();
+  std::vector<std::string> benches;
+  for (const auto& name : names) benches.push_back("Rodinia/" + name + "/default");
+
+  const auto& fig6 = scenario::campaign_by_name("fig6");
+  const auto cpu = scenario::SweepRunner().run(fig6, fig6.default_grid().set("bench", benches));
+  const auto& fig9 = scenario::campaign_by_name("fig9");
+  const auto gpu =
+      scenario::SweepRunner().run(fig9, fig9.default_grid().set("gpusim.extra_hbm_ns", {"35"}));
 
   std::vector<double> gpus;
   sim::Table table({"Benchmark", "in-order CPU", "OOO CPU", "GPU"});
-  for (const auto& row : core::fig11_rows(cpu, gpu)) {
-    table.add_row({row.bench, sim::fmt_pct(row.inorder), sim::fmt_pct(row.ooo),
-                   sim::fmt_pct(row.gpu)});
-    gpus.push_back(row.gpu);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto cpu_slowdown = [&](const char* kind) {
+      return cpu.num(cpu.find({{"bench", benches[i]}, {"core", kind}}), "slowdown");
+    };
+    const double g = gpu.num(gpu.find({{"app", names[i]}}), "slowdown");
+    table.add_row({names[i], sim::fmt_pct(cpu_slowdown("inorder")),
+                   sim::fmt_pct(cpu_slowdown("ooo")), sim::fmt_pct(g)});
+    gpus.push_back(g);
   }
   table.print(std::cout);
 

@@ -1,10 +1,13 @@
 // Reproduces Fig 7: per-benchmark slowdown alongside LLC miss rate for
 // PARSEC-large and Rodinia (in-order), with the Pearson correlation
 // coefficients the paper reports (0.89 / 0.76 in-order; 0.75 / 0.93 OOO).
+// Reads the "fig6" campaign's rows.
 #include <iostream>
 
-#include "core/experiments.hpp"
 #include "core/report.hpp"
+#include "scenario/campaigns.hpp"
+#include "scenario/sweep_runner.hpp"
+#include "sim/stats.hpp"
 #include "sim/table.hpp"
 
 int main() {
@@ -13,31 +16,38 @@ int main() {
   core::print_banner(std::cout, "Fig 7: slowdown vs LLC miss rate",
                      "Fig 7 (Section VI-B1)");
 
-  core::CpuSweepOptions opt;
-  opt.extra_latencies_ns = {0.0, 35.0};
-  const auto sweep = core::run_cpu_sweep(opt);
+  const auto res = scenario::SweepRunner().run(scenario::campaign_by_name("fig6"));
 
-  const auto io = core::fig7_correlation(sweep, cpusim::CoreKind::kInOrder);
-  const auto ooo = core::fig7_correlation(sweep, cpusim::CoreKind::kOutOfOrder);
+  const auto print_rows = [&res](const scenario::SweepResult::Filter& filter) {
+    sim::Table table({"Benchmark", "Slowdown", "LLC miss rate"});
+    for (const auto* row : res.where(filter)) {
+      // "PARSEC/streamcluster/large" prints as "streamcluster/large".
+      const std::string& bench = res.cell(*row, "bench");
+      table.add_row({bench.substr(res.cell(*row, "suite").size() + 1),
+                     sim::fmt_pct(res.num(*row, "slowdown")),
+                     sim::fmt_pct(res.num(*row, "llc_miss_rate"))});
+    }
+    table.print(std::cout);
+  };
+  const auto pearson = [&res](const scenario::SweepResult::Filter& filter) {
+    return sim::pearson(res.values("slowdown", filter), res.values("llc_miss_rate", filter));
+  };
 
   std::cout << "PARSEC (large inputs), in-order:\n";
-  sim::Table pt({"Benchmark", "Slowdown", "LLC miss rate"});
-  for (const auto& row : io.parsec_large)
-    pt.add_row({row.bench, sim::fmt_pct(row.slowdown), sim::fmt_pct(row.llc_miss_rate)});
-  pt.print(std::cout);
-
+  print_rows({{"suite", "PARSEC"}, {"input", "large"}, {"core", "inorder"}});
   std::cout << "\nRodinia, in-order:\n";
-  sim::Table rt({"Benchmark", "Slowdown", "LLC miss rate"});
-  for (const auto& row : io.rodinia)
-    rt.add_row({row.bench, sim::fmt_pct(row.slowdown), sim::fmt_pct(row.llc_miss_rate)});
-  rt.print(std::cout);
+  print_rows({{"suite", "Rodinia"}, {"core", "inorder"}});
 
   std::cout << "\npaper-vs-measured Pearson correlations:\n";
-  core::check_line(std::cout, "PARSEC-large in-order r", 0.89, io.pearson_parsec_large);
-  core::check_line(std::cout, "Rodinia in-order r", 0.76, io.pearson_rodinia);
+  core::check_line(std::cout, "PARSEC-large in-order r", 0.89,
+                   pearson({{"suite", "PARSEC"}, {"input", "large"}, {"core", "inorder"}}));
+  core::check_line(std::cout, "Rodinia in-order r", 0.76,
+                   pearson({{"suite", "Rodinia"}, {"core", "inorder"}}));
   core::check_line(std::cout, "PARSEC all-inputs in-order r", 0.822,
-                   io.pearson_parsec_all_inputs);
-  core::check_line(std::cout, "PARSEC-large OOO r", 0.75, ooo.pearson_parsec_large);
-  core::check_line(std::cout, "Rodinia OOO r", 0.93, ooo.pearson_rodinia);
+                   pearson({{"suite", "PARSEC"}, {"core", "inorder"}}));
+  core::check_line(std::cout, "PARSEC-large OOO r", 0.75,
+                   pearson({{"suite", "PARSEC"}, {"input", "large"}, {"core", "ooo"}}));
+  core::check_line(std::cout, "Rodinia OOO r", 0.93,
+                   pearson({{"suite", "Rodinia"}, {"core", "ooo"}}));
   return 0;
 }

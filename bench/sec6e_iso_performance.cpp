@@ -1,12 +1,14 @@
 // Reproduces §VI-E: the iso-performance comparison.  Preserving the
 // baseline rack's computational throughput, the disaggregated rack needs
 // +15% CPUs and +6% GPUs but 4x fewer DDR4 modules and 2x fewer NICs:
-// 1075 modules vs 1920, a ~44% reduction.
+// 1075 modules vs 1920, a ~44% reduction.  The make-up factors are the mean
+// slowdowns of the "fig6" campaign (in-order) and the "fig9" one at +35 ns.
 #include <iostream>
 
-#include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "disagg/iso_perf.hpp"
+#include "scenario/campaigns.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "sim/table.hpp"
 #include "workloads/usage.hpp"
 
@@ -15,16 +17,17 @@ int main() {
 
   core::print_banner(std::cout, "Iso-performance module counts", "Section VI-E");
 
-  // Derive the compute make-up factors from our own Fig 6 / Fig 9 runs.
-  core::CpuSweepOptions opt;
-  opt.extra_latencies_ns = {0.0, 35.0};
-  opt.cores = {cpusim::CoreKind::kInOrder};
-  const auto cpu = core::run_cpu_sweep(opt);
-  const auto gpu = core::run_gpu_sweep({0.0, 35.0});
-
+  const auto& fig6 = scenario::campaign_by_name("fig6");
+  const auto& fig9 = scenario::campaign_by_name("fig9");
   disagg::IsoPerfInputs inputs;
-  inputs.cpu_slowdown = cpu.overall_mean_slowdown(cpusim::CoreKind::kInOrder, 35.0);
-  inputs.gpu_slowdown = gpu.mean_slowdown(35.0);
+  inputs.cpu_slowdown =
+      scenario::SweepRunner()
+          .run(fig6, fig6.default_grid().set("cpusim.core.kind", {"inorder"}))
+          .mean("slowdown");
+  inputs.gpu_slowdown =
+      scenario::SweepRunner()
+          .run(fig9, fig9.default_grid().set("gpusim.extra_hbm_ns", {"35"}))
+          .mean("slowdown");
   const auto result = disagg::iso_performance({}, inputs);
 
   std::cout << "make-up factors measured here: CPU +" << sim::fmt_pct(inputs.cpu_slowdown)

@@ -75,9 +75,9 @@ std::vector<std::string> num_values(const std::vector<double>& values) {
 }
 
 // ---------------------------------------------------------------------------
-// CPU latency-sensitivity point (figs 6, 8, 11, 12 all reduce to this).
-// Each scenario is self-contained: it simulates its own extra=0 baseline, so
-// a spec's row never depends on another spec having run.
+// CPU latency-sensitivity point (figs 6, 7, 8, 11, 12 and §VI-E all reduce
+// to this).  Each scenario is self-contained: it simulates its own extra=0
+// baseline, so a spec's row never depends on another spec having run.
 // ---------------------------------------------------------------------------
 
 const std::vector<std::string> kCpuColumns = {
@@ -189,8 +189,8 @@ std::vector<ResultRow> eval_cpu_point(const ScenarioSpec& spec) {
   const double extra = cfg.dram.extra_ns;
 
   workloads::TraceConfig trace_cfg = bench.trace;
-  // base_seed == 0 keeps the registry seed (the paper's numbers, matching
-  // core::run_cpu_sweep exactly); otherwise the scenario re-seeds itself.
+  // base_seed == 0 keeps the registry seed (the paper's numbers); otherwise
+  // the scenario re-seeds itself.
   if (spec.base_seed != 0) trace_cfg.seed = spec.derived_seed();
 
   // One profile per (bench, config-at-extra=0): the recording is
@@ -225,12 +225,12 @@ std::vector<Axis> cpu_axes(std::vector<std::string> cores, std::vector<double> e
 }
 
 // ---------------------------------------------------------------------------
-// GPU latency-sensitivity point (figs 9, 10, 11, 12).
+// GPU latency-sensitivity point (figs 9, 10, 11, 12 and §VI-E).
 // ---------------------------------------------------------------------------
 
 const std::vector<std::string> kGpuColumns = {
-    "app",     "suite",    "extra_ns",     "derate",
-    "baseline_us", "time_us", "slowdown", "l2_miss_rate"};
+    "app",     "suite",    "extra_ns",     "derate",            "baseline_us",
+    "time_us", "slowdown", "l2_miss_rate", "hbm_txn_per_instr", "mem_instr_fraction"};
 
 /// GPU counterpart of the CPU profile cache: the per-kernel L2 simulation
 /// is independent of extra_hbm_ns and the bandwidth derate (the axes the
@@ -255,7 +255,8 @@ std::vector<ResultRow> eval_gpu_point(const ScenarioSpec& spec) {
 
   gpusim::GpuConfig gpu = spec.resolve<gpusim::GpuConfig>("gpusim");
   // Baseline is always the photonic configuration of the same device: zero
-  // extra latency, full HBM bandwidth (matches core::run_gpu_sweep).
+  // extra latency, full HBM bandwidth, so a derated point's slowdown counts
+  // both the latency and the lost bandwidth.
   gpusim::GpuConfig base = gpu;
   base.extra_hbm_ns = 0.0;
   base.hbm_bandwidth_derate = 1.0;
@@ -272,7 +273,9 @@ std::vector<ResultRow> eval_gpu_point(const ScenarioSpec& spec) {
                num_to_string(baseline_us),
                num_to_string(result.time_us),
                num_to_string(result.time_us / baseline_us - 1.0),
-               num_to_string(result.l2_miss_rate)};
+               num_to_string(result.l2_miss_rate),
+               num_to_string(result.hbm_txn_per_instr),
+               num_to_string(result.mem_instr_fraction)};
   return {std::move(row)};
 }
 

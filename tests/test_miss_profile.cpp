@@ -1,11 +1,11 @@
 // Miss-profile record/replay engine: replay_profile(p, extra) must be
 // BIT-IDENTICAL to a from-scratch run_simulation at that extra_ns — that
-// equivalence is what lets run_cpu_sweep and the fig6/fig8 campaigns trade
-// K simulations for 1 recording + K replays without moving a single output
-// byte.  Pinned here across all three core kinds, dependent/independent
-// mixes, prefetch on/off, a dense 16-point latency grid (including
-// non-integral extras that force the generic replay path), zero-miss
-// workloads, and the in-order O(1) fast path vs the generic walk.
+// equivalence is what lets the fig6/fig8 campaigns trade K simulations for
+// 1 recording + K replays without moving a single output byte.  Pinned here
+// across all three core kinds, dependent/independent mixes, prefetch on/off,
+// a dense 16-point latency grid (including non-integral extras that force
+// the generic replay path), zero-miss workloads, and the in-order O(1) fast
+// path vs the generic walk.
 #include "cpusim/miss_profile.hpp"
 
 #include <gtest/gtest.h>
