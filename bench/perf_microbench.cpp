@@ -4,8 +4,8 @@
 // indirect-routing decision rate.
 //
 // Besides the console table, results are written as machine-readable JSON
-// to BENCH_results.json (override with BENCH_RESULTS_PATH) so CI can track
-// the perf trajectory PR-over-PR:
+// to the file BENCH_RESULTS_PATH names (an unwritable path exits 1; unset, no
+// file is written, so no run can overwrite the committed baseline):
 //   {"benchmarks":[{"name":"...","items_per_sec":...,"ns_per_op":...},...]}
 #include <benchmark/benchmark.h>
 
@@ -235,7 +235,10 @@ auto run_not_measured(const R& run, long) -> decltype(static_cast<bool>(run.skip
 /// Finalize() — a tee, so the familiar console table is unchanged.
 class JsonTeeReporter : public benchmark::ConsoleReporter {
  public:
+  /// An empty path writes no file.
   explicit JsonTeeReporter(std::string path) : path_(std::move(path)) {}
+
+  [[nodiscard]] bool write_failed() const { return write_failed_; }
 
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
@@ -254,11 +257,8 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
 
   void Finalize() override {
     benchmark::ConsoleReporter::Finalize();
+    if (path_.empty()) return;
     std::ofstream os(path_);
-    if (!os) {
-      std::cerr << "perf_microbench: cannot write " << path_ << "\n";
-      return;
-    }
     os << "{\"benchmarks\":[";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       if (i) os << ",";
@@ -266,7 +266,10 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
          << rows_[i].items_per_sec << ",\"ns_per_op\":" << rows_[i].ns_per_op << "}";
     }
     os << "]}\n";
-    std::cerr << "perf_microbench: wrote " << path_ << "\n";
+    os.close();
+    write_failed_ = os.fail();
+    std::cerr << "perf_microbench: " << (write_failed_ ? "cannot write " : "wrote ") << path_
+              << "\n";
   }
 
  private:
@@ -277,6 +280,7 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
   };
   std::string path_;
   std::vector<Row> rows_;
+  bool write_failed_ = false;
 };
 
 }  // namespace
@@ -285,8 +289,8 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const char* path = std::getenv("BENCH_RESULTS_PATH");
-  JsonTeeReporter reporter(path ? path : "BENCH_results.json");
+  JsonTeeReporter reporter(path ? path : "");
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  return 0;
+  return reporter.write_failed() ? 1 : 0;
 }
