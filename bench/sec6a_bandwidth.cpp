@@ -30,8 +30,9 @@ int main() {
   st.add_row({"demand quantile 99.5%", sim::fmt_fixed(demand.quantile(0.995), 1) + " Gb/s"});
   st.print(std::cout);
 
-  // GPU budget arithmetic of §VI-A (honest accounting; the paper's
-  // "125 x 512 = 8000 GB/s" line is discussed in EXPERIMENTS.md).
+  // GPU budget arithmetic of §VI-A, from the modelled MCM escape and the
+  // GPUs' HBM and NVLink demands rather than the paper's
+  // "125 x 512 = 8000 GB/s" line.
   const auto mcm_escape = system.design().mcm_plan.mcm.escape().value;  // GB/s
   const double hbm_need = 3 * 1555.2;   // three GPUs' HBM traffic per MCM
   const double nvlink_need = 3 * 300.0; // three GPUs' NVLink traffic per MCM

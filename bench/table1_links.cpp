@@ -45,7 +45,7 @@ int main() {
   core::check_line(std::cout, "2T aggregate W", 4.8,
                    links[4].power_for_escape(escape).value);
   std::cout << "note: the paper's 400G row prints 30 pJ/bit alongside 197 W; "
-               "30 pJ/bit x 16 Tb/s is 480 W.  We print the computed value "
-               "(see EXPERIMENTS.md).\n";
+               "30 pJ/bit x 16 Tb/s is 480 W.  We print the computed value, "
+               "so every row is its pJ/bit times the escape bandwidth.\n";
   return 0;
 }

@@ -68,6 +68,7 @@ int main() {
   std::cout << "note: the paper states 142 lambdas land on the 6th AWGR; "
                "consistent accounting of all 2048 escape wavelengths under "
                "the 370/port cap gives "
-            << ap.lambdas_per_port.back() << " (see EXPERIMENTS.md).\n";
+            << ap.lambdas_per_port.back()
+            << ", the last count in the table's lambdas-per-port row.\n";
   return 0;
 }

@@ -57,7 +57,7 @@ ChipSpec NodeConfig::chip_spec(ChipType t) const {
     case ChipType::kDdr4:
       // 512 GB/node over two sockets is quoted at ~192 W; per 32 GB module:
       s.power = phot::Watts{12};
-      s.max_per_mcm = 27;  // Table III packaging cap (see DESIGN.md)
+      s.max_per_mcm = 27;  // Table III: packaging-limited, not escape-limited
       break;
   }
   return s;

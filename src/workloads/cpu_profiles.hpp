@@ -21,7 +21,8 @@ struct CpuBenchmark {
 
 /// All 61 benchmark runs.  Profiles are synthetic-trace reconstructions:
 /// working sets, pattern mixes and memory intensities are chosen to match
-/// each benchmark's published memory behaviour (see DESIGN.md §3).
+/// each benchmark's published memory behaviour, standing in for the
+/// instruction traces the paper simulated.
 [[nodiscard]] const std::vector<CpuBenchmark>& cpu_benchmarks();
 
 /// Subset helpers used by the figures.

@@ -12,7 +12,7 @@ namespace photorack::workloads {
 /// Address-stream building blocks for the synthetic CPU traces.  Each
 /// benchmark profile mixes these with weights; the LLC miss rate then
 /// *emerges* from the working set vs. cache capacity interaction rather
-/// than being dialed in directly (see DESIGN.md §3, substitution 1).
+/// than being dialed in directly, so a larger input raises the miss rate.
 enum class CpuPattern : std::uint8_t {
   kStreaming,     // unit-stride element walk (dense array sweeps)
   kStrided,       // fixed large stride (column walks, row-of-matrix hops)

@@ -11,7 +11,7 @@ namespace photorack::workloads {
 /// 3 Tango deep networks, totalling 1525 kernel launches, run through the
 /// PPT-GPU-substitute model on an A100.  Kernel shapes are reconstructions
 /// of each benchmark's published memory behaviour (coalescing, occupancy,
-/// working set); see DESIGN.md §3, substitution 2.
+/// working set), standing in for the PPT-GPU traces the paper simulated.
 [[nodiscard]] const std::vector<gpusim::AppProfile>& gpu_apps();
 
 [[nodiscard]] std::vector<gpusim::AppProfile> gpu_apps_of_suite(const std::string& suite);
