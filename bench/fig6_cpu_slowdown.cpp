@@ -17,9 +17,9 @@ int main() {
   core::print_banner(std::cout, "Fig 6: CPU slowdown at +35 ns", "Fig 6 (Section VI-B1)");
 
   const auto& campaign = scenario::campaign_by_name("fig6");
-  scenario::TableSink detail(std::cout);
   std::cout << "Per-scenario results (+35 ns):\n";
-  const auto res = scenario::SweepRunner().run(campaign, {&detail});
+  const auto res = scenario::SweepRunner().run(campaign);
+  scenario::print_table(std::cout, res.columns, res.rows);
 
   sim::Table table({"Suite", "Input", "avg in-order", "max in-order", "avg OOO", "max OOO"});
   const std::vector<std::pair<std::string, std::string>> groups = {

@@ -17,8 +17,8 @@ int main() {
                      "Fig 9 (Section VI-B3)");
 
   const auto& campaign = scenario::campaign_by_name("fig9");
-  scenario::TableSink table(std::cout);
-  const auto res = scenario::SweepRunner().run(campaign, {&table});
+  const auto res = scenario::SweepRunner().run(campaign);
+  scenario::print_table(std::cout, res.columns, res.rows);
 
   std::cout << "\ntotal kernel launches modeled: "
             << workloads::total_gpu_kernel_launches() << " (paper: 1525)\n";

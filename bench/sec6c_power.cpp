@@ -14,8 +14,8 @@ int main() {
   core::print_banner(std::cout, "Photonic power overhead", "Section VI-C");
 
   const auto& campaign = scenario::campaign_by_name("sec6c");
-  scenario::TableSink table(std::cout);
-  const auto res = scenario::SweepRunner().run(campaign, {&table});
+  const auto res = scenario::SweepRunner().run(campaign);
+  scenario::print_table(std::cout, res.columns, res.rows);
 
   const auto& row = res.find({{"fabric", "awgr"}});
   std::cout << "\npaper-vs-measured:\n";

@@ -16,8 +16,8 @@ int main() {
   core::print_banner(std::cout, "Table III: MCM packing", "Table III (Section V-A)");
 
   const auto& campaign = scenario::campaign_by_name("table3");
-  scenario::TableSink table(std::cout);
-  const auto res = scenario::SweepRunner().run(campaign, {&table});
+  const auto res = scenario::SweepRunner().run(campaign);
+  scenario::print_table(std::cout, res.columns, res.rows);
 
   std::cout << "\npaper-vs-measured (paper values from Table III):\n";
   const struct {

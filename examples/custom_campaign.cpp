@@ -39,8 +39,8 @@ int main() {
 
   std::cout << "MCM packing across escape budgets (" << campaign.default_grid().size()
             << " scenarios):\n\n";
-  scenario::TableSink table(std::cout);
-  const auto res = scenario::SweepRunner().run(campaign, {&table});
+  const auto res = scenario::SweepRunner().run(campaign);
+  scenario::print_table(std::cout, res.columns, res.rows);
 
   std::cout << "\nThe paper's 32-fiber x 25 Gb/s point packs "
             << res.cell(res.find({{"fibers", "32"}, {"gbps", "25"}}), "total_mcms")

@@ -25,8 +25,8 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster_cosim.hpp"
 #include "config/bindings.hpp"
@@ -231,6 +231,9 @@ int main(int argc, char** argv) {
       if (!out)
         throw std::runtime_error("cannot open " + opt.manifest_path);
       out << manifest.to_json(config::registry()) << "\n";
+      out.flush();
+      if (!out)
+        throw std::runtime_error("error writing manifest file '" + opt.manifest_path + "'");
     }
 
     // Observability: --trace/--metrics/--profile* are sugar that force the
@@ -267,20 +270,16 @@ int main(int argc, char** argv) {
       if (!out)
         throw std::runtime_error("cannot open metrics file '" + opt.metrics_path +
                                  "' for writing");
-      // Same cell dialect as every campaign artifact: .jsonl gets JSON
-      // lines, anything else RFC-4180 CSV.
-      const bool jsonl = opt.metrics_path.size() >= 6 &&
-                         opt.metrics_path.compare(opt.metrics_path.size() - 6, 6,
-                                                  ".jsonl") == 0;
-      std::unique_ptr<scenario::ResultSink> sink;
-      if (jsonl)
-        sink = std::make_unique<scenario::JsonlSink>(out);
-      else
-        sink = std::make_unique<scenario::CsvSink>(out);
-      sink->open(obs_bundle.metrics()->columns());
+      // The writers of every campaign artifact: .jsonl gets JSON lines,
+      // anything else RFC-4180 CSV.
+      std::vector<scenario::ResultRow> rows;
       for (auto& cells : obs_bundle.metrics()->string_rows())
-        sink->write(scenario::ResultRow{std::move(cells)});
-      sink->close();
+        rows.push_back({std::move(cells)});
+      const auto columns = obs_bundle.metrics()->columns();
+      if (opt.metrics_path.ends_with(".jsonl"))
+        scenario::write_jsonl(out, columns, rows);
+      else
+        scenario::write_csv(out, columns, rows);
       out.flush();
       if (!out)
         throw std::runtime_error("error writing metrics file '" + opt.metrics_path +

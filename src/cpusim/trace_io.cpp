@@ -95,13 +95,6 @@ std::uint64_t write_trace(std::ostream& os, TraceSource& source, std::uint64_t n
   return written;
 }
 
-std::uint64_t write_trace_file(const std::string& path, TraceSource& source,
-                               std::uint64_t n, std::uint64_t footprint_bytes) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("trace: cannot open for writing: " + path);
-  return write_trace(os, source, n, footprint_bytes);
-}
-
 RecordedTrace RecordedTrace::read(std::istream& is) {
   if (get_u32(is) != kTraceMagic) throw std::runtime_error("trace: bad magic");
   const std::uint32_t version = get_u32(is);

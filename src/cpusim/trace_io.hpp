@@ -24,8 +24,6 @@ inline constexpr std::uint32_t kTraceVersion = 1;
 /// Returns the number written.
 std::uint64_t write_trace(std::ostream& os, TraceSource& source, std::uint64_t n,
                           std::uint64_t footprint_bytes = 0);
-std::uint64_t write_trace_file(const std::string& path, TraceSource& source,
-                               std::uint64_t n, std::uint64_t footprint_bytes = 0);
 
 /// In-memory recorded trace; replays identically on every reset().
 class RecordedTrace final : public TraceSource {

@@ -28,14 +28,6 @@ const sim::EnumCodec<AllocationPolicy>& allocation_policy_codec() {
   return codec;
 }
 
-AllocationPolicy parse_allocation_policy(const std::string& v) {
-  return allocation_policy_codec().parse(v);
-}
-
-const char* to_string(AllocationPolicy policy) {
-  return allocation_policy_codec().name(policy).c_str();
-}
-
 RackAllocator::RackAllocator(const rack::RackConfig& rack, AllocationPolicy policy,
                              double memory_gb_per_node, double nic_gbps_per_node)
     : policy_(policy),

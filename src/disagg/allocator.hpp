@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,9 +48,6 @@ struct PoolState {
   [[nodiscard]] double memory_utilization() const {
     return memory_gb_total > 0 ? memory_gb_used / memory_gb_total : 0.0;
   }
-  [[nodiscard]] double nic_utilization() const {
-    return nic_gbps_total > 0 ? nic_gbps_used / nic_gbps_total : 0.0;
-  }
 };
 
 /// Always-on allocate()/release() call counters.  Plain integer increments
@@ -79,10 +75,6 @@ enum class AllocationPolicy { kStaticNodes, kDisaggregated };
 /// The one definition shared by photorack_cosim, the scenario campaigns
 /// and the config-registry bindings.
 [[nodiscard]] const sim::EnumCodec<AllocationPolicy>& allocation_policy_codec();
-
-/// Thin wrappers over allocation_policy_codec() for existing call sites.
-[[nodiscard]] AllocationPolicy parse_allocation_policy(const std::string& v);
-[[nodiscard]] const char* to_string(AllocationPolicy policy);
 
 class RackAllocator {
  public:

@@ -84,16 +84,4 @@ AppResult replay_app(const AppProfile& app, const AppMissProfile& profile,
   });
 }
 
-double app_slowdown(const AppProfile& app, GpuConfig gpu, double extra_ns) {
-  // The L2 miss rates are latency-independent: record them once and replay
-  // both latency points instead of simulating the L2 twice.
-  gpu.extra_hbm_ns = 0.0;
-  const AppMissProfile profile = record_app_profile(app, gpu);
-  const AppResult base = replay_app(app, profile, gpu);
-  gpu.extra_hbm_ns = extra_ns;
-  const AppResult perturbed = replay_app(app, profile, gpu);
-  if (base.time_us <= 0.0) throw std::logic_error("app_slowdown: empty baseline");
-  return perturbed.time_us / base.time_us - 1.0;
-}
-
 }  // namespace photorack::gpusim

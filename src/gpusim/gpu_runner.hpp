@@ -59,7 +59,4 @@ struct AppMissProfile {
 [[nodiscard]] AppResult replay_app(const AppProfile& app, const AppMissProfile& profile,
                                    const GpuConfig& gpu);
 
-/// Relative slowdown of the app at `extra_ns` vs a zero-extra baseline.
-[[nodiscard]] double app_slowdown(const AppProfile& app, GpuConfig gpu, double extra_ns);
-
 }  // namespace photorack::gpusim

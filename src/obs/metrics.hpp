@@ -19,7 +19,7 @@ namespace photorack::obs {
 /// to snapshot every metric into one time-series row.
 ///
 /// Rows serialize through the same column/row string shape the scenario
-/// CSV/JSONL sinks consume, so a metrics file carries the exact dialect of
+/// CSV/JSONL writers take, so a metrics file carries the exact dialect of
 /// every other campaign artifact.
 class MetricsRegistry {
  public:
@@ -52,9 +52,8 @@ class MetricsRegistry {
     std::vector<double> values;  // parallel to columns() minus time_ms
   };
   [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
-  [[nodiscard]] std::size_t metric_count() const { return metrics_.size(); }
 
-  /// Rows as strings in the scenario-sink cell dialect (shortest
+  /// Rows as strings in the scenario writers' cell dialect (shortest
   /// round-trip doubles), parallel to columns().
   [[nodiscard]] std::vector<std::vector<std::string>> string_rows() const;
 

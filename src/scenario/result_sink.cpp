@@ -3,16 +3,14 @@
 #include <cctype>
 #include <ostream>
 
+#include "sim/table.hpp"
+
 namespace photorack::scenario {
 
 namespace {
 
-bool needs_csv_quotes(const std::string& cell) {
-  return cell.find_first_of(",\"\n") != std::string::npos;
-}
-
 void write_csv_cell(std::ostream& os, const std::string& cell) {
-  if (!needs_csv_quotes(cell)) {
+  if (cell.find_first_of(",\"\n") == std::string::npos) {
     os << cell;
     return;
   }
@@ -65,53 +63,36 @@ bool is_json_number(const std::string& cell) {
 
 }  // namespace
 
-void CsvSink::manifest(const std::string& manifest_json) {
-  os_ << "# manifest " << manifest_json << '\n';
+void write_csv(std::ostream& os, const std::vector<std::string>& columns,
+               const std::vector<ResultRow>& rows, const std::string& manifest_json) {
+  if (!manifest_json.empty()) os << "# manifest " << manifest_json << '\n';
+  write_csv_line(os, columns);
+  for (const ResultRow& row : rows) write_csv_line(os, row.cells);
 }
 
-void CsvSink::open(const std::vector<std::string>& columns) {
-  write_csv_line(os_, columns);
-}
-
-void CsvSink::write(const ResultRow& row) { write_csv_line(os_, row.cells); }
-
-void CsvSink::close() { os_.flush(); }
-
-void JsonlSink::manifest(const std::string& manifest_json) {
-  os_ << "{\"manifest\":" << manifest_json << "}\n";
-}
-
-void JsonlSink::open(const std::vector<std::string>& columns) { columns_ = columns; }
-
-void JsonlSink::write(const ResultRow& row) {
-  os_ << '{';
-  for (std::size_t i = 0; i < row.cells.size() && i < columns_.size(); ++i) {
-    if (i) os_ << ',';
-    os_ << sim::json_quote(columns_[i]) << ':';
-    if (is_json_number(row.cells[i])) {
-      os_ << row.cells[i];
-    } else {
-      os_ << sim::json_quote(row.cells[i]);
+void write_jsonl(std::ostream& os, const std::vector<std::string>& columns,
+                 const std::vector<ResultRow>& rows, const std::string& manifest_json) {
+  if (!manifest_json.empty()) os << "{\"manifest\":" << manifest_json << "}\n";
+  for (const ResultRow& row : rows) {
+    os << '{';
+    for (std::size_t i = 0; i < row.cells.size() && i < columns.size(); ++i) {
+      if (i) os << ',';
+      os << sim::json_quote(columns[i]) << ':';
+      if (is_json_number(row.cells[i])) {
+        os << row.cells[i];
+      } else {
+        os << sim::json_quote(row.cells[i]);
+      }
     }
+    os << "}\n";
   }
-  os_ << "}\n";
 }
 
-void JsonlSink::close() { os_.flush(); }
-
-void TableSink::open(const std::vector<std::string>& columns) {
-  table_.clear();
-  table_.emplace_back(columns);
-}
-
-void TableSink::write(const ResultRow& row) {
-  if (!table_.empty()) table_.front().add_row(row.cells);
-}
-
-void TableSink::close() {
-  if (table_.empty()) return;
-  table_.front().print(os_);
-  table_.clear();
+void print_table(std::ostream& os, const std::vector<std::string>& columns,
+                 const std::vector<ResultRow>& rows) {
+  sim::Table table(columns);
+  for (const ResultRow& row : rows) table.add_row(row.cells);
+  table.print(os);
 }
 
 }  // namespace photorack::scenario

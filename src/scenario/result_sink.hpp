@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/table.hpp"
-
 namespace photorack::scenario {
 
 /// One emitted result record; cells parallel the sweep's column list.
@@ -13,66 +11,25 @@ struct ResultRow {
   std::vector<std::string> cells;
 };
 
-/// Structured output target for sweep results.  The runner calls open() with
-/// the campaign's columns, write() once per row in grid order, then close().
-/// Sinks must not assume anything about evaluation order — rows arrive
-/// already serialized, so every sink is byte-identical across --jobs levels.
-class ResultSink {
- public:
-  virtual ~ResultSink() = default;
-  /// Run manifest (deterministic JSON; see config::Manifest), delivered
-  /// once before open() so machine-readable sinks can embed it in their
-  /// header.  Default: dropped (TableSink keeps the human view clean).
-  virtual void manifest(const std::string& manifest_json) { (void)manifest_json; }
-  virtual void open(const std::vector<std::string>& columns) = 0;
-  virtual void write(const ResultRow& row) = 0;
-  virtual void close() = 0;
-};
+// Writers for a sweep's rows.  Callers pass SweepResult::rows, already in
+// grid order, so every artifact is byte-identical across --jobs levels.  A
+// non-empty `manifest_json` (deterministic JSON; see config::Manifest) is
+// written as the first line of the two machine formats.
 
-/// RFC-4180-style CSV: header line, minimal quoting (only cells containing
-/// a comma, quote or newline are quoted).
-class CsvSink final : public ResultSink {
- public:
-  explicit CsvSink(std::ostream& os) : os_(os) {}
-  /// Written as a `# manifest <json>` comment line above the header (strip
-  /// with `grep -v '^#'` or pandas' comment='#').
-  void manifest(const std::string& manifest_json) override;
-  void open(const std::vector<std::string>& columns) override;
-  void write(const ResultRow& row) override;
-  void close() override;
+/// RFC-4180-style CSV: the manifest as a `# manifest <json>` comment line
+/// (strip with `grep -v '^#'` or pandas' comment='#'), the header line, one
+/// line per row.  Only cells containing a comma, quote or newline are quoted.
+void write_csv(std::ostream& os, const std::vector<std::string>& columns,
+               const std::vector<ResultRow>& rows, const std::string& manifest_json = {});
 
- private:
-  std::ostream& os_;
-};
+/// JSON lines: the manifest as a first `{"manifest":{...}}` line, then one
+/// object per row.  Cells that match RFC 8259's number grammar are emitted
+/// as JSON numbers; everything else as escaped strings.
+void write_jsonl(std::ostream& os, const std::vector<std::string>& columns,
+                 const std::vector<ResultRow>& rows, const std::string& manifest_json = {});
 
-/// JSON-lines: one object per row.  Cells that parse as finite numbers are
-/// emitted as JSON numbers; everything else as escaped strings.
-class JsonlSink final : public ResultSink {
- public:
-  explicit JsonlSink(std::ostream& os) : os_(os) {}
-  /// Written as a first `{"manifest":{...}}` line; row objects follow.
-  void manifest(const std::string& manifest_json) override;
-  void open(const std::vector<std::string>& columns) override;
-  void write(const ResultRow& row) override;
-  void close() override;
-
- private:
-  std::ostream& os_;
-  std::vector<std::string> columns_;
-};
-
-/// Human-readable sink over sim::Table: buffers rows and pretty-prints the
-/// aligned table at close() (the format the bench binaries always used).
-class TableSink final : public ResultSink {
- public:
-  explicit TableSink(std::ostream& os) : os_(os) {}
-  void open(const std::vector<std::string>& columns) override;
-  void write(const ResultRow& row) override;
-  void close() override;
-
- private:
-  std::ostream& os_;
-  std::vector<sim::Table> table_;  // 0 or 1; Table has no default ctor
-};
+/// The aligned sim::Table view the bench binaries print; no manifest.
+void print_table(std::ostream& os, const std::vector<std::string>& columns,
+                 const std::vector<ResultRow>& rows);
 
 }  // namespace photorack::scenario

@@ -22,7 +22,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -180,9 +179,9 @@ int main(int argc, char** argv) {
     for (auto& [path, values] : opt.overrides)
       grid.override_axis(path, std::move(values));
 
+    // Open the --out files before the sweep, so a bad path fails before a
+    // long run; write them after it.
     std::ofstream csv_file, jsonl_file;
-    std::vector<std::unique_ptr<scenario::ResultSink>> sinks;
-    if (!opt.quiet) sinks.push_back(std::make_unique<scenario::TableSink>(std::cout));
     std::filesystem::path csv_path, jsonl_path, manifest_path;
     if (!opt.out_dir.empty()) {
       const std::filesystem::path dir(opt.out_dir);
@@ -194,38 +193,30 @@ int main(int argc, char** argv) {
       jsonl_file.open(jsonl_path);
       if (!csv_file || !jsonl_file)
         throw std::runtime_error("cannot open output files under " + opt.out_dir);
-      sinks.push_back(std::make_unique<scenario::CsvSink>(csv_file));
-      sinks.push_back(std::make_unique<scenario::JsonlSink>(jsonl_file));
     }
-    std::vector<scenario::ResultSink*> sink_ptrs;
-    for (const auto& sink : sinks) sink_ptrs.push_back(sink.get());
 
     const scenario::SweepRunner runner({.jobs = opt.jobs, .base_seed = opt.seed});
-    const auto result = runner.run(campaign, grid, sink_ptrs);
+    const auto result = runner.run(campaign, grid);
+    if (!opt.quiet) scenario::print_table(std::cout, result.columns, result.rows);
 
-    // A write that failed mid-sweep (disk full, file deleted, quota) leaves
-    // the stream in a failed state but does not throw — check explicitly so
-    // a truncated artifact is a loud error, never a silently short file.
+    // A failed write (disk full, file deleted, quota) leaves the stream in a
+    // failed state but does not throw — check explicitly so a truncated
+    // artifact is a loud error, never a silently short file.
+    const auto finish = [](std::ofstream& file, const std::filesystem::path& path) {
+      file.flush();
+      if (!file)
+        throw std::runtime_error("error writing " + path.string() + " (output truncated)");
+    };
     if (!opt.out_dir.empty()) {
-      csv_file.flush();
-      if (!csv_file)
-        throw std::runtime_error("error writing " + csv_path.string() +
-                                 " (output truncated)");
-      jsonl_file.flush();
-      if (!jsonl_file)
-        throw std::runtime_error("error writing " + jsonl_path.string() +
-                                 " (output truncated)");
-    }
-
-    if (!manifest_path.empty()) {
+      scenario::write_csv(csv_file, result.columns, result.rows, result.manifest_json);
+      finish(csv_file, csv_path);
+      scenario::write_jsonl(jsonl_file, result.columns, result.rows, result.manifest_json);
+      finish(jsonl_file, jsonl_path);
       std::ofstream manifest_file(manifest_path);
       if (!manifest_file)
         throw std::runtime_error("cannot open " + manifest_path.string());
       manifest_file << result.manifest_json << "\n";
-      manifest_file.flush();
-      if (!manifest_file)
-        throw std::runtime_error("error writing " + manifest_path.string() +
-                                 " (output truncated)");
+      finish(manifest_file, manifest_path);
     }
 
     std::cerr << "photorack_sweep: campaign " << campaign.name << " [" << campaign.paper_ref

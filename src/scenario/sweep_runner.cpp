@@ -91,8 +91,7 @@ double SweepResult::max(const std::string& name, const Filter& filter) const {
   return sim::max_of(v);
 }
 
-SweepResult SweepRunner::run(const Campaign& campaign, const SweepGrid& grid,
-                             const std::vector<ResultSink*>& sinks) const {
+SweepResult SweepRunner::run(const Campaign& campaign, const SweepGrid& grid) const {
   const auto specs = grid.expand(campaign.name, opt_.base_seed);
 
   // Every run gets a manifest: campaign identity, seeds, the grid as run
@@ -105,7 +104,9 @@ SweepResult SweepRunner::run(const Campaign& campaign, const SweepGrid& grid,
   for (const Axis& ax : grid.axes()) manifest.axes.emplace_back(ax.name, ax.values);
   for (const Axis& ov : grid.overrides())
     manifest.overrides.emplace_back(ov.name, ov.values);
-  const std::string manifest_json = manifest.to_json(config::registry());
+  SweepResult result;
+  result.columns = campaign.columns;
+  result.manifest_json = manifest.to_json(config::registry());
 
   // Evaluate into per-spec slots so rows serialize in grid order no matter
   // how the workers take the work.  parallel_for rethrows the first
@@ -115,28 +116,20 @@ SweepResult SweepRunner::run(const Campaign& campaign, const SweepGrid& grid,
       specs.size(), [&](std::size_t i) { per_spec[i] = campaign.evaluate(specs[i]); },
       opt_.jobs ? opt_.jobs : std::thread::hardware_concurrency());
 
-  SweepResult result;
-  result.columns = campaign.columns;
-  result.manifest_json = manifest_json;
-  for (ResultSink* sink : sinks) sink->manifest(manifest_json);
-  for (ResultSink* sink : sinks) sink->open(result.columns);
   for (auto& rows : per_spec) {
     for (auto& row : rows) {
       if (row.cells.size() != result.columns.size())
         throw std::logic_error("campaign '" + campaign.name + "' emitted a row with " +
                                std::to_string(row.cells.size()) + " cells for " +
                                std::to_string(result.columns.size()) + " columns");
-      for (ResultSink* sink : sinks) sink->write(row);
       result.rows.push_back(std::move(row));
     }
   }
-  for (ResultSink* sink : sinks) sink->close();
   return result;
 }
 
-SweepResult SweepRunner::run(const Campaign& campaign,
-                             const std::vector<ResultSink*>& sinks) const {
-  return run(campaign, campaign.default_grid(), sinks);
+SweepResult SweepRunner::run(const Campaign& campaign) const {
+  return run(campaign, campaign.default_grid());
 }
 
 }  // namespace photorack::scenario

@@ -27,8 +27,8 @@ struct SweepResult {
   std::vector<std::string> columns;
   std::vector<ResultRow> rows;  // grid order, stable across --jobs levels
   /// The run's manifest (deterministic JSON: campaign id, seeds, axes,
-  /// overrides, full resolved parameter tree) — what the runner handed to
-  /// every sink and what the CLI writes as the sidecar file.
+  /// overrides, full resolved parameter tree) — the first line of the CSV
+  /// and JSONL writers' output and the CLI's sidecar file.
   std::string manifest_json;
 
   using Filter = std::vector<std::pair<std::string, std::string>>;
@@ -49,21 +49,19 @@ struct SweepResult {
   [[nodiscard]] double max(const std::string& name, const Filter& filter = {}) const;
 };
 
-/// Executes a campaign's specs on sim::parallel_for, then serializes all
-/// rows in grid order to every sink once the sweep completes.  Scenario
-/// evaluators seed from their spec, so the output is bit-identical for any
-/// jobs count.  A failed scenario's exception is rethrown here after every
-/// worker has stopped — sinks see nothing in that case, so --out files are
-/// empty rather than partially written.
+/// Executes a campaign's specs on sim::parallel_for and returns every row
+/// in grid order.  Scenario evaluators seed from their spec, so the result
+/// is bit-identical for any jobs count.  A failed scenario's exception is
+/// rethrown here after every worker has stopped, and a row whose width does
+/// not match the columns throws std::logic_error, both before the caller
+/// can write a byte.
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions opt = {}) : opt_(opt) {}
 
-  SweepResult run(const Campaign& campaign, const SweepGrid& grid,
-                  const std::vector<ResultSink*>& sinks = {}) const;
+  SweepResult run(const Campaign& campaign, const SweepGrid& grid) const;
   /// Convenience: run the campaign's default grid.
-  SweepResult run(const Campaign& campaign,
-                  const std::vector<ResultSink*>& sinks = {}) const;
+  SweepResult run(const Campaign& campaign) const;
 
   [[nodiscard]] const SweepOptions& options() const { return opt_; }
 

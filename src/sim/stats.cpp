@@ -40,10 +40,6 @@ double RunningStats::variance() const {
   return n_ ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
-double RunningStats::sample_variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double pearson(std::span<const double> x, std::span<const double> y) {
@@ -83,18 +79,6 @@ double mean_of(std::span<const double> v) {
   double s = 0;
   for (double x : v) s += x;
   return s / static_cast<double>(v.size());
-}
-
-double geomean_of(std::span<const double> v) {
-  if (v.empty())
-    throw std::invalid_argument("geomean_of: empty input has no geometric mean");
-  double s = 0;
-  for (double x : v) {
-    if (!(x > 0.0))
-      throw std::invalid_argument("geomean_of: inputs must be > 0");
-    s += std::log(x);
-  }
-  return std::exp(s / static_cast<double>(v.size()));
 }
 
 double max_of(std::span<const double> v) {
@@ -219,34 +203,6 @@ double QuantileSketch::quantile(double q) const {
 
 double QuantileSketch::quantile_or(double q, double fallback) const {
   return n_ ? quantile(q) : (checked_fraction(q), fallback);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0.0) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument("Histogram: bad range");
-}
-
-void Histogram::add(double x, double weight) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-double Histogram::cdf(double x) const {
-  if (total_ <= 0.0) return 0.0;
-  if (x < lo_) return 0.0;
-  if (x >= hi_) return 1.0;
-  double acc = 0.0;
-  const auto full = static_cast<std::size_t>((x - lo_) / width_);
-  for (std::size_t i = 0; i < full && i < counts_.size(); ++i) acc += counts_[i];
-  if (full < counts_.size()) {
-    const double frac = (x - bin_lo(full)) / width_;
-    acc += counts_[full] * frac;
-  }
-  return acc / total_;
 }
 
 }  // namespace photorack::sim

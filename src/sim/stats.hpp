@@ -16,7 +16,6 @@ class RunningStats {
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
   [[nodiscard]] double variance() const;  // population variance
-  [[nodiscard]] double sample_variance() const;
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
@@ -43,11 +42,6 @@ class RunningStats {
 
 /// Arithmetic mean over a span (0 if empty).
 [[nodiscard]] double mean_of(std::span<const double> v);
-/// Geometric mean.  Defined only for strictly positive inputs: throws
-/// std::invalid_argument on empty input and on any element <= 0 (the old
-/// behavior clamped those to 1e-300, silently dragging the result toward
-/// zero instead of surfacing the bad sample).
-[[nodiscard]] double geomean_of(std::span<const double> v);
 [[nodiscard]] double max_of(std::span<const double> v);
 
 /// Streaming quantile sketch with a bounded RELATIVE error, for tail
@@ -120,27 +114,6 @@ class QuantileSketch {
 
   /// The counter of bucket `idx`, growing the range to cover it.
   std::uint64_t& counter(std::int32_t idx);
-};
-
-/// Fixed-width histogram on [lo, hi); out-of-range values clamp to the edge
-/// bins.  Used for flow-demand and latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-  [[nodiscard]] double count(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double total() const { return total_; }
-  /// Fraction of mass at or below x (piecewise-constant CDF).
-  [[nodiscard]] double cdf(double x) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
 };
 
 }  // namespace photorack::sim

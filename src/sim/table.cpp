@@ -45,18 +45,6 @@ std::string Table::to_string() const {
   return os.str();
 }
 
-void Table::write_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << row[c];
-      if (c + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string fmt_fixed(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);

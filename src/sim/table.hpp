@@ -20,9 +20,6 @@ class Table {
   void print(std::ostream& os) const;
   [[nodiscard]] std::string to_string() const;
 
-  /// Write as CSV (no quoting of commas; callers avoid commas in cells).
-  void write_csv(std::ostream& os) const;
-
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   [[nodiscard]] std::size_t cols() const { return headers_.size(); }
 

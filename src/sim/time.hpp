@@ -14,16 +14,8 @@ inline constexpr TimePs kPsPerUs = 1'000'000;
 inline constexpr TimePs kPsPerMs = 1'000'000'000;
 inline constexpr TimePs kPsPerS = 1'000'000'000'000;
 
-[[nodiscard]] constexpr TimePs from_ns(double ns) {
-  return static_cast<TimePs>(ns * static_cast<double>(kPsPerNs));
-}
-
 [[nodiscard]] constexpr double to_ns(TimePs t) {
   return static_cast<double>(t) / static_cast<double>(kPsPerNs);
-}
-
-[[nodiscard]] constexpr TimePs from_us(double us) {
-  return static_cast<TimePs>(us * static_cast<double>(kPsPerUs));
 }
 
 [[nodiscard]] constexpr double to_us(TimePs t) {

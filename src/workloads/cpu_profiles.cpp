@@ -244,15 +244,6 @@ std::vector<CpuBenchmark> benchmarks_of_suite(const std::string& suite) {
   return out;
 }
 
-std::vector<CpuBenchmark> benchmarks_of_input(const std::string& suite,
-                                              const std::string& input) {
-  std::vector<CpuBenchmark> out;
-  for (const auto& b : cpu_benchmarks())
-    if (b.suite == suite && b.input == input) out.push_back(b);
-  if (out.empty()) throw std::out_of_range("unknown suite/input: " + suite + "/" + input);
-  return out;
-}
-
 std::vector<std::string> rodinia_cpu_gpu_intersection() {
   return {"backprop", "bfs", "hotspot", "kmeans", "lud", "nw", "srad"};
 }

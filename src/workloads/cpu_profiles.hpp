@@ -27,8 +27,6 @@ struct CpuBenchmark {
 
 /// Subset helpers used by the figures.
 [[nodiscard]] std::vector<CpuBenchmark> benchmarks_of_suite(const std::string& suite);
-[[nodiscard]] std::vector<CpuBenchmark> benchmarks_of_input(const std::string& suite,
-                                                            const std::string& input);
 
 /// The Rodinia benchmarks that also exist as GPU applications (Fig 11's
 /// CPU-GPU intersection).

@@ -1,10 +1,11 @@
-// Shared helpers for the co-simulation suites: one report comparison driven
-// by the report field table, and one campaign serializer.
+// Shared helpers for the co-simulation and scenario suites: one report
+// comparison driven by the report field table, and one campaign serializer.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <initializer_list>
 #include <sstream>
 #include <string>
@@ -29,15 +30,17 @@ inline void expect_same_report(const cosim::CosimReport& a, const cosim::CosimRe
       EXPECT_EQ(f.get(a), f.get(b)) << f.name;
 }
 
-/// CSV and JSONL bytes of one sweep at `jobs` workers.
+/// CSV and JSONL bytes (manifest line included) of one sweep at `jobs`
+/// workers and base seed `seed`.
 inline std::pair<std::string, std::string> serialize(const scenario::Campaign& campaign,
                                                      const scenario::SweepGrid& grid,
-                                                     std::size_t jobs) {
+                                                     std::size_t jobs,
+                                                     std::uint64_t seed = 0) {
+  const auto res = scenario::SweepRunner(scenario::SweepOptions{.jobs = jobs, .base_seed = seed})
+                       .run(campaign, grid);
   std::ostringstream csv_os, jsonl_os;
-  scenario::CsvSink csv(csv_os);
-  scenario::JsonlSink jsonl(jsonl_os);
-  scenario::SweepRunner(scenario::SweepOptions{.jobs = jobs, .base_seed = 0})
-      .run(campaign, grid, {&csv, &jsonl});
+  scenario::write_csv(csv_os, res.columns, res.rows, res.manifest_json);
+  scenario::write_jsonl(jsonl_os, res.columns, res.rows, res.manifest_json);
   return {csv_os.str(), jsonl_os.str()};
 }
 

@@ -90,10 +90,6 @@ TEST(EnumCodecs, ParseErrorListsChoices) {
     EXPECT_NE(std::string(e.what()).find("inorder|ooo|accel"), std::string::npos)
         << e.what();
   }
-  // The legacy wrappers route through the codec.
-  EXPECT_THROW(disagg::parse_allocation_policy("dynamic"), std::invalid_argument);
-  EXPECT_EQ(std::string(disagg::to_string(disagg::AllocationPolicy::kDisaggregated)),
-            "disagg");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,14 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
-#include "scenario/result_sink.hpp"
 #include "scenario/sweep_runner.hpp"
 
 namespace photorack::cosim {
@@ -416,7 +414,7 @@ cosim::CosimConfig cosim_config_pre_redesign(const scenario::ScenarioSpec& spec)
 std::vector<scenario::ResultRow> eval_cosim_acceptance_pre_redesign(
     const scenario::ScenarioSpec& spec) {
   const auto report = run_rack_cosim(
-      {}, disagg::parse_allocation_policy(spec.at("policy")),
+      {}, disagg::allocation_policy_codec().parse(spec.at("policy")),
       workloads::UsageModel::cori(), cosim_config_pre_redesign(spec));
   scenario::ResultRow row;
   row.cells = {spec.at("policy"),
@@ -454,7 +452,7 @@ std::vector<scenario::ResultRow> eval_cosim_contention_pre_redesign(
 std::vector<scenario::ResultRow> eval_cosim_energy_pre_redesign(
     const scenario::ScenarioSpec& spec) {
   const auto report = run_rack_cosim(
-      {}, disagg::parse_allocation_policy(spec.at("policy")),
+      {}, disagg::allocation_policy_codec().parse(spec.at("policy")),
       workloads::UsageModel::cori(), cosim_config_pre_redesign(spec));
   const double kj = report.energy_joules / 1e3;
   scenario::ResultRow row;
@@ -500,13 +498,15 @@ TEST(CosimCampaigns, NonZeroBaseSeedReseedsScenarios) {
   grid.set("cosim.horizon_ms", {"40"});
   grid.set("policy", {"disagg"});
   grid.set("cosim.arrivals_per_ms", {"4"});
-  std::ostringstream a_os, b_os;
-  scenario::CsvSink a_sink(a_os), b_sink(b_os);
-  scenario::SweepRunner(scenario::SweepOptions{.jobs = 1, .base_seed = 1})
-      .run(campaign, grid, {&a_sink});
-  scenario::SweepRunner(scenario::SweepOptions{.jobs = 1, .base_seed = 2})
-      .run(campaign, grid, {&b_sink});
-  EXPECT_NE(a_os.str(), b_os.str());
+  const auto a = scenario::SweepRunner(scenario::SweepOptions{.jobs = 1, .base_seed = 1})
+                     .run(campaign, grid);
+  const auto b = scenario::SweepRunner(scenario::SweepOptions{.jobs = 1, .base_seed = 2})
+                     .run(campaign, grid);
+  // Compare rows, not CSV text: the CSV's manifest line records base_seed,
+  // so the two texts differ whatever the rows hold.
+  ASSERT_EQ(a.rows.size(), 1u);
+  ASSERT_EQ(b.rows.size(), 1u);
+  EXPECT_NE(a.rows[0].cells, b.rows[0].cells);
 }
 
 TEST(CosimCampaigns, ContentionCampaignPinsClosedVsOpen) {

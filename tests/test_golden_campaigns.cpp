@@ -43,10 +43,10 @@ class GoldenCampaign : public ::testing::TestWithParam<const char*> {};
 TEST_P(GoldenCampaign, DefaultGridMatchesCommittedCsv) {
   const std::string name = GetParam();
   const Campaign& campaign = campaign_by_name(name);
+  const SweepResult res = SweepRunner(SweepOptions{.jobs = 2}).run(campaign);
   std::ostringstream csv_os, jsonl_os;
-  CsvSink csv(csv_os);
-  JsonlSink jsonl(jsonl_os);
-  SweepRunner(SweepOptions{.jobs = 2}).run(campaign, {&csv, &jsonl});
+  write_csv(csv_os, res.columns, res.rows, res.manifest_json);
+  write_jsonl(jsonl_os, res.columns, res.rows, res.manifest_json);
 
   std::istringstream produced(csv_os.str());
   std::ifstream golden(golden_path(name, ".csv"));

@@ -115,7 +115,9 @@ TEST(GpuRunner, SlowdownIsNonNegativeAndBounded) {
   AppProfile app;
   app.name = "bounded";
   app.kernels.push_back({gather_kernel(), 2});
-  const double s = app_slowdown(app, {}, 35.0);
+  GpuConfig slow;
+  slow.extra_hbm_ns = 35.0;
+  const double s = run_app(app, slow).time_us / run_app(app, {}).time_us - 1.0;
   EXPECT_GE(s, 0.0);
   EXPECT_LE(s, 35.0 / 290.0 + 0.01);
 }

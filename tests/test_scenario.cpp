@@ -1,5 +1,5 @@
 // Scenario-engine suite: grid expansion, spec identity/seeding, result
-// sinks, the campaign registry, and the two contracts the engine exists to
+// writers, the campaign registry, and the two contracts the engine exists to
 // uphold — (1) sweeps are bit-identical at every --jobs level and (2) the
 // built-in campaigns' bytes match reference evaluators: a from-scratch
 // simulation for fig6/fig8 and the pre-redesign code for the others.
@@ -16,6 +16,7 @@
 #include "gpusim/gpu_runner.hpp"
 #include "phot/links.hpp"
 #include "rack/mcm.hpp"
+#include "report_testing.hpp"
 #include "scenario/campaigns.hpp"
 #include "workloads/cpu_profiles.hpp"
 #include "workloads/generators.hpp"
@@ -35,6 +36,7 @@ using scenario::SweepGrid;
 using scenario::SweepOptions;
 using scenario::SweepResult;
 using scenario::SweepRunner;
+using testutil::serialize;
 
 // ---------------------------------------------------------------------------
 // SweepGrid
@@ -138,54 +140,42 @@ TEST(NumToString, RoundTripsExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Result sinks
+// Result writers
 // ---------------------------------------------------------------------------
 
-TEST(ResultSinks, CsvQuotesOnlyWhenNeeded) {
+TEST(ResultWriters, CsvQuotesOnlyWhenNeeded) {
   std::ostringstream os;
-  scenario::CsvSink sink(os);
-  sink.open({"name", "value"});
-  sink.write(ResultRow{{"plain", "1.5"}});
-  sink.write(ResultRow{{"a,b", "say \"hi\""}});
-  sink.close();
+  scenario::write_csv(os, {"name", "value"},
+                      {ResultRow{{"plain", "1.5"}}, ResultRow{{"a,b", "say \"hi\""}}});
   EXPECT_EQ(os.str(), "name,value\nplain,1.5\n\"a,b\",\"say \"\"hi\"\"\"\n");
 }
 
-TEST(ResultSinks, JsonlEmitsNumbersUnquoted) {
+TEST(ResultWriters, JsonlEmitsNumbersUnquoted) {
   std::ostringstream os;
-  scenario::JsonlSink sink(os);
-  sink.open({"bench", "slowdown", "note"});
-  sink.write(ResultRow{{"nw", "0.79", "line\nbreak"}});
-  sink.close();
+  scenario::write_jsonl(os, {"bench", "slowdown", "note"},
+                        {ResultRow{{"nw", "0.79", "line\nbreak"}}});
   EXPECT_EQ(os.str(), "{\"bench\":\"nw\",\"slowdown\":0.79,\"note\":\"line\\nbreak\"}\n");
 }
 
-TEST(ResultSinks, JsonlQuotesNonJsonNumericForms) {
+TEST(ResultWriters, JsonlQuotesNonJsonNumericForms) {
   // strtod accepts these, but emitting them unquoted would produce invalid
   // JSON; only RFC 8259 number syntax may go unquoted.
   std::ostringstream os;
-  scenario::JsonlSink sink(os);
-  sink.open({"a", "b", "c", "d", "e", "f"});
-  sink.write(ResultRow{{"+50", "0x1f", "5.", ".5", "-inf", "007"}});
-  sink.close();
+  scenario::write_jsonl(os, {"a", "b", "c", "d", "e", "f"},
+                        {ResultRow{{"+50", "0x1f", "5.", ".5", "-inf", "007"}}});
   EXPECT_EQ(os.str(),
             "{\"a\":\"+50\",\"b\":\"0x1f\",\"c\":\"5.\",\"d\":\".5\","
             "\"e\":\"-inf\",\"f\":\"007\"}\n");
 
   std::ostringstream os2;
-  scenario::JsonlSink sink2(os2);
-  sink2.open({"a", "b", "c", "d"});
-  sink2.write(ResultRow{{"-1.5e-3", "0", "35", "0.79"}});
-  sink2.close();
+  scenario::write_jsonl(os2, {"a", "b", "c", "d"},
+                        {ResultRow{{"-1.5e-3", "0", "35", "0.79"}}});
   EXPECT_EQ(os2.str(), "{\"a\":-1.5e-3,\"b\":0,\"c\":35,\"d\":0.79}\n");
 }
 
-TEST(ResultSinks, TablePrintsHeaderAndRows) {
+TEST(ResultWriters, TablePrintsHeaderAndRows) {
   std::ostringstream os;
-  scenario::TableSink sink(os);
-  sink.open({"col"});
-  sink.write(ResultRow{{"cell"}});
-  sink.close();
+  scenario::print_table(os, {"col"}, {ResultRow{{"cell"}}});
   EXPECT_NE(os.str().find("col"), std::string::npos);
   EXPECT_NE(os.str().find("cell"), std::string::npos);
 }
@@ -298,25 +288,14 @@ TEST(SweepRunner, MisshapenRowIsRejected) {
 // to the sweep layer.)
 // ---------------------------------------------------------------------------
 
-std::pair<std::string, std::string> serialize(const Campaign& campaign,
-                                              const SweepGrid& grid, std::size_t jobs,
-                                              std::uint64_t seed) {
-  std::ostringstream csv_os, jsonl_os;
-  scenario::CsvSink csv(csv_os);
-  scenario::JsonlSink jsonl(jsonl_os);
-  SweepRunner(SweepOptions{.jobs = jobs, .base_seed = seed}).run(campaign, grid,
-                                                                {&csv, &jsonl});
-  return {csv_os.str(), jsonl_os.str()};
-}
-
 TEST(SweepDeterminism, CpuCampaignIsByteIdenticalAcrossJobs) {
   const Campaign& campaign = scenario::campaign_by_name("fig6");
   SweepGrid grid = campaign.default_grid();
   grid.set("bench", {"PARSEC/streamcluster/medium", "Rodinia/srad/default"});
   grid.set("cpusim.warmup", {"20000"});
   grid.set("cpusim.measured", {"50000"});
-  const auto [csv1, jsonl1] = serialize(campaign, grid, 1, 0);
-  const auto [csv4, jsonl4] = serialize(campaign, grid, 4, 0);
+  const auto [csv1, jsonl1] = serialize(campaign, grid, 1);
+  const auto [csv4, jsonl4] = serialize(campaign, grid, 4);
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
   EXPECT_EQ(jsonl1, jsonl4);
@@ -327,8 +306,8 @@ TEST(SweepDeterminism, GpuCampaignIsByteIdenticalAcrossJobs) {
   SweepGrid grid = campaign.default_grid();
   grid.set("app", {"backprop", "nw"});
   grid.set("gpusim.extra_hbm_ns", {"35"});
-  const auto [csv1, jsonl1] = serialize(campaign, grid, 1, 0);
-  const auto [csv4, jsonl4] = serialize(campaign, grid, 4, 0);
+  const auto [csv1, jsonl1] = serialize(campaign, grid, 1);
+  const auto [csv4, jsonl4] = serialize(campaign, grid, 4);
   EXPECT_FALSE(csv1.empty());
   EXPECT_EQ(csv1, csv4);
   EXPECT_EQ(jsonl1, jsonl4);
@@ -338,8 +317,8 @@ TEST(SweepDeterminism, RackCampaignsAreByteIdenticalAcrossJobs) {
   for (const char* name : {"table1", "table3", "sec6c"}) {
     const Campaign& campaign = scenario::campaign_by_name(name);
     const SweepGrid grid = campaign.default_grid();
-    const auto [csv1, jsonl1] = serialize(campaign, grid, 1, 0);
-    const auto [csv4, jsonl4] = serialize(campaign, grid, 4, 0);
+    const auto [csv1, jsonl1] = serialize(campaign, grid, 1);
+    const auto [csv4, jsonl4] = serialize(campaign, grid, 4);
     EXPECT_FALSE(csv1.empty()) << name;
     EXPECT_EQ(csv1, csv4) << name;
     EXPECT_EQ(jsonl1, jsonl4) << name;
@@ -353,8 +332,8 @@ TEST(SweepDeterminism, BaseSeedReseedsTheWorkload) {
   grid.set("cpusim.core.kind", {"inorder"});
   grid.set("cpusim.warmup", {"20000"});
   grid.set("cpusim.measured", {"50000"});
-  const auto [csv_a, jsonl_a] = serialize(campaign, grid, 2, 0);
-  const auto [csv_b, jsonl_b] = serialize(campaign, grid, 2, 0);
+  const auto [csv_a, jsonl_a] = serialize(campaign, grid, 2);
+  const auto [csv_b, jsonl_b] = serialize(campaign, grid, 2);
   EXPECT_EQ(csv_a, csv_b);  // same seed replays exactly
   const auto [csv_c, jsonl_c] = serialize(campaign, grid, 2, 1234);
   EXPECT_NE(csv_a, csv_c);  // a different base seed re-seeds the trace
@@ -419,15 +398,12 @@ void expect_campaign_bytes_match_reference(
   Campaign reference = campaign;  // same columns, same grid; old evaluator
   reference.evaluate = std::move(reference_eval);
 
-  const auto [redesign_csv, redesign_jsonl] = serialize(campaign, grid, 2, 0);
-  std::ostringstream csv_os, jsonl_os;
-  scenario::CsvSink csv(csv_os);
-  scenario::JsonlSink jsonl(jsonl_os);
-  SweepRunner(SweepOptions{.jobs = 1}).run(reference, grid, {&csv, &jsonl});
+  const auto [redesign_csv, redesign_jsonl] = serialize(campaign, grid, 2);
+  const auto [reference_csv, reference_jsonl] = serialize(reference, grid, 1);
 
   EXPECT_FALSE(redesign_csv.empty()) << name;
-  EXPECT_EQ(redesign_csv, csv_os.str()) << name;
-  EXPECT_EQ(redesign_jsonl, jsonl_os.str()) << name;
+  EXPECT_EQ(redesign_csv, reference_csv) << name;
+  EXPECT_EQ(redesign_jsonl, reference_jsonl) << name;
 }
 
 void expect_campaign_bytes_match_from_scratch(const char* name, SweepGrid grid) {
@@ -644,8 +620,8 @@ TEST(ParamAxes, ResolveBuildsTypedConfigFromAxes) {
 }
 
 // ---------------------------------------------------------------------------
-// Manifests: every run emits one, into the SweepResult, the machine sinks'
-// headers, and (via the CLI) a sidecar file.
+// Manifests: every run emits one, into the SweepResult, the first line the
+// CSV and JSONL writers emit, and (via the CLI) a sidecar file.
 // ---------------------------------------------------------------------------
 
 TEST(Manifests, RunnerEmitsManifestIntoResultAndSinkHeaders) {
@@ -653,10 +629,7 @@ TEST(Manifests, RunnerEmitsManifestIntoResultAndSinkHeaders) {
   SweepGrid grid = campaign.default_grid();
   grid.override_axis("mcm.gbps_per_wavelength", {"32"});
 
-  std::ostringstream csv_os, jsonl_os;
-  scenario::CsvSink csv(csv_os);
-  scenario::JsonlSink jsonl(jsonl_os);
-  const auto res = SweepRunner().run(campaign, grid, {&csv, &jsonl});
+  const auto res = SweepRunner().run(campaign, grid);
 
   ASSERT_FALSE(res.manifest_json.empty());
   // Campaign id, the override, and the full resolved tree are all present.
@@ -666,8 +639,15 @@ TEST(Manifests, RunnerEmitsManifestIntoResultAndSinkHeaders) {
       << res.manifest_json;
   EXPECT_NE(res.manifest_json.find("\"cosim.arrivals_per_ms\""), std::string::npos);
   // CSV: `# manifest ...` comment line above the header; JSONL: first line.
-  EXPECT_EQ(csv_os.str().rfind("# manifest {", 0), 0u) << csv_os.str().substr(0, 80);
-  EXPECT_EQ(jsonl_os.str().rfind("{\"manifest\":{", 0), 0u);
+  std::ostringstream csv_os, jsonl_os;
+  scenario::write_csv(csv_os, res.columns, res.rows, res.manifest_json);
+  scenario::write_jsonl(jsonl_os, res.columns, res.rows, res.manifest_json);
+  std::istringstream csv_in(csv_os.str()), jsonl_in(jsonl_os.str());
+  std::string csv_first, jsonl_first;
+  std::getline(csv_in, csv_first);
+  std::getline(jsonl_in, jsonl_first);
+  EXPECT_EQ(csv_first, "# manifest " + res.manifest_json);
+  EXPECT_EQ(jsonl_first, "{\"manifest\":" + res.manifest_json + "}");
 }
 
 TEST(Manifests, ManifestIsDeterministicAcrossJobsLevels) {
