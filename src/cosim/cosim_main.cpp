@@ -18,8 +18,9 @@
 // registered knob (`photorack_sweep --params` lists them); unknown paths and
 // out-of-range values are rejected with suggestions before the run starts.
 // --manifest writes the resolved parameter tree as a reproducibility
-// sidecar.  For design-space sweeps over these knobs use the scenario
-// engine: `photorack_sweep --campaign cosim_acceptance|...`.
+// sidecar once the run has finished.  For design-space sweeps over these
+// knobs use the scenario engine: `photorack_sweep --campaign
+// cosim_acceptance|...`.
 #include <algorithm>
 #include <cstdint>
 #include <exception>
@@ -214,28 +215,6 @@ int main(int argc, char** argv) {
       return ov.first.rfind("cluster.", 0) == 0;
     });
 
-    if (!opt.manifest_path.empty()) {
-      config::Manifest manifest;
-      manifest.tool = "photorack_cosim";
-      manifest.campaign = "cosim";
-      // The policy is a CLI argument, not a registry knob — record it as a
-      // free axis so two runs differing only in --policy differ here too.
-      manifest.axes.emplace_back(
-          "policy",
-          std::vector<std::string>{disagg::allocation_policy_codec().name(opt.policy)});
-      for (const auto& [path, v] : opt.tree.overrides())
-        manifest.overrides.emplace_back(path, std::vector<std::string>{v});
-      // Single-valued overrides resolve into the params map too.
-      for (const auto& ov : manifest.overrides) manifest.axes.push_back(ov);
-      std::ofstream out(opt.manifest_path);
-      if (!out)
-        throw std::runtime_error("cannot open " + opt.manifest_path);
-      out << manifest.to_json(config::registry()) << "\n";
-      out.flush();
-      if (!out)
-        throw std::runtime_error("error writing manifest file '" + opt.manifest_path + "'");
-    }
-
     // Observability: --trace/--metrics/--profile* are sugar that force the
     // matching obs.* enable; the shape knobs (ring size, sample period)
     // stay addressable through --set obs.*.
@@ -260,6 +239,30 @@ int main(int argc, char** argv) {
     } else {
       report = cosim::run_rack_cosim(rack, opt.policy, workloads::UsageModel::cori(),
                                      cfg, obs_bundle.handles());
+    }
+
+    // The manifest describes a run that happened: a configuration rejected
+    // at construction leaves no sidecar behind.
+    if (!opt.manifest_path.empty()) {
+      config::Manifest manifest;
+      manifest.tool = "photorack_cosim";
+      manifest.campaign = "cosim";
+      // The policy is a CLI argument, not a registry knob — record it as a
+      // free axis so two runs differing only in --policy differ here too.
+      manifest.axes.emplace_back(
+          "policy",
+          std::vector<std::string>{disagg::allocation_policy_codec().name(opt.policy)});
+      for (const auto& [path, v] : opt.tree.overrides())
+        manifest.overrides.emplace_back(path, std::vector<std::string>{v});
+      // Single-valued overrides resolve into the params map too.
+      for (const auto& ov : manifest.overrides) manifest.axes.push_back(ov);
+      std::ofstream out(opt.manifest_path);
+      if (!out)
+        throw std::runtime_error("cannot open " + opt.manifest_path);
+      out << manifest.to_json(config::registry()) << "\n";
+      out.flush();
+      if (!out)
+        throw std::runtime_error("error writing manifest file '" + opt.manifest_path + "'");
     }
 
     if (!opt.trace_path.empty())

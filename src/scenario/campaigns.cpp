@@ -1,13 +1,11 @@
 #include "scenario/campaigns.hpp"
 
-#include <chrono>
 #include <cstdint>
-#include <future>
 #include <map>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "cluster/cluster_cosim.hpp"
 #include "collectives/collective.hpp"
@@ -84,102 +82,27 @@ const std::vector<std::string> kCpuColumns = {
     "suite",   "input",    "bench",       "core", "extra_ns", "baseline_ns",
     "time_ns", "slowdown", "llc_miss_rate", "ipc"};
 
-/// Single-flight memo: concurrent get()s of one key share one in-flight
-/// computation via a shared_future, so parallel sweep workers never
-/// duplicate a recording (the PR 2 memo they replace allowed that).  With
-/// a nonzero capacity, completed entries beyond it are LRU-evicted — an
-/// eviction at worst recomputes later and, the computations being
-/// bit-deterministic, never changes results.  A failed computation is
-/// removed (matched by entry id, in case eviction already dropped it) so a
-/// later get() retries; every sharer of the failed flight rethrows.
-template <typename Key, typename Value>
-class SingleFlightCache {
- public:
-  explicit SingleFlightCache(std::size_t capacity = 0) : capacity_(capacity) {}
-
-  template <typename Compute>
-  Value get(const Key& key, Compute&& compute) {
-    std::shared_future<Value> fut;
-    std::promise<Value> prom;
-    std::uint64_t id = 0;
-    bool owner = false;
-    {
-      std::lock_guard lock(mu_);
-      ++tick_;
-      const auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        it->second.last_use = tick_;
-        fut = it->second.fut;
-      } else {
-        owner = true;
-        id = tick_;
-        fut = prom.get_future().share();
-        if (capacity_ != 0) evict_locked();
-        entries_.emplace(key, Entry{fut, tick_, id});
-      }
-    }
-    if (owner) {
-      try {
-        prom.set_value(compute());
-      } catch (...) {
-        prom.set_exception(std::current_exception());
-        std::lock_guard lock(mu_);
-        const auto it = entries_.find(key);
-        if (it != entries_.end() && it->second.id == id) entries_.erase(it);
-      }
-    }
-    return fut.get();  // rethrows a computation failure to every sharer
-  }
-
- private:
-  struct Entry {
-    std::shared_future<Value> fut;
-    std::uint64_t last_use = 0;
-    std::uint64_t id = 0;
-  };
-
-  void evict_locked() {
-    while (entries_.size() >= capacity_) {
-      auto victim = entries_.end();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.fut.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready)
-          continue;  // never evict an in-flight computation
-        if (victim == entries_.end() || it->second.last_use < victim->second.last_use)
-          victim = it;
-      }
-      if (victim == entries_.end()) return;  // everything in flight
-      entries_.erase(victim);
-    }
-  }
-
-  std::mutex mu_;
-  std::map<Key, Entry> entries_;
-  std::uint64_t tick_ = 0;
-  std::size_t capacity_;
-};
-
-/// Process-wide cache of recorded CPU miss profiles: one instrumented
-/// simulation per (benchmark, full cpusim config, seed) serves the baseline
-/// AND every extra_ns grid point as an O(misses) replay, bit-identical to
-/// simulating each point from scratch.  The config enters the key as the
-/// registry's canonical snapshot string, so ANY --set cpusim.* override
-/// (hierarchy geometry, core width, prefetcher...) records its own profile
-/// instead of aliasing the default one.  Bounded: grid order keeps one
-/// benchmark's latency points adjacent, so a handful of live profiles
-/// bounds memory.
-std::shared_ptr<const cpusim::MissProfile> cpu_profile(
-    const workloads::CpuBenchmark& bench, const cpusim::SimConfig& cfg,
-    const workloads::TraceConfig& trace_cfg) {
+/// The recorded CPU miss profile of (benchmark, full cpusim config, seed):
+/// one instrumented simulation serves the baseline AND every extra_ns grid
+/// point as an O(misses) replay, bit-identical to simulating each point
+/// from scratch.  The config enters the key as the registry's canonical
+/// snapshot string, so ANY --set cpusim.* override (hierarchy geometry,
+/// core width, prefetcher...) records its own profile instead of aliasing
+/// the default one.  Each thread keeps only its last recording: SweepRunner
+/// runs all the specs one recording serves as one task on one thread
+/// (Campaign::replay_axes), and a miss records again, bit-identically.  The
+/// reference is valid until the thread's next call.
+const cpusim::MissProfile& cpu_profile(const workloads::CpuBenchmark& bench,
+                                       const cpusim::SimConfig& cfg,
+                                       const workloads::TraceConfig& trace_cfg) {
   using Key = std::tuple<std::string, std::string, std::uint64_t>;
-  static SingleFlightCache<Key, std::shared_ptr<const cpusim::MissProfile>> cache(12);
-  const Key key{bench.full_name(), config::registry().snapshot("cpusim", cfg),
-                trace_cfg.seed};
-  return cache.get(key, [&] {
+  thread_local std::optional<std::pair<Key, cpusim::MissProfile>> last;
+  Key key{bench.full_name(), config::registry().snapshot("cpusim", cfg), trace_cfg.seed};
+  if (!last || last->first != key) {
     workloads::SyntheticTrace trace(trace_cfg);
-    return std::make_shared<const cpusim::MissProfile>(
-        cpusim::record_miss_profile(trace, cfg));
-  });
+    last.emplace(std::move(key), cpusim::record_miss_profile(trace, cfg));
+  }
+  return last->second;
 }
 
 std::vector<ResultRow> eval_cpu_point(const ScenarioSpec& spec) {
@@ -197,10 +120,10 @@ std::vector<ResultRow> eval_cpu_point(const ScenarioSpec& spec) {
   // latency-independent, so the baseline and the perturbed point are both
   // replays of it.
   cfg.dram.extra_ns = 0.0;
-  const auto profile = cpu_profile(bench, cfg, trace_cfg);
-  const cpusim::SimResult baseline = cpusim::replay_profile(*profile, 0.0);
+  const cpusim::MissProfile& profile = cpu_profile(bench, cfg, trace_cfg);
+  const cpusim::SimResult baseline = cpusim::replay_profile(profile, 0.0);
   const cpusim::SimResult result =
-      extra != 0.0 ? cpusim::replay_profile(*profile, extra) : baseline;
+      extra != 0.0 ? cpusim::replay_profile(profile, extra) : baseline;
 
   ResultRow row;
   row.cells = {bench.suite,
@@ -232,22 +155,20 @@ const std::vector<std::string> kGpuColumns = {
     "app",     "suite",    "extra_ns",     "derate",            "baseline_us",
     "time_us", "slowdown", "l2_miss_rate", "hbm_txn_per_instr", "mem_instr_fraction"};
 
-/// GPU counterpart of the CPU profile cache: the per-kernel L2 simulation
-/// is independent of extra_hbm_ns and the bandwidth derate (the axes the
-/// GPU campaigns sweep), so one AppMissProfile per (app, base config)
-/// serves every grid point.  The base config (latency axes zeroed) keys
-/// the cache via its registry snapshot, so --set gpusim.* geometry
-/// overrides record their own profiles.  Profiles are a few doubles each,
-/// so unbounded (capacity 0).
-std::shared_ptr<const gpusim::AppMissProfile> gpu_app_profile(
-    const gpusim::AppProfile& app, const gpusim::GpuConfig& base) {
+/// GPU counterpart of cpu_profile, with the same per-thread memo: the
+/// per-kernel L2 simulation is independent of extra_hbm_ns and the
+/// bandwidth derate (the axes the GPU campaigns sweep), so one
+/// AppMissProfile per (app, base config) serves every grid point.  The base
+/// config (latency axes zeroed) enters the key via its registry snapshot,
+/// so --set gpusim.* geometry overrides record their own profiles.
+const gpusim::AppMissProfile& gpu_app_profile(const gpusim::AppProfile& app,
+                                              const gpusim::GpuConfig& base) {
   using Key = std::pair<std::string, std::string>;
-  static SingleFlightCache<Key, std::shared_ptr<const gpusim::AppMissProfile>> cache;
-  const Key key{app.name, config::registry().snapshot("gpusim", base)};
-  return cache.get(key, [&] {
-    return std::make_shared<const gpusim::AppMissProfile>(
-        gpusim::record_app_profile(app, base));
-  });
+  thread_local std::optional<std::pair<Key, gpusim::AppMissProfile>> last;
+  Key key{app.name, config::registry().snapshot("gpusim", base)};
+  if (!last || last->first != key)
+    last.emplace(std::move(key), gpusim::record_app_profile(app, base));
+  return last->second;
 }
 
 std::vector<ResultRow> eval_gpu_point(const ScenarioSpec& spec) {
@@ -261,9 +182,9 @@ std::vector<ResultRow> eval_gpu_point(const ScenarioSpec& spec) {
   base.extra_hbm_ns = 0.0;
   base.hbm_bandwidth_derate = 1.0;
 
-  const auto profile = gpu_app_profile(app, base);
-  const double baseline_us = gpusim::replay_app(app, *profile, base).time_us;
-  const gpusim::AppResult result = gpusim::replay_app(app, *profile, gpu);
+  const gpusim::AppMissProfile& profile = gpu_app_profile(app, base);
+  const double baseline_us = gpusim::replay_app(app, profile, base).time_us;
+  const gpusim::AppResult result = gpusim::replay_app(app, profile, gpu);
 
   ResultRow row;
   row.cells = {app.name,
@@ -623,7 +544,8 @@ std::vector<Campaign> make_campaigns() {
       "Fig 6 (Section VI-B1)",
       kCpuColumns,
       cpu_axes({"inorder", "ooo"}, {35.0}),
-      eval_cpu_point});
+      eval_cpu_point,
+      {"cpusim.dram.extra_ns"}});
 
   all.push_back(Campaign{
       "fig8",
@@ -631,7 +553,8 @@ std::vector<Campaign> make_campaigns() {
       "Fig 8 (Section VI-B2)",
       kCpuColumns,
       cpu_axes({"inorder"}, {25.0, 30.0, 35.0}),
-      eval_cpu_point});
+      eval_cpu_point,
+      {"cpusim.dram.extra_ns"}});
 
   all.push_back(Campaign{
       "fig9",
@@ -639,7 +562,8 @@ std::vector<Campaign> make_campaigns() {
       "Fig 9 (Section VI-B3)",
       kGpuColumns,
       gpu_axes({25.0, 30.0, 35.0}, {1.0}),
-      eval_gpu_point});
+      eval_gpu_point,
+      {"gpusim.extra_hbm_ns", "gpusim.hbm_bandwidth_derate"}});
 
   all.push_back(Campaign{
       "table1",

@@ -31,10 +31,18 @@ struct Campaign {
   std::vector<std::string> columns;
   /// Declarative default sweep axes, in grid order.
   std::vector<Axis> axes;
-  /// Evaluate one scenario.  Must be pure: no shared mutable state, all
-  /// randomness seeded from the spec, so sweeps parallelize bit-identically.
+  /// Evaluate one scenario.  Must be pure: all randomness seeded from the
+  /// spec and no state shared between threads, so sweeps parallelize
+  /// bit-identically.  (The latency campaigns keep a per-thread memo of the
+  /// last profile they recorded; a miss records again, bit-identically.)
   /// May return several rows (table3 emits one row per chip type).
   std::function<std::vector<ResultRow>(const ScenarioSpec&)> evaluate;
+  /// Axes whose points one recording serves at the registry seeds
+  /// (fig6/fig8's cpusim.dram.extra_ns).  SweepRunner runs the specs that
+  /// differ only in these axes as one task, in grid order on one thread, so
+  /// that memo records each profile once.  Empty, or under a nonzero base
+  /// seed: every spec is its own task.
+  std::vector<std::string> replay_axes = {};
 
   /// The default grid built from `axes` (validating registry paths).
   [[nodiscard]] SweepGrid default_grid() const;

@@ -1,6 +1,8 @@
 #include "scenario/sweep_runner.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
@@ -108,12 +110,35 @@ SweepResult SweepRunner::run(const Campaign& campaign, const SweepGrid& grid) co
   result.columns = campaign.columns;
   result.manifest_json = manifest.to_json(config::registry());
 
+  // One task per recording: the specs that differ only in the campaign's
+  // replay axes, in grid order, so one thread records their profile once
+  // and no worker waits on another's.  A base seed re-seeds each spec from
+  // its whole id, replay axes included (ScenarioSpec::derived_seed), so
+  // then no two specs share a recording and each is its own task.
+  const auto replayed = [&](const std::string& axis) {
+    return opt_.base_seed == 0 && std::ranges::find(campaign.replay_axes, axis) !=
+                                      campaign.replay_axes.end();
+  };
+  std::vector<std::vector<std::size_t>> tasks;
+  std::map<std::vector<std::string>, std::size_t> task_of;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    std::vector<std::string> key;
+    for (const auto& [name, value] : specs[i].axes)
+      if (!replayed(name)) key.push_back(value);
+    const auto [it, added] = task_of.try_emplace(std::move(key), tasks.size());
+    if (added) tasks.emplace_back();
+    tasks[it->second].push_back(i);
+  }
+
   // Evaluate into per-spec slots so rows serialize in grid order no matter
-  // how the workers take the work.  parallel_for rethrows the first
+  // how the workers take the tasks.  parallel_for rethrows the first
   // scenario failure.
   std::vector<std::vector<ResultRow>> per_spec(specs.size());
   sim::parallel_for(
-      specs.size(), [&](std::size_t i) { per_spec[i] = campaign.evaluate(specs[i]); },
+      tasks.size(),
+      [&](std::size_t t) {
+        for (const std::size_t i : tasks[t]) per_spec[i] = campaign.evaluate(specs[i]);
+      },
       opt_.jobs ? opt_.jobs : std::thread::hardware_concurrency());
 
   for (auto& rows : per_spec) {

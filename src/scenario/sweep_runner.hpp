@@ -49,7 +49,8 @@ struct SweepResult {
   [[nodiscard]] double max(const std::string& name, const Filter& filter = {}) const;
 };
 
-/// Executes a campaign's specs on sim::parallel_for and returns every row
+/// Executes a campaign's specs on sim::parallel_for, one task per set of
+/// specs that differ only in Campaign::replay_axes, and returns every row
 /// in grid order.  Scenario evaluators seed from their spec, so the result
 /// is bit-identical for any jobs count.  A failed scenario's exception is
 /// rethrown here after every worker has stopped, and a row whose width does
@@ -62,8 +63,6 @@ class SweepRunner {
   SweepResult run(const Campaign& campaign, const SweepGrid& grid) const;
   /// Convenience: run the campaign's default grid.
   SweepResult run(const Campaign& campaign) const;
-
-  [[nodiscard]] const SweepOptions& options() const { return opt_; }
 
  private:
   SweepOptions opt_;

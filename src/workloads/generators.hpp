@@ -44,7 +44,7 @@ struct TraceConfig {
   std::uint64_t working_set = 64ULL << 20;
   double mem_fraction = 0.3;       // memory ops per instruction
   double store_fraction = 0.3;     // of memory ops
-  std::vector<PatternSpec> patterns{{}};
+  std::vector<PatternSpec> patterns = std::vector<PatternSpec>(1);
   std::uint64_t seed = 1;
 };
 

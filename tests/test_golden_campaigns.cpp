@@ -9,8 +9,7 @@
 //
 //   ./src/scenario/photorack_sweep --campaign <c> --quiet --out golden-out/
 //   grep -v '^#' golden-out/<c>.sweep.csv > ../tests/golden/<c>.csv
-//   grep -v '^{"manifest":' golden-out/cosim_tails.jsonl \
-//     > ../tests/golden/cosim_tails.jsonl
+//   grep -v '^{"manifest":' golden-out/cosim_tails.jsonl > ../tests/golden/cosim_tails.jsonl
 //
 // and list every moved column, old -> new, in CHANGES.md.
 #include <gtest/gtest.h>

@@ -5,9 +5,12 @@
 // simulation for fig6/fig8 and the pre-redesign code for the others.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "config/bindings.hpp"
@@ -266,6 +269,44 @@ TEST(SweepRunner, RowsArriveInGridOrderForAnyJobsCount) {
   }
 }
 
+TEST(SweepRunner, ReplayAxisPointsRunAsOneTaskInGridOrder) {
+  // a x r x b with r the replay axis: b varies fastest, so the points one
+  // recording serves (same a and b) are not adjacent in grid order.
+  Campaign c;
+  c.name = "tiny_replay";
+  c.description = "test";
+  c.paper_ref = "n/a";
+  c.columns = {"a", "r", "b"};
+  c.axes = {{"a", {"0", "1", "2", "3"}}, {"r", {"0", "1", "2"}}, {"b", {"0", "1"}}};
+  c.replay_axes = {"r"};
+  constexpr std::size_t kSpecs = 4 * 3 * 2;
+  std::vector<std::thread::id> thread_of(kSpecs);
+  std::vector<std::size_t> call_of(kSpecs);
+  std::atomic<std::size_t> calls{0};
+  c.evaluate = [&](const ScenarioSpec& spec) {
+    // Slow enough that four workers all take tasks.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    thread_of[spec.index] = std::this_thread::get_id();
+    call_of[spec.index] = calls++;
+    return std::vector<ResultRow>{ResultRow{{spec.at("a"), spec.at("r"), spec.at("b")}}};
+  };
+  const auto serial = SweepRunner(SweepOptions{.jobs = 1}).run(c);
+  const auto parallel = SweepRunner(SweepOptions{.jobs = 4}).run(c);
+  ASSERT_EQ(parallel.rows.size(), kSpecs);
+  for (std::size_t i = 0; i < kSpecs; ++i)
+    EXPECT_EQ(serial.rows[i].cells, parallel.rows[i].cells) << i;
+  for (std::size_t a = 0; a < 4; ++a) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      for (std::size_t r = 1; r < 3; ++r) {
+        const std::size_t prev = a * 6 + (r - 1) * 2 + b;
+        const std::size_t next = a * 6 + r * 2 + b;
+        EXPECT_EQ(thread_of[next], thread_of[prev]) << "a=" << a << " b=" << b;
+        EXPECT_LT(call_of[prev], call_of[next]) << "a=" << a << " b=" << b;
+      }
+    }
+  }
+}
+
 TEST(SweepRunner, EvaluatorFailurePropagatesFromParallelRun) {
   const Campaign c = tiny_campaign([](const ScenarioSpec& spec) -> std::vector<ResultRow> {
     if (spec.at("i") == "5") throw std::runtime_error("scenario 5 failed");
@@ -303,14 +344,19 @@ TEST(SweepDeterminism, CpuCampaignIsByteIdenticalAcrossJobs) {
 
 TEST(SweepDeterminism, GpuCampaignIsByteIdenticalAcrossJobs) {
   const Campaign& campaign = scenario::campaign_by_name("fig9");
-  SweepGrid grid = campaign.default_grid();
-  grid.set("app", {"backprop", "nw"});
-  grid.set("gpusim.extra_hbm_ns", {"35"});
-  const auto [csv1, jsonl1] = serialize(campaign, grid, 1);
-  const auto [csv4, jsonl4] = serialize(campaign, grid, 4);
-  EXPECT_FALSE(csv1.empty());
-  EXPECT_EQ(csv1, csv4);
-  EXPECT_EQ(jsonl1, jsonl4);
+  // The second grid derates HBM too: both replay axes vary inside a task.
+  for (const std::vector<std::string>& derates :
+       {std::vector<std::string>{"1"}, std::vector<std::string>{"1", "0.62"}}) {
+    SweepGrid grid = campaign.default_grid();
+    grid.set("app", {"backprop", "nw"});
+    grid.set("gpusim.extra_hbm_ns", {"35"});
+    grid.set("gpusim.hbm_bandwidth_derate", derates);
+    const auto [csv1, jsonl1] = serialize(campaign, grid, 1);
+    const auto [csv4, jsonl4] = serialize(campaign, grid, 4);
+    EXPECT_FALSE(csv1.empty());
+    EXPECT_EQ(csv1, csv4) << derates.size() << " derates";
+    EXPECT_EQ(jsonl1, jsonl4) << derates.size() << " derates";
+  }
 }
 
 TEST(SweepDeterminism, RackCampaignsAreByteIdenticalAcrossJobs) {
@@ -425,6 +471,10 @@ TEST(ReplayByteIdentity, Fig8CampaignCsvIsByteIdenticalToFromScratchSimulation) 
   grid.set("bench", {"PARSEC/streamcluster/large", "PARSEC/canneal/medium"});
   grid.set("cpusim.warmup", {"20000"});
   grid.set("cpusim.measured", {"50000"});
+  expect_campaign_bytes_match_from_scratch("fig8", grid);
+  // Two warmups vary faster than extra_ns, so one recording's three points
+  // are no longer adjacent in grid order.
+  grid.set("cpusim.warmup", {"20000", "30000"});
   expect_campaign_bytes_match_from_scratch("fig8", std::move(grid));
 }
 
