@@ -456,8 +456,9 @@ std::string metrics_csv(const obs::MetricsRegistry& metrics) {
 // gauge written by another path; these digests can.  Each case runs 40 ms
 // with trace and metrics on and reaches the paths it pins: fault victims
 // revoked, requeued and degraded, training steps, refused arrivals, and
-// spilled deliveries on a cluster's rack 0.  A deliberate change re-pins
-// the constants.
+// spilled deliveries on a cluster's rack 0.  The fault-free case pins the
+// metrics schema without the four fault columns.  A deliberate change
+// re-pins the constants.
 TEST(ObsContract, TraceAndMetricsBytesKeepTheirDigests) {
   using disagg::AllocationPolicy;
   using fault::ResiliencePolicy;
@@ -467,7 +468,7 @@ TEST(ObsContract, TraceAndMetricsBytesKeepTheirDigests) {
     cfg.arrivals_per_ms = 8.0;
     cfg.sim_time = 40 * sim::kPsPerMs;
     cfg.admission = admission;
-    cfg.fault.enabled = true;
+    cfg.fault.enabled = fabric_mtbf_ms > 0.0 || crash_mtbf_ms > 0.0;
     cfg.fault.policy = resilience;
     cfg.fault.link_mtbf_ms = fabric_mtbf_ms;
     cfg.fault.mcm_mtbf_ms = crash_mtbf_ms;
@@ -503,6 +504,10 @@ TEST(ObsContract, TraceAndMetricsBytesKeepTheirDigests) {
        config(queue, ResiliencePolicy::kDegrade, 20.0, 0.0, 0.0), 2,
        {"degrade", "remote_arrival", "spill"},
        0x99ede947d7233bceULL, 0x36bd414a1f60b914ULL},
+      {"disagg/queue/fault-free", AllocationPolicy::kDisaggregated,
+       config(queue, ResiliencePolicy::kRequeue, 0.0, 0.0, 0.0), 1,
+       {"enqueue", "placed"},
+       0x2e933b32153bf057ULL, 0x4e5ee9a67a05038cULL},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
