@@ -179,8 +179,8 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
       obs_(obs) {
   check_job_shapes(cfg_, rack_, allocator_.pools());
   tally_.ml_enabled = cfg_.ml.enabled;
-  // Register scopes/metrics and hook the energy trace before the first
-  // step_to below, so the t=0 power level lands on the counter track too.
+  // Register scopes and metrics columns before the first power step below,
+  // which already writes the t=0 level to the trace's power counter.
   setup_obs();
 
   // §VI-C overhead at co-sim scale: every wavelength the fabric lights burns
@@ -191,7 +191,7 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
   photonic.gbps_per_wavelength = cfg_.fabric.gbps_per_wavelength;
   photonic_w_ = phot::photonic_power_overhead(photonic, cfg_.baseline).total.value;
 
-  energy_.step_to(0.0, phot::Watts{compute_power_w() + photonic_w_});
+  step_energy();
   if (obs_.metrics) {
     take_sample();  // the t=0 row: idle pools, lasers-on floor power
     schedule_next_sample();
@@ -224,39 +224,21 @@ void RackCosim::setup_obs() {
     if (cfg_.fault.enabled) sc_fault_ = obs_.profiler->scope("fault.inject");
   }
   if (obs_.metrics) {
-    auto& m = *obs_.metrics;
-    m_.backlog_depth = m.gauge("backlog_depth");
-    m_.live_jobs = m.gauge("live_jobs");
-    m_.fabric_util = m.gauge("fabric_util");
-    m_.pair_util_max = m.gauge("pair_util_max");
-    m_.pair_util_mean = m.gauge("pair_util_mean");
-    m_.satisfied_frac = m.gauge("satisfied_frac");
-    m_.power_w = m.gauge("power_w");
-    m_.energy_j = m.gauge("energy_j");
-    m_.offered = m.gauge("offered");
-    m_.accepted = m.gauge("accepted");
-    m_.wait_ms = m.histogram("wait_ms");
-    if (cfg_.fault.enabled) {
-      m_.faults = m.gauge("faults");
-      m_.repairs = m.gauge("repairs");
-      m_.interrupted = m.gauge("interrupted");
-      m_.killed = m.gauge("killed");
-    }
-  }
-  // The energy observer feeds the power counter track at every integration
-  // step; the metrics gauge is set where it is sampled (take_sample).
-  if (obs_.trace) {
-    energy_.set_observer([this](double /*seconds*/, double watts) {
-      obs_.trace->counter(obs::Track::kPower, "rack_power_w", queue_.now(), watts);
-    });
+    // backlog_depth doubles as the censored-waiting count and live_jobs as
+    // the censored-running count (the quantities the report censors on).
+    // The fault columns exist only when faults are on, so a fault-free
+    // run's metrics schema does not carry them.
+    std::vector<std::string> columns = {
+        "backlog_depth", "live_jobs", "fabric_util", "pair_util_max", "pair_util_mean",
+        "satisfied_frac", "power_w", "energy_j", "offered", "accepted", "wait_ms_p50",
+        "wait_ms_p99"};
+    if (cfg_.fault.enabled)
+      columns.insert(columns.end(), {"faults", "repairs", "interrupted", "killed"});
+    obs_.metrics->set_columns(std::move(columns));
   }
 }
 
 void RackCosim::take_sample() {
-  auto& m = *obs_.metrics;
-  m.set(m_.backlog_depth, static_cast<double>(backlog_.size()));
-  m.set(m_.live_jobs, static_cast<double>(live_map_.size()));
-  m.set(m_.fabric_util, engine_.fabric_utilization());
   // Per-MCM-pair direct-wavelength utilization: the congestion picture the
   // aggregate number hides (one hot pair can block while the mean is low).
   double max_u = 0.0, sum_u = 0.0;
@@ -270,29 +252,38 @@ void RackCosim::take_sample() {
       sum_u += fabric_->allocated(s, d) / cap;
       ++pairs;
     }
-  m.set(m_.pair_util_max, max_u);
-  m.set(m_.pair_util_mean, pairs ? sum_u / pairs : 0.0);
-  m.set(m_.satisfied_frac, engine_.report().satisfied_fraction);
-  m.set(m_.power_w, compute_power_w() + photonic_w_);
-  m.set(m_.energy_j, energy_.joules());
-  m.set(m_.offered, static_cast<double>(tally_.jobs.offered()));
-  m.set(m_.accepted, static_cast<double>(tally_.jobs.accepted()));
-  if (cfg_.fault.enabled) {
-    m.set(m_.faults, static_cast<double>(tally_.fault.faults));
-    m.set(m_.repairs, static_cast<double>(tally_.fault.repairs));
-    m.set(m_.interrupted, static_cast<double>(tally_.fault.interrupted));
-    m.set(m_.killed, static_cast<double>(tally_.fault.killed));
-  }
-  m.sample(to_ms(queue_.now()));
+  // Wait quantiles of the jobs placed so far; the report's wait tails also
+  // fold in the backlog's censored waits (tally()).
+  const sim::QuantileSketch& wait = tally_.jobs.wait_sketch();
+  // In set_columns order (setup_obs).
+  std::vector<double> row = {static_cast<double>(backlog_.size()),
+                             static_cast<double>(live_map_.size()),
+                             engine_.fabric_utilization(),
+                             max_u,
+                             pairs ? sum_u / pairs : 0.0,
+                             engine_.report().satisfied_fraction,
+                             compute_power_w() + photonic_w_,
+                             energy_.joules(),
+                             static_cast<double>(tally_.jobs.offered()),
+                             static_cast<double>(tally_.jobs.accepted()),
+                             wait.quantile_or(0.5, 0.0),
+                             wait.quantile_or(0.99, 0.0)};
+  if (cfg_.fault.enabled)
+    row.insert(row.end(), {static_cast<double>(tally_.fault.faults),
+                           static_cast<double>(tally_.fault.repairs),
+                           static_cast<double>(tally_.fault.interrupted),
+                           static_cast<double>(tally_.fault.killed)});
+  obs_.metrics->sample(to_ms(queue_.now()), std::move(row));
 }
 
 void RackCosim::schedule_next_sample() {
   // Sampler events ride the sim queue but never touch sim state: they read,
   // emit a row, and reschedule.  Ticks stop at the arrival horizon so
   // finish() still drains.
-  if (obs_.metrics_interval <= 0) return;
-  if (obs_.metrics_interval >= cfg_.sim_time - queue_.now()) return;
-  queue_.schedule_after(obs_.metrics_interval, [this]() {
+  const sim::TimePs interval = obs_.metrics->interval();
+  if (interval <= 0) return;
+  if (interval >= cfg_.sim_time - queue_.now()) return;
+  queue_.schedule_after(interval, [this]() {
     take_sample();
     schedule_next_sample();
   });
@@ -412,8 +403,10 @@ double RackCosim::compute_power_w() const {
 }
 
 void RackCosim::step_energy() {
-  energy_.step_to(sim::to_s(queue_.now()),
-                  phot::Watts{compute_power_w() + photonic_w_});
+  const double watts = compute_power_w() + photonic_w_;
+  energy_.step_to(sim::to_s(queue_.now()), phot::Watts{watts});
+  if (obs_.trace)
+    obs_.trace->counter(obs::Track::kPower, "rack_power_w", queue_.now(), watts);
 }
 
 void RackCosim::schedule_next_arrival() {
@@ -461,7 +454,6 @@ bool RackCosim::try_start(JobPlan& offered, sim::TimePs arrived, int retries) {
         obs::ScopedTimer timer(obs_.profiler, sc_sketch_);
         tally_.jobs.record_wait(to_ms(wait));
       }
-      if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
     }
     if (obs_.trace)
       obs_.trace->instant(
@@ -509,7 +501,6 @@ bool RackCosim::try_start(JobPlan& offered, sim::TimePs arrived, int retries) {
                                   static_cast<double>(plan.base_hold));
       tally_.jobs.record_fct(to_ms(hold), plan.flows.size());
     }
-    if (obs_.metrics) obs_.metrics->observe(m_.wait_ms, to_ms(wait));
   }
   if (obs_.trace)
     obs_.trace->instant(obs::Track::kJobs, "placed", queue_.now(),

@@ -397,19 +397,6 @@ class RackCosim {
   obs::Obs obs_{};
   obs::Profiler::ScopeId sc_arrival_ = 0, sc_allocate_ = 0, sc_release_ = 0,
                          sc_sketch_ = 0, sc_fault_ = 0;
-  /// Registered metric ids, valid only while obs_.metrics is attached.
-  /// backlog_depth doubles as the censored-waiting count and live_jobs as
-  /// the censored-running count (same quantities the report censors on).
-  struct MetricIds {
-    obs::MetricsRegistry::Id backlog_depth = 0, live_jobs = 0, fabric_util = 0,
-                             pair_util_max = 0, pair_util_mean = 0,
-                             satisfied_frac = 0, power_w = 0, energy_j = 0,
-                             offered = 0, accepted = 0, wait_ms = 0;
-    // Registered (and sampled) only when cfg_.fault.enabled, so the metrics
-    // CSV schema is unchanged for fault-free runs.
-    obs::MetricsRegistry::Id faults = 0, repairs = 0, interrupted = 0, killed = 0;
-  };
-  MetricIds m_{};
 
   /// A job's first draw: whether it is a training job.  No draw at all
   /// when `ml.*` is off or its mix is 0 or 1.

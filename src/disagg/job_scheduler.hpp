@@ -89,6 +89,7 @@ class JobStreamStats {
   void record_fct(double ms, std::uint64_t flows) { fct_ms_.add(ms, flows); }
   [[nodiscard]] std::uint64_t offered() const { return offered_; }
   [[nodiscard]] std::uint64_t accepted() const { return accepted_; }
+  [[nodiscard]] const sim::QuantileSketch& wait_sketch() const { return wait_ms_; }
   [[nodiscard]] JobSimReport report() const;
   /// Fold another stream's telemetry into this one (counter sums, mean and
   /// sketch merges).  Sketch merges are exact and order-independent, so a

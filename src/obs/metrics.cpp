@@ -1,98 +1,37 @@
 #include "obs/metrics.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "sim/table.hpp"
 
 namespace photorack::obs {
 
-MetricsRegistry::Id MetricsRegistry::add(Kind kind, const std::string& name,
-                                         double relative_error) {
-  if (name.empty()) throw std::invalid_argument("MetricsRegistry: empty metric name");
-  for (const Metric& m : metrics_)
-    if (m.name == name)
-      throw std::invalid_argument("MetricsRegistry: duplicate metric '" + name + "'");
+void MetricsSeries::set_columns(std::vector<std::string> names) {
   if (!rows_.empty())
-    throw std::logic_error("MetricsRegistry: cannot register '" + name +
-                           "' after sampling started (columns would shift)");
-  metrics_.emplace_back(kind, name, relative_error);
-  return metrics_.size() - 1;
+    throw std::logic_error("MetricsSeries: columns are fixed once sampling started");
+  names_ = std::move(names);
 }
 
-MetricsRegistry::Id MetricsRegistry::counter(const std::string& name) {
-  return add(Kind::kCounter, name, 0.01);
-}
-
-MetricsRegistry::Id MetricsRegistry::gauge(const std::string& name) {
-  return add(Kind::kGauge, name, 0.01);
-}
-
-MetricsRegistry::Id MetricsRegistry::histogram(const std::string& name,
-                                               double relative_error) {
-  return add(Kind::kHistogram, name, relative_error);
-}
-
-void MetricsRegistry::inc(Id id, double delta) {
-  Metric& m = metrics_.at(id);
-  if (m.kind != Kind::kCounter)
-    throw std::logic_error("MetricsRegistry: inc() on non-counter '" + m.name + "'");
-  if (delta < 0.0)
-    throw std::invalid_argument("MetricsRegistry: counter '" + m.name +
-                                "' cannot decrease");
-  m.value += delta;
-}
-
-void MetricsRegistry::set(Id id, double value) {
-  Metric& m = metrics_.at(id);
-  if (m.kind != Kind::kGauge)
-    throw std::logic_error("MetricsRegistry: set() on non-gauge '" + m.name + "'");
-  m.value = value;
-}
-
-void MetricsRegistry::observe(Id id, double value) {
-  Metric& m = metrics_.at(id);
-  if (m.kind != Kind::kHistogram)
-    throw std::logic_error("MetricsRegistry: observe() on non-histogram '" + m.name + "'");
-  m.sketch.add(value);
-}
-
-double MetricsRegistry::value(Id id) const {
-  const Metric& m = metrics_.at(id);
-  return m.kind == Kind::kHistogram ? static_cast<double>(m.sketch.count()) : m.value;
-}
-
-void MetricsRegistry::sample(double t_ms) {
+void MetricsSeries::sample(double t_ms, std::vector<double> values) {
   if (!rows_.empty() && t_ms < rows_.back().t_ms)
-    throw std::invalid_argument("MetricsRegistry: sample time went backwards");
-  Row row;
-  row.t_ms = t_ms;
-  row.values.reserve(metrics_.size() * 2);
-  for (const Metric& m : metrics_) {
-    if (m.kind == Kind::kHistogram) {
-      row.values.push_back(m.sketch.quantile_or(0.5, 0.0));
-      row.values.push_back(m.sketch.quantile_or(0.99, 0.0));
-    } else {
-      row.values.push_back(m.value);
-    }
-  }
-  rows_.push_back(std::move(row));
+    throw std::invalid_argument("MetricsSeries: sample time went backwards");
+  if (values.size() != names_.size())
+    throw std::invalid_argument("MetricsSeries: row of " + std::to_string(values.size()) +
+                                " values for " + std::to_string(names_.size()) +
+                                " columns");
+  rows_.push_back({t_ms, std::move(values)});
 }
 
-std::vector<std::string> MetricsRegistry::columns() const {
+std::vector<std::string> MetricsSeries::columns() const {
   std::vector<std::string> cols;
+  cols.reserve(names_.size() + 1);
   cols.push_back("time_ms");
-  for (const Metric& m : metrics_) {
-    if (m.kind == Kind::kHistogram) {
-      cols.push_back(m.name + "_p50");
-      cols.push_back(m.name + "_p99");
-    } else {
-      cols.push_back(m.name);
-    }
-  }
+  cols.insert(cols.end(), names_.begin(), names_.end());
   return cols;
 }
 
-std::vector<std::vector<std::string>> MetricsRegistry::string_rows() const {
+std::vector<std::vector<std::string>> MetricsSeries::string_rows() const {
   std::vector<std::vector<std::string>> out;
   out.reserve(rows_.size());
   for (const Row& row : rows_) {

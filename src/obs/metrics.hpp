@@ -1,50 +1,36 @@
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "sim/stats.hpp"
+#include "sim/time.hpp"
 
 namespace photorack::obs {
 
-/// Named per-layer metrics plus a time-series sampler.
-///
-/// Layers register counters (monotone totals), gauges (last-set level) and
-/// histograms (sim::QuantileSketch-backed, surfaced as p50/p99 columns) ONCE
-/// at wiring time and then update them by integer id — updates are a vector
-/// store/add, cheap enough for event-loop hot paths.  A periodic driver
-/// (cosim::RackCosim schedules one on its own event queue) calls sample()
-/// to snapshot every metric into one time-series row.
+/// A fixed-column time series.  Its one writer (cosim::RackCosim, which
+/// schedules a sampler every interval() on its own event queue) names the
+/// value columns once and then appends one row of values per tick, in that
+/// column order.
 ///
 /// Rows serialize through the same column/row string shape the scenario
 /// CSV/JSONL writers take, so a metrics file carries the exact dialect of
 /// every other campaign artifact.
-class MetricsRegistry {
+class MetricsSeries {
  public:
-  using Id = std::size_t;
+  explicit MetricsSeries(sim::TimePs interval) : interval_(interval) {}
 
-  /// Register a metric; names must be unique across all three kinds
-  /// (duplicates throw std::invalid_argument).  Registration order is
-  /// column order.
-  Id counter(const std::string& name);
-  Id gauge(const std::string& name);
-  Id histogram(const std::string& name, double relative_error = 0.01);
+  /// Period at which the writer samples a row.
+  [[nodiscard]] sim::TimePs interval() const { return interval_; }
 
-  void inc(Id id, double delta = 1.0);
-  void set(Id id, double value);
-  void observe(Id id, double value);  // histogram only
+  /// Name the value columns; once the first row exists they are fixed
+  /// (std::logic_error).
+  void set_columns(std::vector<std::string> names);
 
-  /// Current level of a counter/gauge (histograms: sample count).
-  [[nodiscard]] double value(Id id) const;
+  /// Append the row at time `t_ms`, one value per column.  Throws
+  /// std::invalid_argument when time goes backwards or the width is wrong.
+  void sample(double t_ms, std::vector<double> values);
 
-  /// Snapshot every metric at time `t_ms` into one row.  Histograms emit
-  /// their p50/p99 at the sample point (0 when still empty).
-  void sample(double t_ms);
-
-  /// "time_ms" followed by one column per metric in registration order;
-  /// histograms contribute `<name>_p50` and `<name>_p99`.
+  /// "time_ms" followed by the value columns.
   [[nodiscard]] std::vector<std::string> columns() const;
 
   struct Row {
@@ -58,19 +44,8 @@ class MetricsRegistry {
   [[nodiscard]] std::vector<std::vector<std::string>> string_rows() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
-  struct Metric {
-    Kind kind;
-    std::string name;
-    double value = 0.0;             // counter/gauge level
-    sim::QuantileSketch sketch;     // histogram only
-    explicit Metric(Kind k, std::string n, double relative_error)
-        : kind(k), name(std::move(n)), sketch(relative_error) {}
-  };
-
-  Id add(Kind kind, const std::string& name, double relative_error);
-
-  std::vector<Metric> metrics_;
+  sim::TimePs interval_;
+  std::vector<std::string> names_;
   std::vector<Row> rows_;
 };
 

@@ -31,9 +31,8 @@ struct ObsConfig {
 /// the whole layer down to near-zero cost.
 struct Obs {
   TraceRecorder* trace = nullptr;
-  MetricsRegistry* metrics = nullptr;
+  MetricsSeries* metrics = nullptr;
   Profiler* profiler = nullptr;
-  sim::TimePs metrics_interval = 5 * sim::kPsPerMs;
 
   [[nodiscard]] bool any() const {
     return trace != nullptr || metrics != nullptr || profiler != nullptr;
@@ -48,23 +47,20 @@ class ObsBundle {
   explicit ObsBundle(const ObsConfig& cfg) {
     if (cfg.trace_enabled)
       trace_ = std::make_unique<TraceRecorder>(static_cast<std::size_t>(cfg.trace_ring));
-    if (cfg.metrics_enabled) metrics_ = std::make_unique<MetricsRegistry>();
+    if (cfg.metrics_enabled)
+      metrics_ = std::make_unique<MetricsSeries>(cfg.metrics_interval);
     if (cfg.profile_enabled) profiler_ = std::make_unique<Profiler>();
-    interval_ = cfg.metrics_interval;
   }
 
-  [[nodiscard]] Obs handles() {
-    return Obs{trace_.get(), metrics_.get(), profiler_.get(), interval_};
-  }
+  [[nodiscard]] Obs handles() { return Obs{trace_.get(), metrics_.get(), profiler_.get()}; }
   [[nodiscard]] TraceRecorder* trace() { return trace_.get(); }
-  [[nodiscard]] MetricsRegistry* metrics() { return metrics_.get(); }
+  [[nodiscard]] MetricsSeries* metrics() { return metrics_.get(); }
   [[nodiscard]] Profiler* profiler() { return profiler_.get(); }
 
  private:
   std::unique_ptr<TraceRecorder> trace_;
-  std::unique_ptr<MetricsRegistry> metrics_;
+  std::unique_ptr<MetricsSeries> metrics_;
   std::unique_ptr<Profiler> profiler_;
-  sim::TimePs interval_ = 5 * sim::kPsPerMs;
 };
 
 }  // namespace photorack::obs

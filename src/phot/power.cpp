@@ -18,7 +18,6 @@ void EnergyTrace::step_to(double seconds, Watts watts) {
   last_w_ = watts.value;
   peak_ = std::max(peak_, watts.value);
   ++steps_;
-  if (observer_) observer_(seconds, watts.value);
 }
 
 Watts EnergyTrace::mean_power() const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 #include "phot/units.hpp"
 
@@ -56,14 +55,6 @@ struct BaselineRackPower {
 /// energy trace (§VI-C extended from static overhead to a live job stream).
 class EnergyTrace {
  public:
-  /// Observation hook invoked after every accepted step_to(seconds, watts).
-  /// A plain callback (not an obs dependency) so the power layer stays at
-  /// the bottom of the stack; the rack co-simulation binds it to the
-  /// observability layer's power counter track and gauges.  Purely
-  /// read-only: the trace's own accounting never depends on it.
-  using StepObserver = std::function<void(double seconds, double watts)>;
-  void set_observer(StepObserver observer) { observer_ = std::move(observer); }
-
   /// Record that rack power changed to `watts` at `seconds` (monotone
   /// non-decreasing; going backwards throws std::invalid_argument).
   void step_to(double seconds, Watts watts);
@@ -85,7 +76,6 @@ class EnergyTrace {
   double joules_ = 0.0;
   double peak_ = 0.0;
   std::size_t steps_ = 0;
-  StepObserver observer_;
 };
 
 }  // namespace photorack::phot

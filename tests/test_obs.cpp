@@ -3,8 +3,8 @@
 //  - TraceRecorder emits valid Chrome-trace-event JSON keyed on sim time,
 //    with non-negative span durations, monotone instant timestamps, and a
 //    flight-recorder ring that evicts oldest-first.
-//  - MetricsRegistry enforces its registration/update discipline and
-//    snapshots rows in a stable column order.
+//  - MetricsSeries keeps its columns fixed once rows exist and refuses a
+//    row of the wrong width or out of time order.
 //  - Profiler rolls scopes up into the BENCH_results.json schema.
 //  - THE contract: attaching any of it to a co-simulation changes nothing —
 //    every report field and every campaign row stays byte-identical, for
@@ -226,56 +226,22 @@ TEST(TraceRecorder, UnwritablePathThrowsNamingThePath) {
 }
 
 // ---------------------------------------------------------------------------
-// MetricsRegistry
+// MetricsSeries
 // ---------------------------------------------------------------------------
 
-TEST(MetricsRegistry, ColumnsFollowRegistrationOrder) {
-  obs::MetricsRegistry m;
-  m.counter("offered");
-  m.gauge("backlog");
-  m.histogram("wait_ms");
-  const std::vector<std::string> want = {"time_ms", "offered", "backlog",
-                                         "wait_ms_p50", "wait_ms_p99"};
+TEST(MetricsSeries, RefusesRowsThatBreakItsShapeOrOrder) {
+  obs::MetricsSeries m(5 * sim::kPsPerMs);
+  m.set_columns({"offered", "backlog"});
+  const std::vector<std::string> want = {"time_ms", "offered", "backlog"};
   EXPECT_EQ(m.columns(), want);
-}
-
-TEST(MetricsRegistry, SampleSnapshotsEveryMetric) {
-  obs::MetricsRegistry m;
-  const auto c = m.counter("offered");
-  const auto g = m.gauge("backlog");
-  const auto h = m.histogram("wait_ms");
-  m.inc(c);
-  m.inc(c, 2.0);
-  m.set(g, 7.0);
-  for (double v : {1.0, 2.0, 3.0, 4.0}) m.observe(h, v);
-  m.sample(5.0);
-  m.set(g, 9.0);
-  m.sample(10.0);
-
+  m.sample(5.0, {3.0, 7.0});
+  EXPECT_THROW(m.sample(4.0, {3.0, 7.0}), std::invalid_argument);  // time went backwards
+  EXPECT_THROW(m.sample(10.0, {3.0}), std::invalid_argument);      // wrong width
+  EXPECT_THROW(m.set_columns({"late"}), std::logic_error);  // fixed after the first row
+  m.sample(10.0, {3.0, 9.0});
   ASSERT_EQ(m.rows().size(), 2u);
-  EXPECT_DOUBLE_EQ(m.rows()[0].t_ms, 5.0);
-  EXPECT_DOUBLE_EQ(m.rows()[0].values[0], 3.0);  // counter level
-  EXPECT_DOUBLE_EQ(m.rows()[0].values[1], 7.0);  // gauge
-  EXPECT_GT(m.rows()[0].values[2], 0.0);         // wait_ms_p50
-  EXPECT_DOUBLE_EQ(m.rows()[1].values[1], 9.0);
-
-  const auto rows = m.string_rows();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].size(), m.columns().size());
-}
-
-TEST(MetricsRegistry, EnforcesItsDiscipline) {
-  obs::MetricsRegistry m;
-  const auto c = m.counter("offered");
-  const auto g = m.gauge("backlog");
-  EXPECT_THROW(m.counter("offered"), std::invalid_argument);  // duplicate name
-  EXPECT_THROW(m.gauge(""), std::invalid_argument);
-  EXPECT_THROW(m.inc(c, -1.0), std::invalid_argument);  // counters are monotone
-  EXPECT_THROW(m.set(c, 1.0), std::logic_error);        // kind mismatch
-  EXPECT_THROW(m.observe(g, 1.0), std::logic_error);
-  m.sample(1.0);
-  EXPECT_THROW(m.sample(0.5), std::invalid_argument);  // time went backwards
-  EXPECT_THROW(m.gauge("late"), std::logic_error);     // register after sampling
+  const std::vector<std::string> last = {"10", "3", "9"};
+  EXPECT_EQ(m.string_rows().back(), last);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +403,7 @@ std::uint64_t fnv1a(const std::string& text) {
 }
 
 /// The metrics table as CSV text: the columns, then one line per row.
-std::string metrics_csv(const obs::MetricsRegistry& metrics) {
+std::string metrics_csv(const obs::MetricsSeries& metrics) {
   std::string out;
   const auto line = [&out](const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
