@@ -54,15 +54,6 @@ struct ValueCodec<int> {
 };
 
 template <>
-struct ValueCodec<std::int64_t> {
-  static constexpr const char* kTypeName = "int64";
-  static constexpr bool kNumeric = true;
-  static std::int64_t parse(const std::string& s) { return parse_int64(s); }
-  static std::string format(std::int64_t v) { return std::to_string(v); }
-  static double as_double(std::int64_t v) { return static_cast<double>(v); }
-};
-
-template <>
 struct ValueCodec<std::uint64_t> {
   static constexpr const char* kTypeName = "uint64";
   static constexpr bool kNumeric = true;
@@ -103,7 +94,6 @@ struct UnitCodec {
 inline constexpr char kGbpsName[] = "Gbps";
 inline constexpr char kGBpsName[] = "GBps";
 inline constexpr char kWattsName[] = "W";
-inline constexpr char kNsName[] = "ns";
 inline constexpr char kPjPerBitName[] = "pJ/bit";
 }  // namespace detail
 
@@ -113,9 +103,6 @@ template <>
 struct ValueCodec<phot::GBps> : detail::UnitCodec<phot::GBps, detail::kGBpsName> {};
 template <>
 struct ValueCodec<phot::Watts> : detail::UnitCodec<phot::Watts, detail::kWattsName> {};
-template <>
-struct ValueCodec<phot::Nanoseconds>
-    : detail::UnitCodec<phot::Nanoseconds, detail::kNsName> {};
 template <>
 struct ValueCodec<phot::PjPerBit>
     : detail::UnitCodec<phot::PjPerBit, detail::kPjPerBitName> {};

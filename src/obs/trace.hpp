@@ -67,7 +67,6 @@ class TraceRecorder {
   [[nodiscard]] std::size_t events() const { return events_.size(); }
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  [[nodiscard]] std::size_t ring_capacity() const { return ring_capacity_; }
 
   /// Serialize the trace; stream errors are left on `os` for the caller.
   void write_json(std::ostream& os) const;
