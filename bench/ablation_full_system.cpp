@@ -1,17 +1,15 @@
 // Ablation (§I/§II): why *intra-rack*?  Full-system disaggregation pays
 // hundreds of nanoseconds to microseconds of extra memory latency (the
 // related work quotes 142 ns CXL prototypes up to order-of-magnitude
-// network latencies).  Sweeping our CPU model across that range shows the
-// cliff the paper's 35 ns design point avoids.
+// network latencies).  Sweeping our CPU model across that range (the
+// "fig6" campaign on in-order cores) shows the cliff the paper's 35 ns
+// design point avoids.
 #include <iostream>
 
 #include "core/report.hpp"
-#include "cpusim/runner.hpp"
-#include "sim/stats.hpp"
+#include "scenario/campaigns.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "sim/table.hpp"
-#include "sim/thread_pool.hpp"
-#include "workloads/cpu_profiles.hpp"
-#include "workloads/generators.hpp"
 
 int main() {
   using namespace photorack;
@@ -20,7 +18,7 @@ int main() {
                      "Ablation: intra-rack (35 ns) vs full-system disaggregation",
                      "Sections I, II and VI-D");
 
-  const std::vector<double> extras = {25, 35, 85, 142, 250, 500, 1000};
+  const std::vector<std::string> extras = {"25", "35", "85", "142", "250", "500", "1000"};
   // A representative mix: one latency-sensitive, one streaming, one
   // cache-resident benchmark from each regime.
   const std::vector<std::string> picks = {
@@ -29,48 +27,32 @@ int main() {
       "NAS/ft/C",                   "PARSEC/freqmine/large",
   };
 
-  struct Row {
-    std::string name;
-    std::vector<double> slowdowns;
-  };
-  std::vector<Row> rows(picks.size());
-
-  sim::parallel_for(picks.size(), [&](std::size_t i) {
-    const workloads::CpuBenchmark* bench = nullptr;
-    for (const auto& b : workloads::cpu_benchmarks())
-      if (b.full_name() == picks[i]) bench = &b;
-    if (bench == nullptr) return;
-    rows[i].name = picks[i];
-    cpusim::SimConfig cfg;
-    cfg.warmup_instructions = 300'000;
-    cfg.measured_instructions = 1'000'000;
-    workloads::SyntheticTrace base_trace(bench->trace);
-    const auto base = cpusim::run_simulation(base_trace, cfg);
-    for (const double extra : extras) {
-      cfg.dram.extra_ns = extra;
-      workloads::SyntheticTrace t(bench->trace);
-      rows[i].slowdowns.push_back(cpusim::slowdown(base, cpusim::run_simulation(t, cfg)));
-    }
-  });
+  const auto& fig6 = scenario::campaign_by_name("fig6");
+  scenario::SweepGrid grid = fig6.default_grid();
+  grid.set("bench", picks)
+      .set("cpusim.core.kind", {"inorder"})
+      .set("cpusim.dram.extra_ns", extras)
+      .set("cpusim.warmup", {"300000"})
+      .set("cpusim.measured", {"1000000"});
+  const scenario::SweepResult res = scenario::SweepRunner().run(fig6, grid);
 
   std::vector<std::string> headers = {"Benchmark (in-order)"};
-  for (const double e : extras) headers.push_back("+" + sim::fmt_fixed(e, 0) + "ns");
+  for (const auto& e : extras) headers.push_back("+" + e + "ns");
   sim::Table table(headers);
   std::vector<double> mean_by_extra(extras.size(), 0.0);
-  int counted = 0;
-  for (const auto& row : rows) {
-    if (row.slowdowns.empty()) continue;
-    std::vector<std::string> cells = {row.name};
+  for (const auto& name : picks) {
+    std::vector<std::string> cells = {name};
     for (std::size_t e = 0; e < extras.size(); ++e) {
-      cells.push_back(sim::fmt_pct(row.slowdowns[e]));
-      mean_by_extra[e] += row.slowdowns[e];
+      const double slowdown =
+          res.num(res.find({{"bench", name}, {"extra_ns", extras[e]}}), "slowdown");
+      cells.push_back(sim::fmt_pct(slowdown));
+      mean_by_extra[e] += slowdown;
     }
-    ++counted;
     table.add_row(std::move(cells));
   }
   std::vector<std::string> mean_cells = {"MEAN"};
   for (auto& m : mean_by_extra) {
-    m /= counted;
+    m /= static_cast<double>(picks.size());
     mean_cells.push_back(sim::fmt_pct(m));
   }
   table.add_row(std::move(mean_cells));

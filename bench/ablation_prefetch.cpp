@@ -1,34 +1,13 @@
 // Ablation (§VII): "more latency-tolerant CPUs would make resource
 // disaggregation more attractive".  Enables the stride prefetcher and
-// re-measures the worst CPU benchmarks' +35 ns slowdown.
+// re-measures the worst CPU benchmarks' +35 ns slowdown: the "fig6"
+// campaign on the picks, run once without and once with prefetching.
 #include <iostream>
 
 #include "core/report.hpp"
-#include "cpusim/runner.hpp"
+#include "scenario/campaigns.hpp"
+#include "scenario/sweep_runner.hpp"
 #include "sim/table.hpp"
-#include "workloads/cpu_profiles.hpp"
-#include "workloads/generators.hpp"
-
-namespace {
-
-using namespace photorack;
-
-double slowdown_for(const workloads::CpuBenchmark& bench, cpusim::CoreKind kind,
-                    bool prefetch, double extra_ns) {
-  cpusim::SimConfig cfg;
-  cfg.core.kind = kind;
-  cfg.core.prefetch.enabled = prefetch;
-  cfg.warmup_instructions = 300'000;
-  cfg.measured_instructions = 1'000'000;
-  workloads::SyntheticTrace base_trace(bench.trace);
-  const auto base = cpusim::run_simulation(base_trace, cfg);
-  cfg.dram.extra_ns = extra_ns;
-  workloads::SyntheticTrace perturbed_trace(bench.trace);
-  const auto perturbed = cpusim::run_simulation(perturbed_trace, cfg);
-  return cpusim::slowdown(base, perturbed);
-}
-
-}  // namespace
 
 int main() {
   using namespace photorack;
@@ -40,27 +19,34 @@ int main() {
       "Rodinia/nw/default", "PARSEC/streamcluster/large", "Rodinia/kmeans/default",
       "PARSEC/canneal/large", "Rodinia/bfs/default"};
 
+  const auto& fig6 = scenario::campaign_by_name("fig6");
+  scenario::SweepGrid grid = fig6.default_grid();
+  grid.set("bench", picks)
+      .set("cpusim.warmup", {"300000"})
+      .set("cpusim.measured", {"1000000"});
+  // The rows carry no prefetch column, so each setting is its own sweep.
+  const auto with_prefetch = [&](const char* enabled) {
+    scenario::SweepGrid g = grid;
+    g.override_axis("cpusim.core.prefetch.enabled", {enabled});
+    return scenario::SweepRunner().run(fig6, g);
+  };
+  const scenario::SweepResult off = with_prefetch("false");
+  const scenario::SweepResult on = with_prefetch("true");
+  const auto slowdown = [](const scenario::SweepResult& res, const std::string& bench,
+                           const char* core) {
+    return res.num(res.find({{"bench", bench}, {"core", core}}), "slowdown");
+  };
+
   sim::Table table({"Benchmark", "io no-pf", "io with-pf", "ooo no-pf", "ooo with-pf"});
-  double nw_off = 0, nw_on = 0;
-  for (const auto& name : picks) {
-    const workloads::CpuBenchmark* bench = nullptr;
-    for (const auto& b : workloads::cpu_benchmarks())
-      if (b.full_name() == name) bench = &b;
-    if (bench == nullptr) continue;
-    const double io_off = slowdown_for(*bench, cpusim::CoreKind::kInOrder, false, 35.0);
-    const double io_on = slowdown_for(*bench, cpusim::CoreKind::kInOrder, true, 35.0);
-    const double ooo_off =
-        slowdown_for(*bench, cpusim::CoreKind::kOutOfOrder, false, 35.0);
-    const double ooo_on = slowdown_for(*bench, cpusim::CoreKind::kOutOfOrder, true, 35.0);
-    if (name == "Rodinia/nw/default") {
-      nw_off = io_off;
-      nw_on = io_on;
-    }
-    table.add_row({name, sim::fmt_pct(io_off), sim::fmt_pct(io_on), sim::fmt_pct(ooo_off),
-                   sim::fmt_pct(ooo_on)});
-  }
+  for (const auto& name : picks)
+    table.add_row({name, sim::fmt_pct(slowdown(off, name, "inorder")),
+                   sim::fmt_pct(slowdown(on, name, "inorder")),
+                   sim::fmt_pct(slowdown(off, name, "ooo")),
+                   sim::fmt_pct(slowdown(on, name, "ooo"))});
   table.print(std::cout);
 
+  const double nw_off = slowdown(off, "Rodinia/nw/default", "inorder");
+  const double nw_on = slowdown(on, "Rodinia/nw/default", "inorder");
   std::cout << "\npaper-vs-measured (qualitative, Section VII):\n";
   core::check_line(std::cout, "prefetching cuts NW's in-order slowdown (ratio)", 0.5,
                    nw_off > 0 ? nw_on / nw_off : 1.0, 0.9);
