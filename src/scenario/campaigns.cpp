@@ -113,8 +113,14 @@ std::vector<ResultRow> eval_cpu_point(const ScenarioSpec& spec) {
 
   workloads::TraceConfig trace_cfg = bench.trace;
   // base_seed == 0 keeps the registry seed (the paper's numbers); otherwise
-  // the scenario re-seeds itself.
-  if (spec.base_seed != 0) trace_cfg.seed = spec.derived_seed();
+  // the scenario re-seeds itself from its id without the latency axis, so
+  // every latency point of one benchmark runs the same trace.
+  if (spec.base_seed != 0) {
+    ScenarioSpec trace_spec = spec;
+    std::erase_if(trace_spec.axes,
+                  [](const auto& axis) { return axis.first == "cpusim.dram.extra_ns"; });
+    trace_cfg.seed = trace_spec.derived_seed();
+  }
 
   // One profile per (bench, config-at-extra=0): the recording is
   // latency-independent, so the baseline and the perturbed point are both

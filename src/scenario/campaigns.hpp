@@ -37,11 +37,11 @@ struct Campaign {
   /// last profile they recorded; a miss records again, bit-identically.)
   /// May return several rows (table3 emits one row per chip type).
   std::function<std::vector<ResultRow>(const ScenarioSpec&)> evaluate;
-  /// Axes whose points one recording serves at the registry seeds
-  /// (fig6/fig8's cpusim.dram.extra_ns).  SweepRunner runs the specs that
-  /// differ only in these axes as one task, in grid order on one thread, so
-  /// that memo records each profile once.  Empty, or under a nonzero base
-  /// seed: every spec is its own task.
+  /// Axes whose points one recording serves (fig6/fig8's
+  /// cpusim.dram.extra_ns), at any base seed.  SweepRunner runs the specs
+  /// that differ only in these axes as one task, in grid order on one
+  /// thread, so that memo records each profile once.  Empty: every spec is
+  /// its own task.
   std::vector<std::string> replay_axes = {};
 
   /// The default grid built from `axes` (validating registry paths).

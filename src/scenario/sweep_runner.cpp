@@ -112,12 +112,9 @@ SweepResult SweepRunner::run(const Campaign& campaign, const SweepGrid& grid) co
 
   // One task per recording: the specs that differ only in the campaign's
   // replay axes, in grid order, so one thread records their profile once
-  // and no worker waits on another's.  A base seed re-seeds each spec from
-  // its whole id, replay axes included (ScenarioSpec::derived_seed), so
-  // then no two specs share a recording and each is its own task.
+  // and no worker waits on another's.
   const auto replayed = [&](const std::string& axis) {
-    return opt_.base_seed == 0 && std::ranges::find(campaign.replay_axes, axis) !=
-                                      campaign.replay_axes.end();
+    return std::ranges::find(campaign.replay_axes, axis) != campaign.replay_axes.end();
   };
   std::vector<std::vector<std::size_t>> tasks;
   std::map<std::vector<std::string>, std::size_t> task_of;

@@ -385,6 +385,25 @@ TEST(SweepDeterminism, BaseSeedReseedsTheWorkload) {
   EXPECT_NE(csv_a, csv_c);  // a different base seed re-seeds the trace
 }
 
+TEST(SweepDeterminism, SeededLatencyPointsOfOneBenchmarkShareItsTrace) {
+  // A base seed re-seeds each benchmark's trace, but its 25/30/35 ns points
+  // must still compare latencies on one workload draw: one baseline each.
+  const Campaign& campaign = scenario::campaign_by_name("fig8");
+  SweepGrid grid = campaign.default_grid();
+  const std::vector<std::string> benches = {"PARSEC/streamcluster/large",
+                                            "PARSEC/canneal/medium", "Rodinia/nw/default"};
+  grid.set("bench", benches);
+  grid.set("cpusim.warmup", {"20000"});
+  grid.set("cpusim.measured", {"50000"});
+  const auto res = SweepRunner({.jobs = 2, .base_seed = 7}).run(campaign, grid);
+  for (const std::string& bench : benches) {
+    const auto baselines = res.values("baseline_ns", {{"bench", bench}});
+    ASSERT_EQ(baselines.size(), 3u) << bench;
+    EXPECT_EQ(baselines[0], baselines[1]) << bench;
+    EXPECT_EQ(baselines[0], baselines[2]) << bench;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Replay-rework byte identity: the fig6/fig8 campaigns now evaluate every
 // latency point by replaying one recorded miss profile per (bench, core).
@@ -409,7 +428,12 @@ std::vector<ResultRow> eval_cpu_point_from_scratch(const ScenarioSpec& spec) {
   cfg.warmup_instructions = spec.uint("cpusim.warmup");
   cfg.measured_instructions = spec.uint("cpusim.measured");
   workloads::TraceConfig trace_cfg = bench->trace;
-  if (spec.base_seed != 0) trace_cfg.seed = spec.derived_seed();
+  if (spec.base_seed != 0) {
+    ScenarioSpec trace_spec = spec;
+    std::erase_if(trace_spec.axes,
+                  [](const auto& axis) { return axis.first == "cpusim.dram.extra_ns"; });
+    trace_cfg.seed = trace_spec.derived_seed();
+  }
 
   cfg.dram.extra_ns = 0.0;
   workloads::SyntheticTrace baseline_trace(trace_cfg);
@@ -439,21 +463,23 @@ std::vector<ResultRow> eval_cpu_point_from_scratch(const ScenarioSpec& spec) {
 
 void expect_campaign_bytes_match_reference(
     const char* name, const SweepGrid& grid,
-    std::function<std::vector<ResultRow>(const ScenarioSpec&)> reference_eval) {
+    std::function<std::vector<ResultRow>(const ScenarioSpec&)> reference_eval,
+    std::uint64_t seed = 0) {
   const Campaign& campaign = scenario::campaign_by_name(name);
   Campaign reference = campaign;  // same columns, same grid; old evaluator
   reference.evaluate = std::move(reference_eval);
 
-  const auto [redesign_csv, redesign_jsonl] = serialize(campaign, grid, 2);
-  const auto [reference_csv, reference_jsonl] = serialize(reference, grid, 1);
+  const auto [redesign_csv, redesign_jsonl] = serialize(campaign, grid, 2, seed);
+  const auto [reference_csv, reference_jsonl] = serialize(reference, grid, 1, seed);
 
   EXPECT_FALSE(redesign_csv.empty()) << name;
   EXPECT_EQ(redesign_csv, reference_csv) << name;
   EXPECT_EQ(redesign_jsonl, reference_jsonl) << name;
 }
 
-void expect_campaign_bytes_match_from_scratch(const char* name, SweepGrid grid) {
-  expect_campaign_bytes_match_reference(name, grid, eval_cpu_point_from_scratch);
+void expect_campaign_bytes_match_from_scratch(const char* name, SweepGrid grid,
+                                              std::uint64_t seed = 0) {
+  expect_campaign_bytes_match_reference(name, grid, eval_cpu_point_from_scratch, seed);
 }
 
 TEST(ReplayByteIdentity, Fig6CampaignCsvIsByteIdenticalToFromScratchSimulation) {
@@ -472,6 +498,8 @@ TEST(ReplayByteIdentity, Fig8CampaignCsvIsByteIdenticalToFromScratchSimulation) 
   grid.set("cpusim.warmup", {"20000"});
   grid.set("cpusim.measured", {"50000"});
   expect_campaign_bytes_match_from_scratch("fig8", grid);
+  // A base seed re-seeds the traces; the replay still matches.
+  expect_campaign_bytes_match_from_scratch("fig8", grid, 7);
   // Two warmups vary faster than extra_ns, so one recording's three points
   // are no longer adjacent in grid order.
   grid.set("cpusim.warmup", {"20000", "30000"});
