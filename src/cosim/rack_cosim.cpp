@@ -179,8 +179,7 @@ RackCosim::RackCosim(const rack::RackConfig& rack, disagg::AllocationPolicy poli
       obs_(obs) {
   check_job_shapes(cfg_, rack_, allocator_.pools());
   tally_.ml_enabled = cfg_.ml.enabled;
-  // Register scopes and metrics columns before the first power step below,
-  // which already writes the t=0 level to the trace's power counter.
+  // Before the t=0 metrics sample below, which needs its columns.
   setup_obs();
 
   // §VI-C overhead at co-sim scale: every wavelength the fabric lights burns
