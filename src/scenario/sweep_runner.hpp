@@ -17,7 +17,8 @@ struct SweepOptions {
   std::size_t jobs = 0;
   /// 0 (the default) keeps each workload's registry seed, reproducing the
   /// paper's numbers; any other value re-seeds every scenario from
-  /// ScenarioSpec::derived_seed() for independent replications.
+  /// ScenarioSpec::derived_seed() for independent replications (a CPU
+  /// latency point from its spec without cpusim.dram.extra_ns).
   std::uint64_t base_seed = 0;
 };
 
