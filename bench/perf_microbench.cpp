@@ -3,18 +3,13 @@
 // full timing-simulation rate, miss-profile record/replay, and
 // indirect-routing decision rate.
 //
-// Besides the console table, results are written as machine-readable JSON
-// to the file BENCH_RESULTS_PATH names (an unwritable path exits 1; unset, no
-// file is written, so no run can overwrite the committed baseline):
-//   {"benchmarks":[{"name":"...","items_per_sec":...,"ns_per_op":...},...]}
+// Links benchmark_main, so the library's own flags apply; for JSON results
+// pass --benchmark_out=<file> --benchmark_out_format=json.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
+#include <array>
+#include <cstdint>
 #include <iterator>
-#include <string>
-#include <vector>
 
 #include "collectives/collective.hpp"
 #include "collectives/runner.hpp"
@@ -218,79 +213,4 @@ void BM_IndirectRouting(benchmark::State& state) {
 }
 BENCHMARK(BM_IndirectRouting);
 
-/// Whether a run failed/was skipped, across google-benchmark versions:
-/// <= 1.7 has `bool error_occurred`, >= 1.8 replaced it with `skipped`.
-/// Member detection keeps this building against either API.
-template <typename R>
-auto run_not_measured(const R& run, int) -> decltype(static_cast<bool>(run.error_occurred)) {
-  return static_cast<bool>(run.error_occurred);
-}
-template <typename R>
-auto run_not_measured(const R& run, long) -> decltype(static_cast<bool>(run.skipped)) {
-  return static_cast<bool>(run.skipped);
-}
-
-/// Console reporter that additionally collects per-benchmark name,
-/// items/sec and ns/op and writes the BENCH_results.json schema at
-/// Finalize() — a tee, so the familiar console table is unchanged.
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  /// An empty path writes no file.
-  explicit JsonTeeReporter(std::string path) : path_(std::move(path)) {}
-
-  [[nodiscard]] bool write_failed() const { return write_failed_; }
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run_not_measured(run, 0) || run.run_type != Run::RT_Iteration) continue;
-      Row row;
-      row.name = run.benchmark_name();
-      // time_unit is ns for every bench here; GetAdjustedRealTime is the
-      // per-iteration wall time in that unit.
-      row.ns_per_op = run.GetAdjustedRealTime();
-      const auto it = run.counters.find("items_per_second");
-      row.items_per_sec = it != run.counters.end() ? static_cast<double>(it->second) : 0.0;
-      rows_.push_back(std::move(row));
-    }
-  }
-
-  void Finalize() override {
-    benchmark::ConsoleReporter::Finalize();
-    if (path_.empty()) return;
-    std::ofstream os(path_);
-    os << "{\"benchmarks\":[";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (i) os << ",";
-      os << "{\"name\":\"" << rows_[i].name << "\",\"items_per_sec\":"
-         << rows_[i].items_per_sec << ",\"ns_per_op\":" << rows_[i].ns_per_op << "}";
-    }
-    os << "]}\n";
-    os.close();
-    write_failed_ = os.fail();
-    std::cerr << "perf_microbench: " << (write_failed_ ? "cannot write " : "wrote ") << path_
-              << "\n";
-  }
-
- private:
-  struct Row {
-    std::string name;
-    double items_per_sec = 0.0;
-    double ns_per_op = 0.0;
-  };
-  std::string path_;
-  std::vector<Row> rows_;
-  bool write_failed_ = false;
-};
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  const char* path = std::getenv("BENCH_RESULTS_PATH");
-  JsonTeeReporter reporter(path ? path : "");
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  return reporter.write_failed() ? 1 : 0;
-}

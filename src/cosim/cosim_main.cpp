@@ -80,8 +80,6 @@ void print_usage(std::ostream& os) {
         "                          (.jsonl for JSON lines, anything else CSV;\n"
         "                          period via --set obs.metrics.interval_ms=T)\n"
         "  --profile               print the wall-clock self-profile table\n"
-        "  --profile-json <file>   write the self-profile in the\n"
-        "                          BENCH_results.json schema\n"
         "  --quiet                 print only the one-line summary\n"
         "  --help                  this message\n"
         "\n"
@@ -135,7 +133,6 @@ struct CliOptions {
   std::string manifest_path;
   std::string trace_path;
   std::string metrics_path;
-  std::string profile_json_path;
   bool profile_table = false;
   bool quiet = false;
 };
@@ -182,8 +179,6 @@ CliOptions parse_cli(int argc, char** argv) {
       opt.metrics_path = value("--metrics");
     } else if (arg == "--profile") {
       opt.profile_table = true;
-    } else if (arg == "--profile-json") {
-      opt.profile_json_path = value("--profile-json");
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else {
@@ -215,14 +210,13 @@ int main(int argc, char** argv) {
       return ov.first.rfind("cluster.", 0) == 0;
     });
 
-    // Observability: --trace/--metrics/--profile* are sugar that force the
+    // Observability: --trace/--metrics/--profile are sugar that force the
     // matching obs.* enable; the shape knobs (ring size, sample period)
     // stay addressable through --set obs.*.
     obs::ObsConfig obs_cfg = opt.tree.build<obs::ObsConfig>("obs");
     if (!opt.trace_path.empty()) obs_cfg.trace_enabled = true;
     if (!opt.metrics_path.empty()) obs_cfg.metrics_enabled = true;
-    if (opt.profile_table || !opt.profile_json_path.empty())
-      obs_cfg.profile_enabled = true;
+    if (opt.profile_table) obs_cfg.profile_enabled = true;
     obs::ObsBundle obs_bundle(obs_cfg);
 
     // Cluster mode reuses the rack report printer on the aggregated total;
@@ -288,9 +282,6 @@ int main(int argc, char** argv) {
         throw std::runtime_error("error writing metrics file '" + opt.metrics_path +
                                  "'");
     }
-
-    if (!opt.profile_json_path.empty())
-      obs_bundle.profiler()->write_bench_json_file(opt.profile_json_path);
 
     if (!opt.quiet) {
       // One row per report field, labelled "name (unit)"; the fault and ML

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -13,10 +12,7 @@ namespace photorack::obs {
 /// Layers register named scopes once ("net.flow_open", "disagg.allocate",
 /// ...) and wrap each hot-path hit in an obs::ScopedTimer.  The profiler
 /// aggregates count and total nanoseconds per scope; entries() rolls that
-/// up into a per-run profile table, and write_bench_json() emits the
-/// BENCH_results.json schema ({"benchmarks":[{name, items_per_sec,
-/// ns_per_op}]}) so the CI perf ledger and its regression gate consume
-/// self-profiles and microbenchmarks identically.
+/// up into a per-run profile table (photorack_cosim --profile, perfbench).
 ///
 /// This is the ONE place the observability layer reads a wall clock; it
 /// never feeds back into simulation state, so profiling cannot perturb
@@ -46,13 +42,6 @@ class Profiler {
 
   /// Scopes in registration order, hit or not.
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-
-  /// BENCH_results.json schema; scopes with zero hits are skipped (a
-  /// never-hit scope has no ns/op to compare).
-  void write_bench_json(std::ostream& os) const;
-  /// write_bench_json() into `path`; throws std::runtime_error naming the
-  /// path when opening or writing fails.
-  void write_bench_json_file(const std::string& path) const;
 
  private:
   std::vector<Entry> entries_;
