@@ -1,15 +1,8 @@
 #include "cpusim/miss_profile.hpp"
 
-#include <cmath>
-
 namespace photorack::cpusim {
 
 namespace {
-
-/// True when `v` is an integer small enough that sums/products built from
-/// values like it stay exactly representable (no rounding anywhere, so the
-/// aggregated closed form equals any accumulation order bit-for-bit).
-bool exact_int(double v) { return std::floor(v) == v && std::fabs(v) < 9.0e15; }
 
 SimResult build_result(const MissProfile& p, double cycles, double stall_cycles) {
   // Mirrors the SimResult arithmetic at the end of run_simulation()'s
@@ -47,18 +40,9 @@ void MissProfileRecorder::finish(const SimConfig& cfg, const CoreStats& stats,
   profile_.dram_row_hit_rate = row_hit_rate;
   profile_.tail_base_cycles = segment_;
   segment_ = 0.0;
-
-  std::uint64_t row_hits = 0;
-  double base_total = profile_.tail_base_cycles;
-  for (const MissRecord& m : profile_.misses) {
-    row_hits += m.row_hit ? 1 : 0;
-    base_total += m.base_cycles;
-  }
-  profile_.row_hit_miss_count = row_hits;
-  profile_.base_cycles_total = base_total;
 }
 
-SimResult replay_profile(const MissProfile& p, double extra_ns, ReplayMode mode) {
+SimResult replay_profile(const MissProfile& p, double extra_ns) {
   const double freq = p.core.freq_ghz;
   // Same expression shape as DramModel::access (latency + extra) followed by
   // Core::dram_cycles (* freq): bit-identical to recomputing per access.
@@ -66,24 +50,6 @@ SimResult replay_profile(const MissProfile& p, double extra_ns, ReplayMode mode)
   const double dc_miss = (p.dram.row_miss_ns + extra_ns) * freq;
   const double inorder_hit_term = p.llc_latency_cycles + dc_hit;
   const double inorder_miss_term = p.llc_latency_cycles + dc_miss;
-
-  if (mode == ReplayMode::kAuto && p.core.kind == CoreKind::kInOrder) {
-    // O(1) fast path: every in-order cycle quantity — issue slots, integer
-    // hit penalties, and (for dyadic configs) the miss terms — is an exact
-    // integer, so no accumulation ever rounds and the closed form equals
-    // the per-event sum bit-for-bit.  Guarded: fall through to the generic
-    // walk when any term is non-integral (e.g. a fractional extra_ns).
-    const auto n_hit = static_cast<double>(p.row_hit_miss_count);
-    const auto n_miss = static_cast<double>(p.llc_misses - p.row_hit_miss_count);
-    if (exact_int(p.base_cycles_total) && exact_int(inorder_hit_term) &&
-        exact_int(inorder_miss_term) && exact_int(n_hit * inorder_hit_term) &&
-        exact_int(n_miss * inorder_miss_term)) {
-      const double cycles =
-          p.base_cycles_total + n_hit * inorder_hit_term + n_miss * inorder_miss_term;
-      const double stall = n_hit * dc_hit + n_miss * dc_miss;
-      return build_result(p, cycles, stall);
-    }
-  }
 
   double cycles = 0.0;
   double stall = 0.0;

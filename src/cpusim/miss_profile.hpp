@@ -77,10 +77,6 @@ struct MissProfile {
   /// there were no misses).
   double tail_base_cycles = 0.0;
 
-  // Aggregates for the O(1) in-order fast path.
-  std::uint64_t row_hit_miss_count = 0;
-  double base_cycles_total = 0.0;  // all segments + tail
-
   [[nodiscard]] std::size_t miss_count() const { return misses.size(); }
 };
 
@@ -109,12 +105,6 @@ class MissProfileRecorder {
   double segment_ = 0.0;
 };
 
-/// Controls the replay implementation (kAuto picks the O(1) aggregated
-/// fast path for in-order profiles whose arithmetic is provably exact;
-/// kGeneric always walks the per-miss records).  Both produce the same bits
-/// whenever the fast path engages — pinned by tests/test_miss_profile.cpp.
-enum class ReplayMode : std::uint8_t { kAuto, kGeneric };
-
 /// Phase 1: run one instrumented simulation (same prewarm/warmup/measure
 /// protocol as run_simulation) and capture its miss profile.  The returned
 /// profile replays exactly for any extra_ns; `replay_profile(p,
@@ -122,8 +112,7 @@ enum class ReplayMode : std::uint8_t { kAuto, kGeneric };
 [[nodiscard]] MissProfile record_miss_profile(TraceSource& trace, const SimConfig& cfg);
 
 /// Phase 2: rebuild the SimResult the recorded simulation would produce at
-/// `extra_ns`, in O(misses) (O(1) for exact in-order profiles).
-[[nodiscard]] SimResult replay_profile(const MissProfile& profile, double extra_ns,
-                                       ReplayMode mode = ReplayMode::kAuto);
+/// `extra_ns`, in O(misses).
+[[nodiscard]] SimResult replay_profile(const MissProfile& profile, double extra_ns);
 
 }  // namespace photorack::cpusim
