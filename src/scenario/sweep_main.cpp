@@ -47,7 +47,8 @@ void print_usage(std::ostream& os) {
         "  --jobs <N>             worker threads (default: hardware concurrency;\n"
         "                         results are identical for every value)\n"
         "  --seed <S>             base seed; 0 (default) keeps the workloads'\n"
-        "                         registry seeds and reproduces the paper\n"
+        "                         registry seeds and reproduces the paper; only\n"
+        "                         fig6, fig8 and the co-sim campaigns read it\n"
         "  --out <dir>            write <dir>/<campaign>.sweep.csv, .jsonl and\n"
         "                         the .manifest.json sidecar\n"
         "  --set <path>=<v1,v2>   override a grid axis or ANY registered\n"

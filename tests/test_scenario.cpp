@@ -385,6 +385,24 @@ TEST(SweepDeterminism, BaseSeedReseedsTheWorkload) {
   EXPECT_NE(csv_a, csv_c);  // a different base seed re-seeds the trace
 }
 
+TEST(SweepDeterminism, UnseededCampaignsIgnoreTheBaseSeed) {
+  // fig9's GPU model seeds each kernel's sampled L2 stream from the kernel
+  // name, and the rack tables draw no random numbers: their rows stay put
+  // under --seed (only the manifest records it).
+  for (const char* name : {"fig9", "table1", "table3", "sec6c"}) {
+    const Campaign& campaign = scenario::campaign_by_name(name);
+    const auto rows_at = [&](std::uint64_t seed) {
+      const auto res = SweepRunner({.jobs = 2, .base_seed = seed}).run(campaign);
+      std::ostringstream os;
+      scenario::write_csv(os, res.columns, res.rows);
+      return os.str();
+    };
+    const std::string unseeded = rows_at(0);
+    EXPECT_FALSE(unseeded.empty()) << name;
+    EXPECT_EQ(unseeded, rows_at(7)) << name;
+  }
+}
+
 TEST(SweepDeterminism, SeededLatencyPointsOfOneBenchmarkShareItsTrace) {
   // A base seed re-seeds each benchmark's trace, but its 25/30/35 ns points
   // must still compare latencies on one workload draw: one baseline each.
