@@ -70,8 +70,27 @@ bool EventQueue::cancel(std::uint64_t event_id) {
   if (is_pending(event_id)) {
     clear_pending(event_id);
     ++cancelled_;
+    // A plain event's node stays in the heap until it surfaces or a purge
+    // drops it; a run entry has a node only while it is the run's head.
+    if (!in_run(event_id) && ++stale_ * 2 > heap_.size()) purge();
   }
   return true;
+}
+
+bool EventQueue::in_run(std::uint64_t id) const {
+  return std::any_of(runs_.begin(), runs_.end(), [id](const std::unique_ptr<Run>& run) {
+    return run && id >= run->first && id - run->first < run->times.size();
+  });
+}
+
+void EventQueue::purge() {
+  std::erase_if(heap_, [this](const Node& node) {
+    if ((node.slot & kRunBit) || is_pending(node.seq)) return false;
+    retire(node);
+    return true;
+  });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  stale_ = 0;
 }
 
 EventQueue::Node EventQueue::pop_top() {
@@ -103,7 +122,9 @@ void EventQueue::retire(const Node& node) {
 bool EventQueue::settle() {
   while (!heap_.empty()) {
     if (is_pending(heap_.front().seq)) return true;
-    retire(pop_top());  // cancelled: discard
+    const Node node = pop_top();  // cancelled: discard
+    if (!(node.slot & kRunBit)) --stale_;
+    retire(node);
   }
   return false;
 }

@@ -34,6 +34,14 @@ struct EventQueueStats {
 /// indexed by id.  A sorted run (schedule_sorted) keeps only its next entry
 /// in the heap, so arming a long precomputed timeline costs one heap node
 /// instead of one per entry.
+///
+/// Cancelled plain nodes are counted.  Once they are more than half of the
+/// heap, cancel() drops them all in one pass and rebuilds the heap, so a
+/// workload that revokes most of what it schedules keeps a heap about as
+/// deep as its live events.  Keys are unique, so any heap over the same
+/// nodes pops in the same order: pop order never depends on when a purge
+/// ran.  Run nodes are never purged; a cancelled run entry is skipped when
+/// it surfaces.
 class EventQueue {
  public:
   using Handler = std::function<void()>;
@@ -60,12 +68,15 @@ class EventQueue {
   /// handlers schedule more events.
   std::uint64_t schedule_sorted(std::vector<TimePs> times, RunHandler fn);
 
-  /// Lazily cancel a pending event.  Cancelled events are skipped when they
-  /// reach the head of the queue.  Returns false if the id was never
-  /// scheduled; cancelling an already-fired (or already-cancelled) event
-  /// returns true and is a true no-op — pending() and empty() are
-  /// unaffected.  Safe to call from inside a running handler, including for
-  /// events scheduled at the current timestamp.
+  /// Cancel a pending event.  A cancelled event never runs: its node is
+  /// skipped when it reaches the head of the queue, or dropped earlier by a
+  /// purge.  Its handler is destroyed then, so it may be destroyed during a
+  /// later cancel() of some other event, not only when its node would have
+  /// surfaced.  Returns false if the id was never scheduled; cancelling an
+  /// already-fired (or already-cancelled) event returns true and is a true
+  /// no-op — pending() and empty() are unaffected.  Safe to call from inside
+  /// a running handler, including for events scheduled at the current
+  /// timestamp.
   bool cancel(std::uint64_t event_id);
 
   /// Run a single event.  Returns false when the queue is empty.
@@ -128,6 +139,10 @@ class EventQueue {
   void retire(const Node& node);
   /// Drops cancelled nodes off the heap top.  False once the heap is empty.
   bool settle();
+  /// True when `id` is an entry of a live sorted run.
+  [[nodiscard]] bool in_run(std::uint64_t id) const;
+  /// Drops every cancelled plain node, retiring its slot, and re-heapifies.
+  void purge();
 
   std::vector<Node> heap_;
   std::vector<Handler> slots_;
@@ -139,6 +154,7 @@ class EventQueue {
   // fired event is a no-op.
   std::vector<std::uint64_t> pending_bits_;
   std::uint64_t pending_ = 0;
+  std::size_t stale_ = 0;  // cancelled plain nodes still in heap_
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -470,6 +470,40 @@ class RandomOps {
     }
   }
 
+  /// One top-level operation of a revoking mix: most plain events are
+  /// scheduled far ahead and most of those are cancelled before they come
+  /// due, as a fault storm revokes jobs whose completions lie ahead, so
+  /// cancelled nodes pile up in a deep heap.
+  void revoking_op() {
+    switch (rnd(10)) {
+      case 0:
+      case 1:
+      case 2:
+        schedule_far();
+        break;
+      case 3:
+        if (rnd(3) == 0)
+          schedule_run();
+        else
+          schedule_one();
+        break;
+      case 4:
+      case 5:
+      case 6:
+        cancel_far();
+        break;
+      case 7:
+        log.push_back(q.step() ? 1 : 0);
+        break;
+      case 8:
+        log.push_back(static_cast<std::int64_t>(q.run(q.now() + static_cast<TimePs>(rnd(40)))));
+        break;
+      default:
+        log.push_back(q.next_time());
+        break;
+    }
+  }
+
  private:
   std::uint64_t rnd(std::uint64_t n) {
     state_ = state_ * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -490,7 +524,10 @@ class RandomOps {
         schedule_one();
         break;
       case 1:
-        cancel_one();
+        if (far_.empty())
+          cancel_one();
+        else
+          cancel_far();
         break;
       case 2:
         if (rnd(4) == 0) schedule_run();
@@ -524,6 +561,31 @@ class RandomOps {
     log.push_back(static_cast<std::int64_t>(first));
   }
 
+  /// A plain event 1,000-2,000 ps ahead: far beyond the near events'
+  /// offsets, so it is usually cancelled long before it fires.
+  void schedule_far() {
+    const auto tag = static_cast<std::int64_t>(ids.size());
+    const TimePs at = q.now() + 1000 + static_cast<TimePs>(rnd(1000));
+    const std::uint64_t id = q.schedule_at(at, [this, tag] { fired(tag); });
+    ids.push_back(id);
+    far_.push_back(id);
+    log.push_back(static_cast<std::int64_t>(id));
+  }
+
+  /// Cancels a far event not cancelled before (it may have fired), or now
+  /// and then any issued id.
+  void cancel_far() {
+    if (far_.empty() || rnd(8) == 0) {
+      cancel_one();
+      return;
+    }
+    const std::size_t i = rnd(far_.size());
+    const std::uint64_t id = far_[i];
+    far_[i] = far_.back();
+    far_.pop_back();
+    log.push_back(q.cancel(id) ? 1 : 0);
+  }
+
   void cancel_one() {
     // Mostly issued ids (pending, fired, cancelled, run entries); sometimes
     // an id no event has had yet.
@@ -534,6 +596,7 @@ class RandomOps {
   }
 
   std::uint64_t state_;
+  std::vector<std::uint64_t> far_;  // far events not yet picked by cancel_far
 };
 
 template <typename A, typename B>
@@ -561,6 +624,29 @@ TEST(EventQueueDifferential, RandomOperationsMatchTheReferenceQueue) {
       if (HasFatalFailure()) return;
     }
     // Drain: the tails must agree too.
+    fast.log.push_back(static_cast<std::int64_t>(fast.q.run()));
+    ref.log.push_back(static_cast<std::int64_t>(ref.q.run()));
+    expect_same_state(fast, ref, "seed " + std::to_string(seed) + " drain");
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(fast.q.empty());
+  }
+}
+
+// Cancelled nodes outnumber live ones here most of the time, so the queue
+// purges them again and again, from top-level cancels and from handlers,
+// while sorted runs stay in the heap.  A purge that dropped a live node
+// would lose its event and desynchronise the logs.
+TEST(EventQueueDifferential, RevokingMostOfADeepHeapMatchesTheReferenceQueue) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    RandomOps<EventQueue> fast(seed);
+    RandomOps<ReferenceQueue> ref(seed);
+    for (int op = 0; op < 1500; ++op) {
+      fast.revoking_op();
+      ref.revoking_op();
+      expect_same_state(fast, ref,
+                        "seed " + std::to_string(seed) + " op " + std::to_string(op));
+      if (HasFatalFailure()) return;
+    }
     fast.log.push_back(static_cast<std::int64_t>(fast.q.run()));
     ref.log.push_back(static_cast<std::int64_t>(ref.q.run()));
     expect_same_state(fast, ref, "seed " + std::to_string(seed) + " drain");
