@@ -644,11 +644,12 @@ void RackCosim::drain_backlog() {
 }
 
 // The timeline alternates fail/repair strictly per component, so every fail
-// here is matched by exactly one later pop of the same value — the factor
-// stack never holds two entries from the same component instance, and when a
-// pair's last fault repairs, the empty product restores exactly 1.0.  Pops
-// walk the pairs in push order: the fabric's running used total is a
-// floating-point sum, so the order is part of the output.
+// here is matched by exactly one later repair: an MCM flag is never set
+// twice, a pair's factor stack never holds two entries from the same
+// component instance, and when a pair's last fault repairs, the empty
+// product restores exactly 1.0.  The fabric's scales and capacity depend
+// only on which faults are live, so the order of the pairs is not part of
+// the output.
 void RackCosim::scale_fabric(const fault::FaultEvent& ev, bool fail) {
   auto scale = [&](int src, int dst, double factor) {
     if (fail)
@@ -659,11 +660,7 @@ void RackCosim::scale_fabric(const fault::FaultEvent& ev, bool fail) {
   switch (ev.cls) {
     case fault::ComponentClass::kMcm:
       // A crashed MCM severs every pair touching it, both directions.
-      for (int d = 0; d < cfg_.fabric.mcms; ++d) {
-        if (d == ev.a) continue;
-        scale(ev.a, d, 0.0);
-        scale(d, ev.a, 0.0);
-      }
+      fabric_->set_mcm_down(ev.a, fail);
       break;
     case fault::ComponentClass::kLink:
       scale(ev.a, ev.b, 0.0);

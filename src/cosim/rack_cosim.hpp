@@ -456,11 +456,12 @@ class RackCosim {
   void schedule_retry(JobPlan plan, sim::TimePs arrived, int retries);
   void bind_nodes(std::uint64_t job_id);
   void unbind_nodes(std::uint64_t job_id, const LiveJob& job);
-  // Fault capacity effects ride the fabric's composable factor stack
-  // (push_pair_factor / pop_pair_factor), so overlapping faults on the same
-  // pair — an MCM crash atop a degraded laser — compose multiplicatively
-  // and each repair removes exactly its own contribution.  `fail` pushes,
-  // repair pops the same factors in the same pair order.
+  // Fault capacity effects ride the fabric's fault hooks: an MCM crash sets
+  // the MCM's crash-stop flag (set_mcm_down), a link cut or a degraded laser
+  // pushes a factor on each pair it touches (push_pair_factor).  Overlapping
+  // faults on the same pair — an MCM crash atop a degraded laser — compose,
+  // and each repair removes exactly its own contribution: `fail` sets or
+  // pushes, repair clears or pops the same factors.
   void scale_fabric(const fault::FaultEvent& ev, bool fail);
   void close_remote(const JobPlan& plan, bool placed);
 };

@@ -53,6 +53,7 @@ WavelengthFabric::WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan)
   // conditional subtract gives the wavelength index.  An idle healthy pair
   // frees one full wavelength per covering AWGR, summed in AWGR order as
   // refresh_free() would.
+  std::size_t cells = 0;
   for (int s = 0; s < mcms_; ++s) {
     for (int d = 0; d < mcms_; ++d) {
       if (s == d) continue;
@@ -63,9 +64,12 @@ WavelengthFabric::WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan)
         if (lambda >= lambdas_[a]) continue;
         covered_[a * pairs_ + pair] = 1;
         free_[pair] += gbps_per_lambda_;
+        ++cells;
       }
     }
   }
+  covered_cells_ = cells;
+  capacity_ = static_cast<double>(cells) * gbps_per_lambda_;
   // The bitsets follow from the coverage rule rather than pair by pair.  An
   // idle pair's free capacity depends only on its wavelength index and does
   // not grow with it (fewer ports drive a higher index), so the free pairs
@@ -191,27 +195,11 @@ void WavelengthFabric::release_direct(int src, int dst, double gbps) {
 
 std::vector<double> WavelengthFabric::allocation_snapshot() const { return alloc_; }
 
-double WavelengthFabric::utilization() const {
-  if (capacity_dirty_) {
-    double cap = 0.0;
-    for (std::size_t a = 0; a < alloc_.size(); a += pairs_) {
-      for (std::size_t p = 0; p < pairs_; ++p) {
-        if (!covered_[a + p]) continue;
-        const double scale = scale_.empty() ? 1.0 : scale_[p];
-        cap += scale == 1.0 ? gbps_per_lambda_ : gbps_per_lambda_ * scale;
-      }
-    }
-    capacity_ = cap;
-    capacity_dirty_ = false;
-  }
-  return capacity_ > 0.0 ? used_ / capacity_ : 0.0;
-}
-
 void WavelengthFabric::check_pair(int src, int dst, double value,
                                   const char* who) const {
   if (src == dst || src < 0 || dst < 0 || src >= mcms_ || dst >= mcms_)
     throw std::invalid_argument(std::string(who) + ": bad pair");
-  if (value < 0.0 || value > 1.0)
+  if (!(value >= 0.0 && value <= 1.0))  // NaN fails both
     throw std::invalid_argument(std::string(who) + ": value must be in [0,1]");
 }
 
@@ -220,21 +208,62 @@ void WavelengthFabric::recompute_scale(int src, int dst) {
   // the factors smallest first: the effective scale depends only on the SET
   // of live factors, never on push order, so two fault histories that leave
   // the same faults active read identical capacity bits.  No factors
-  // multiplies nothing into 1.0 — the exact healthy scale.
+  // multiplies nothing into 1.0 — the exact healthy scale.  A crashed
+  // endpoint zeroes the pair, as a 0.0 factor would.
   const std::size_t pair = idx(src, dst);
-  double scale = 1.0;
-  for (const double f : factors_[pair]) scale *= f;
+  double scale = 0.0;
+  if (!mcm_down(src) && !mcm_down(dst)) {
+    scale = 1.0;
+    if (!factors_.empty())
+      for (const double f : factors_[pair]) scale *= f;
+  }
+  const double before = scale_[pair];
+  if (scale == before) return;  // free entry and bits already match
   scale_[pair] = scale;
   refresh_free(src, dst);
-  capacity_dirty_ = true;
+  move_cells(before, scale, static_cast<std::size_t>(direct_lambdas(src, dst)));
+}
+
+void WavelengthFabric::move_cells(double from, double to, std::size_t cells) {
+  if (cells == 0) return;
+  if (classes_.empty()) classes_.push_back({1.0, covered_cells_});
+  const auto find = [this](double scale) {
+    return std::lower_bound(
+        classes_.begin(), classes_.end(), scale,
+        [](const ScaleClass& c, double s) { return c.scale < s; });
+  };
+  const auto old = find(from);
+  if ((old->cells -= cells) == 0) classes_.erase(old);
+  const auto it = find(to);
+  if (it != classes_.end() && it->scale == to)
+    it->cells += cells;
+  else
+    classes_.insert(it, {to, cells});
+  double cap = 0.0;
+  for (const ScaleClass& c : classes_)
+    cap += static_cast<double>(c.cells) * (gbps_per_lambda_ * c.scale);
+  capacity_ = cap;
+}
+
+void WavelengthFabric::set_mcm_down(int mcm, bool down) {
+  if (mcm < 0 || mcm >= mcms_) throw std::invalid_argument("set_mcm_down: bad MCM");
+  if (mcm_down(mcm) == down)
+    throw std::logic_error(down ? "set_mcm_down: MCM is already down"
+                                : "set_mcm_down: MCM is already up");
+  if (scale_.empty()) scale_.assign(pairs_, 1.0);
+  if (mcm_down_.empty()) mcm_down_.assign(static_cast<std::size_t>(mcms_), 0);
+  mcm_down_[static_cast<std::size_t>(mcm)] = down;
+  for (int other = 0; other < mcms_; ++other) {
+    if (other == mcm) continue;
+    recompute_scale(mcm, other);
+    recompute_scale(other, mcm);
+  }
 }
 
 void WavelengthFabric::push_pair_factor(int src, int dst, double factor) {
   check_pair(src, dst, factor, "push_pair_factor");
-  if (scale_.empty())
-    scale_.assign(static_cast<std::size_t>(mcms_) * mcms_, 1.0);
-  if (factors_.empty())
-    factors_.assign(static_cast<std::size_t>(mcms_) * mcms_, {});
+  if (scale_.empty()) scale_.assign(pairs_, 1.0);
+  if (factors_.empty()) factors_.assign(pairs_, {});
   auto& live = factors_[idx(src, dst)];
   live.insert(std::upper_bound(live.begin(), live.end(), factor), factor);
   recompute_scale(src, dst);

@@ -50,7 +50,9 @@ struct FabricSliceConfig {
 /// src->mid is free, column `dst` has bit `mid` set when mid->dst is free
 /// (both "free > kGbpsEpsilon").  The router ANDs a row with a column to
 /// find intermediates, and a piggyback refresh copies the columns.
-/// utilization() divides a running used total by a cached capacity total.
+/// utilization() divides a running used total by a capacity total that is
+/// summed over the pairs' scale classes (see push_pair_factor), so a fault
+/// costs only the pairs it touches.
 class WavelengthFabric {
  public:
   WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan);
@@ -102,10 +104,11 @@ class WavelengthFabric {
 
   /// Aggregate utilization over all covered pairs.  Normally in [0,1];
   /// under fault degradation existing reservations may transiently exceed
-  /// the scaled capacity.  O(1): a running used total over a capacity total
-  /// that is summed again only after a pair factor changed.  Refreshing
-  /// that cache writes the fabric, so concurrent callers need a lock.
-  [[nodiscard]] double utilization() const;
+  /// the scaled capacity.  O(1): a running used total over the capacity
+  /// total, which every scale change keeps current.
+  [[nodiscard]] double utilization() const {
+    return capacity_ > 0.0 ? used_ / capacity_ : 0.0;
+  }
 
   // --- fault hooks (src/fault): per-pair capacity scaling ---
   //
@@ -114,9 +117,9 @@ class WavelengthFabric {
   // free_direct/allocate_direct see `capacity * scale` (clamped at the
   // already-allocated amount), release_direct still returns exactly what
   // was reserved.  The scale table is allocated lazily on the first
-  // push_pair_factor call, and every scaled expression collapses to the
-  // historical arithmetic when scale == 1 — a fault-free fabric stays
-  // byte-identical to one built before this hook existed.
+  // push_pair_factor or set_mcm_down call, and every scaled expression
+  // collapses to the historical arithmetic when scale == 1 — a fault-free
+  // fabric stays byte-identical to one built before this hook existed.
 
   // Faults COMPOSE: several independent faults (an MCM crash, a link cut, a
   // degraded comb laser) can degrade the same directed pair at once, and
@@ -127,7 +130,19 @@ class WavelengthFabric {
   // scale is the product of the pair's live factors, kept in ascending order
   // and multiplied smallest first, so it is independent of the push
   // sequence, and an empty factor list restores exactly 1.0 (bit-exact
-  // healthy arithmetic).
+  // healthy arithmetic).  A crashed MCM is one flag instead of a factor on
+  // each of its 2(N-1) pairs: while it is set, every pair that starts or
+  // ends at the MCM has scale 0, whatever factors it carries.
+  //
+  // Capacity follows the same rule.  The fabric counts the covered cells
+  // at each distinct live scale, and the capacity total is the sum over
+  // those classes, ascending by scale, of cells * (gbps_per_wavelength *
+  // scale).  It depends only on the current scales, never on the order in
+  // which faults arrived, and equals a cell-by-cell sum bit for bit
+  // whenever the terms are exact (e.g. 25 Gb/s wavelengths and factors
+  // 0 and 0.5).  With an inexact rate such as 26.7 Gb/s the cell-by-cell
+  // sum collects rounding error that one product per class does not, so
+  // the two differ in the last bits even on a fault-free fabric.
 
   /// Contribute one fault's capacity factor to the directed pair; throws
   /// std::invalid_argument outside [0,1] or for a bad pair.
@@ -135,6 +150,10 @@ class WavelengthFabric {
   /// Remove one previously pushed factor (matched by value); throws
   /// std::logic_error when no such factor is live on the pair.
   void pop_pair_factor(int src, int dst, double factor);
+  /// Crash-stop (`down` = true) or repair MCM `mcm`.  Throws
+  /// std::invalid_argument for a bad MCM and std::logic_error, before any
+  /// state changes, when the MCM is already in that state.
+  void set_mcm_down(int mcm, bool down);
 
   [[nodiscard]] double pair_scale(int src, int dst) const {
     return scale_.empty() ? 1.0 : scale_[idx(src, dst)];
@@ -155,13 +174,29 @@ class WavelengthFabric {
   std::vector<std::uint64_t> col_bits_;  // [dst*words + mid/64]: mid->dst free
   std::vector<double> scale_;            // per-pair effective multiplier (lazy)
   std::vector<std::vector<double>> factors_;  // per-pair live fault factors, ascending (lazy)
-  mutable double capacity_ = 0.0;        // Σ scaled capacity of covered cells
-  mutable bool capacity_dirty_ = true;   // a pair factor changed since the sum
+  std::vector<std::uint8_t> mcm_down_;   // per-MCM crash-stop flag (lazy)
+  /// Covered cells at one distinct live pair scale.
+  struct ScaleClass {
+    double scale;
+    std::size_t cells;
+  };
+  // Ascending by scale; empty until the first scale change, meaning every
+  // covered cell is at scale 1.
+  std::vector<ScaleClass> classes_;
+  std::size_t covered_cells_ = 0;        // cells with covered_ set
+  double capacity_ = 0.0;                // Σ over classes_ of cells * (g * scale)
   double used_ = 0.0;                    // running Σ of every cell's change
   std::size_t nonzero_cells_ = 0;        // cells of alloc_ holding anything
 
   void check_pair(int src, int dst, double value, const char* who) const;
+  [[nodiscard]] bool mcm_down(int mcm) const {
+    return !mcm_down_.empty() && mcm_down_[static_cast<std::size_t>(mcm)] != 0;
+  }
+  /// Rederive the pair's scale from its endpoints' flags and its factors;
+  /// when it changed, refresh the pair's free entry and move its covered
+  /// cells to the new scale's class.
   void recompute_scale(int src, int dst);
+  void move_cells(double from, double to, std::size_t cells);
   /// Rewrite the pair's free_ entry from its cells, and its row and column
   /// bits from that value; after construction, the only writer of free_ and
   /// of both bitsets.

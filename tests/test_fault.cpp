@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -259,6 +261,7 @@ TEST(FaultFabric, PairScaleRejectsBadPairAndBadScale) {
   EXPECT_THROW(fabric.push_pair_factor(-1, 2, 0.5), std::invalid_argument);
   EXPECT_THROW(fabric.push_pair_factor(1, 2, -0.1), std::invalid_argument);
   EXPECT_THROW(fabric.push_pair_factor(1, 2, 1.5), std::invalid_argument);
+  EXPECT_THROW(fabric.push_pair_factor(1, 2, std::nan("")), std::invalid_argument);
 }
 
 // The ISSUE 9 overlap fix: two faults degrading the same wavelength pair
@@ -312,11 +315,15 @@ class FactorStackReference {
         mcms_(static_cast<std::size_t>(fabric.mcms())),
         cells_(fabric.allocation_snapshot()),
         scale_(mcms_ * mcms_, 1.0),
+        lambdas_(mcms_ * mcms_, 0),
         live_(mcms_ * mcms_) {
     covered_.reserve(cells_.size());
     for (int a = 0; a < fabric.parallel_awgrs(); ++a)
       for (int s = 0; s < fabric.mcms(); ++s)
-        for (int d = 0; d < fabric.mcms(); ++d) covered_.push_back(fabric.covers(a, s, d));
+        for (int d = 0; d < fabric.mcms(); ++d) {
+          covered_.push_back(fabric.covers(a, s, d));
+          lambdas_[pair(s, d)] += covered_.back();
+        }
   }
 
   [[nodiscard]] const std::vector<double>& live(int src, int dst) const {
@@ -360,7 +367,21 @@ class FactorStackReference {
     }
     return free;
   }
+  /// Used over a capacity summed by scale class: the covered cells at each
+  /// distinct pair scale, times the scaled wavelength, in ascending scale
+  /// order.
   [[nodiscard]] double utilization() const {
+    std::map<double, std::size_t> cells_at;
+    for (std::size_t p = 0; p < scale_.size(); ++p)
+      if (lambdas_[p] > 0) cells_at[scale_[p]] += lambdas_[p];
+    const double g = fabric_.gbps_per_wavelength();
+    double cap = 0.0;
+    for (const auto& [scale, cells] : cells_at) cap += static_cast<double>(cells) * (g * scale);
+    return cap > 0.0 ? used_ / cap : 0.0;
+  }
+  /// The fabric's capacity sum before it kept scale classes: every covered
+  /// cell's scaled capacity, added one by one in awgr-major order.
+  [[nodiscard]] double awgr_major_utilization() const {
     const double g = fabric_.gbps_per_wavelength();
     double cap = 0.0;
     for (std::size_t a = 0; a < cells_.size(); a += scale_.size())
@@ -386,6 +407,7 @@ class FactorStackReference {
   std::vector<double> cells_;
   std::vector<char> covered_;
   std::vector<double> scale_;
+  std::vector<std::size_t> lambdas_;  // covered cells per pair
   std::vector<std::vector<double>> live_;
   double used_ = 0.0;
   std::size_t nonzero_ = 0;
@@ -393,13 +415,16 @@ class FactorStackReference {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// Drive `steps` seeded random factor pushes and pops, interleaved with
-/// direct allocations and releases, on three pairs of `fabric`, and compare
-/// every derived number with the reference after each call.  Returns the
-/// deepest factor stack seen on one pair.
+constexpr double kMixedFactors[] = {0.0, 0.25, 0.3, 0.5, 0.7, 1.0};
+
+/// Drive `steps` seeded random pushes and pops of `factors`, interleaved
+/// with direct allocations and releases, on three pairs of `fabric`, and
+/// compare every derived number with the reference after each call; with
+/// `awgr_major`, utilization() must also equal the awgr-major sum.  Returns
+/// the deepest factor stack seen on one pair.
 std::size_t drive_factor_stack(net::WavelengthFabric& fabric, std::uint64_t seed,
-                               int steps) {
-  constexpr double kFactors[] = {0.0, 0.25, 0.3, 0.5, 0.7, 1.0};
+                               int steps, std::span<const double> factors = kMixedFactors,
+                               bool awgr_major = false) {
   const int last = fabric.mcms() - 1;
   const std::pair<int, int> pairs[] = {{3, 9}, {9, 3}, {0, last}};
   FactorStackReference ref(fabric);
@@ -411,7 +436,7 @@ std::size_t drive_factor_stack(net::WavelengthFabric& fabric, std::uint64_t seed
     switch (rng.below(4)) {
       case 0:
         if (live.size() < 4) {
-          const double f = kFactors[rng.below(6)];
+          const double f = factors[rng.below(factors.size())];
           fabric.push_pair_factor(s, d, f);
           ref.push(s, d, f);
           break;
@@ -440,6 +465,9 @@ std::size_t drive_factor_stack(net::WavelengthFabric& fabric, std::uint64_t seed
       EXPECT_EQ(bits(fabric.free_direct(ps, pd)), bits(ref.free_direct(ps, pd)));
     }
     EXPECT_EQ(bits(fabric.utilization()), bits(ref.utilization())) << "step " << step;
+    if (awgr_major)
+      EXPECT_EQ(bits(fabric.utilization()), bits(ref.awgr_major_utilization()))
+          << "step " << step;
     if (testing::Test::HasFailure()) break;
   }
   return deepest;
@@ -458,6 +486,159 @@ TEST(FaultFabric, FactorStackMatchesASortedCopyReference) {
   net::WavelengthFabric paper(
       350, rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr);
   EXPECT_GE(drive_factor_stack(paper, 7, 200), 3u);
+}
+
+// With exact terms (25 Gb/s wavelengths, factors 0 and 0.5 and their
+// products) every order of summation gives the same bits, so the class sum
+// must reproduce the cell-by-cell awgr-major sum the fabric used before:
+// this is what keeps peak_fabric_util and every golden where they were.
+TEST(FaultFabric, ExactFactorsKeepTheAwgrMajorCapacitySum) {
+  constexpr double kExact[] = {0.0, 0.5};
+  for (const int lambdas : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << lambdas << " lambdas per pair");
+    net::WavelengthFabric slice(
+        24, net::slice_awgr_plan({.mcms = 24, .lambdas_per_pair = lambdas}));
+    EXPECT_GE(drive_factor_stack(slice, 3, 2000, kExact, /*awgr_major=*/true), 3u);
+  }
+  net::WavelengthFabric paper(
+      350, rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr);
+  EXPECT_GE(drive_factor_stack(paper, 5, 150, kExact, /*awgr_major=*/true), 3u);
+}
+
+/// The first pair, row or column word, or cell where two fabrics differ in
+/// any bit, or "" when they agree on every derived number.
+std::string first_difference(const net::WavelengthFabric& a, const net::WavelengthFabric& b) {
+  std::ostringstream diff;
+  for (int s = 0; s < a.mcms(); ++s) {
+    for (int d = 0; d < a.mcms(); ++d) {
+      if (s == d) continue;
+      if (bits(a.pair_scale(s, d)) != bits(b.pair_scale(s, d)) ||
+          bits(a.direct_capacity(s, d)) != bits(b.direct_capacity(s, d)) ||
+          bits(a.free_direct(s, d)) != bits(b.free_direct(s, d))) {
+        diff << "pair " << s << "->" << d << ": scale " << a.pair_scale(s, d) << " vs "
+             << b.pair_scale(s, d) << ", free " << a.free_direct(s, d) << " vs "
+             << b.free_direct(s, d);
+        return diff.str();
+      }
+    }
+    const auto row_a = a.free_row(s), row_b = b.free_row(s);
+    const auto col_a = a.free_col(s), col_b = b.free_col(s);
+    if (!std::equal(row_a.begin(), row_a.end(), row_b.begin()) ||
+        !std::equal(col_a.begin(), col_a.end(), col_b.begin())) {
+      diff << "row or column bits of MCM " << s;
+      return diff.str();
+    }
+  }
+  if (a.allocation_snapshot() != b.allocation_snapshot()) return "allocation cells";
+  if (bits(a.utilization()) != bits(b.utilization())) {
+    diff << "utilization " << a.utilization() << " vs " << b.utilization();
+    return diff.str();
+  }
+  return "";
+}
+
+/// Crash MCMs with set_mcm_down on `flag` and with a 0.0 factor on each of
+/// the MCM's 2(N-1) pairs on `twin`, through `steps` seeded steps that also
+/// cut links, degrade lasers by 0.5 or 0.3, allocate and release, the same
+/// on both.  The two must agree bit for bit after every step.  Faults land
+/// on a few MCMs so that crashes, cuts and lasers overlap on the same pairs.
+void drive_mcm_twins(net::WavelengthFabric& flag, net::WavelengthFabric& twin,
+                     std::uint64_t seed, int steps) {
+  const int n = flag.mcms();
+  const int hot[] = {0, 1, 2, 5, n - 1};
+  auto push_or_pop = [](net::WavelengthFabric& f, int s, int d, double factor, bool fail) {
+    if (fail)
+      f.push_pair_factor(s, d, factor);
+    else
+      f.pop_pair_factor(s, d, factor);
+  };
+  std::vector<char> down(static_cast<std::size_t>(n), 0);
+  std::map<std::pair<int, int>, char> cut;
+  std::map<int, double> laser;  // port -> live factor
+  sim::Rng rng(seed);
+  // A fresh fabric has every MCM up: repairing one is a bug upstream.
+  EXPECT_THROW(flag.set_mcm_down(0, false), std::logic_error);
+  EXPECT_THROW(flag.set_mcm_down(n, true), std::invalid_argument);
+  EXPECT_THROW(flag.set_mcm_down(-1, true), std::invalid_argument);
+  for (int step = 0; step < steps; ++step) {
+    const int a = hot[rng.below(5)];
+    int b = rng.below(3) == 0 ? static_cast<int>(rng.below(static_cast<std::uint64_t>(n)))
+                              : hot[rng.below(5)];
+    if (b == a) b = (a + 1) % n;
+    switch (rng.below(7)) {
+      case 0: {  // MCM crash or repair
+        const bool fail = !down[static_cast<std::size_t>(a)];
+        flag.set_mcm_down(a, fail);
+        for (int o = 0; o < n; ++o) {
+          if (o == a) continue;
+          push_or_pop(twin, a, o, 0.0, fail);
+          push_or_pop(twin, o, a, 0.0, fail);
+        }
+        down[static_cast<std::size_t>(a)] = fail;
+        break;
+      }
+      case 1: {  // the same flag state again: refused, nothing changes
+        const bool again = down[static_cast<std::size_t>(a)] != 0;
+        EXPECT_THROW(flag.set_mcm_down(a, again), std::logic_error) << "step " << step;
+        break;
+      }
+      case 2: {  // link cut or repair
+        char& is_cut = cut[{a, b}];
+        is_cut = !is_cut;
+        push_or_pop(flag, a, b, 0.0, is_cut);
+        push_or_pop(twin, a, b, 0.0, is_cut);
+        break;
+      }
+      case 3: {  // laser degradation or repair on port a
+        const auto it = laser.find(a);
+        const bool fail = it == laser.end();
+        const double factor = fail ? (rng.below(2) == 0 ? 0.5 : 0.3) : it->second;
+        for (int d = 0; d < n; ++d) {
+          if (d == a) continue;
+          push_or_pop(flag, a, d, factor, fail);
+          push_or_pop(twin, a, d, factor, fail);
+        }
+        if (fail)
+          laser.emplace(a, factor);
+        else
+          laser.erase(it);
+        break;
+      }
+      case 4:
+      case 5: {
+        const double gbps = 60.0 * rng.uniform();
+        EXPECT_EQ(bits(flag.allocate_direct(a, b, gbps)), bits(twin.allocate_direct(a, b, gbps)))
+            << "step " << step;
+        break;
+      }
+      default: {
+        const double gbps = flag.allocated(a, b) * rng.uniform();
+        flag.release_direct(a, b, gbps);
+        twin.release_direct(a, b, gbps);
+        break;
+      }
+    }
+    EXPECT_EQ(first_difference(flag, twin), "") << "step " << step;
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+// A crashed MCM is one flag on the fabric.  It must read exactly as the
+// factor stack it replaced, a 0.0 on every pair touching the MCM, under
+// overlapping link cuts and laser degradations, including a crash and a
+// repair that land on a pair whose other faults are still live.
+TEST(FaultFabric, McmFlagMatchesZeroFactorsOnEveryPairOfTheMcm) {
+  for (const int lambdas : {1, 2}) {
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+      SCOPED_TRACE(testing::Message() << lambdas << " lambdas, seed " << seed);
+      const auto plan = net::slice_awgr_plan({.mcms = 24, .lambdas_per_pair = lambdas});
+      net::WavelengthFabric flag(24, plan), twin(24, plan);
+      drive_mcm_twins(flag, twin, seed, 1500);
+    }
+  }
+  const auto paper = rack::build_rack_design(rack::FabricKind::kParallelAwgrs).awgr;
+  net::WavelengthFabric flag(350, paper), twin(350, paper);
+  drive_mcm_twins(flag, twin, 7, 60);
 }
 
 // ---------------------------------------------------------------------------
