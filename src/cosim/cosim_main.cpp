@@ -212,8 +212,13 @@ int main(int argc, char** argv) {
 
     // Observability: --trace/--metrics/--profile are sugar that force the
     // matching obs.* enable; the shape knobs (ring size, sample period)
-    // stay addressable through --set obs.*.
+    // stay addressable through --set obs.*.  A trace or metrics knob set
+    // without the file to write it to would record the run and discard it.
     obs::ObsConfig obs_cfg = opt.tree.build<obs::ObsConfig>("obs");
+    if (obs_cfg.trace_enabled && opt.trace_path.empty())
+      throw std::invalid_argument("obs.trace.enabled=true needs --trace <file>");
+    if (obs_cfg.metrics_enabled && opt.metrics_path.empty())
+      throw std::invalid_argument("obs.metrics.enabled=true needs --metrics <file>");
     if (!opt.trace_path.empty()) obs_cfg.trace_enabled = true;
     if (!opt.metrics_path.empty()) obs_cfg.metrics_enabled = true;
     if (opt.profile_table) obs_cfg.profile_enabled = true;
@@ -332,7 +337,7 @@ int main(int argc, char** argv) {
       table.print(std::cout);
     }
 
-    if (opt.profile_table && obs_bundle.profiler()) {
+    if (obs_bundle.profiler()) {
       sim::Table prof({"scope", "count", "ns/op", "ops/s"});
       for (const auto& e : obs_bundle.profiler()->entries()) {
         if (e.count == 0) continue;
