@@ -52,7 +52,12 @@ WavelengthFabric::WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan)
   // covers() without its per-entry modulo: src + dst < 2 * radix, so one
   // conditional subtract gives the wavelength index.  An idle healthy pair
   // frees one full wavelength per covering AWGR, summed in AWGR order as
-  // refresh_free() would.
+  // refresh_free() would.  The cell loop reads locals, not members: a byte
+  // store to covered_ may alias any member and would reload them per cell.
+  const std::size_t awgrs = lambdas_.size(), pairs = pairs_;
+  const int* const port_lambdas = lambdas_.data();
+  std::uint8_t* const covered = covered_.data();
+  const double g = gbps_per_lambda_;
   std::size_t cells = 0;
   for (int s = 0; s < mcms_; ++s) {
     for (int d = 0; d < mcms_; ++d) {
@@ -60,12 +65,14 @@ WavelengthFabric::WavelengthFabric(int mcms, const rack::AwgrFabricPlan& plan)
       int lambda = s + d;
       if (lambda >= radix_) lambda -= radix_;
       const std::size_t pair = idx(s, d);
-      for (std::size_t a = 0; a < lambdas_.size(); ++a) {
-        if (lambda >= lambdas_[a]) continue;
-        covered_[a * pairs_ + pair] = 1;
-        free_[pair] += gbps_per_lambda_;
+      double free = 0.0;
+      for (std::size_t a = 0; a < awgrs; ++a) {
+        if (lambda >= port_lambdas[a]) continue;
+        covered[a * pairs + pair] = 1;
+        free += g;
         ++cells;
       }
+      free_[pair] = free;
     }
   }
   covered_cells_ = cells;
